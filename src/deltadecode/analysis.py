@@ -21,7 +21,6 @@ from .decoder import InsufficientTrajectoryError, Trajectory, replay_against
 from .scorers import Scorer
 
 __all__ = [
-    "EmptyInputError",
     "PcrReport",
     "SeriesMismatchError",
     "TokenSetSpec",

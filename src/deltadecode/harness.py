@@ -225,23 +225,7 @@ class RunManifest:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
-        manifest = cls.from_dict(data)
-        base = path.parent
-        resolved_arms = tuple(
-            replace(
-                arm,
-                base=_resolve_path(arm.base, base),
-                expert=_resolve_path(arm.expert, base),
-                expert_base=_resolve_path(arm.expert_base, base),
-                vocab=_resolve_path(arm.vocab, base),
-            )
-            for arm in manifest.arms
-        )
-        return replace(
-            manifest,
-            dataset=_resolve_path(manifest.dataset, base),
-            arms=resolved_arms,
-        )
+        return cls.from_dict(data).resolved(path.parent)
 
 
 def _resolve_path(spec: str | None, base: Path) -> str | None:

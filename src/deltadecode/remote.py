@@ -12,7 +12,10 @@ request id and the server answers each id exactly once, in any order:
 
 Numbers round-trip through ``repr`` so float64 logits survive the wire
 bit-exactly. The client multiplexes one connection across threads: sends
-are serialized, responses are matched to waiters by id.
+are serialized, responses are matched to waiters by id. Sparse frames are
+expanded by :func:`densify`. Every transport (a TCP socket, a child
+process's pipes, the server's own stdin/stdout) frames lines through the
+same reader and differs only in how it sends, receives and closes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import subprocess
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +43,10 @@ __all__ = [
     "RemoteScorer",
     "RemoteTimeoutError",
     "ScorerClient",
-    "SparseLogits",
     "StubServer",
     "connect_endpoint",
     "densify",
     "parse_endpoint",
-    "remote_score",
     "serve_stdio",
     "stub_server_step",
 ]
@@ -75,19 +75,9 @@ def _encode_frame(frame: dict) -> bytes:
     return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-@dataclass(frozen=True)
-class SparseLogits:
-    """Top-k (id, logit) pairs plus one shared value for every other id."""
-
-    topk: tuple[tuple[int, float], ...]
-    rest: float
-
-    def densify(self, vocab_size: int) -> np.ndarray:
-        return densify(self.topk, self.rest, vocab_size)
-
-
 def densify(topk: Sequence[Sequence], rest: float, vocab_size: int) -> np.ndarray:
-    """Expand a sparse response to a dense vector, validating as it goes."""
+    """Expand top-k ``[id, logit]`` pairs plus one shared ``rest`` value for
+    every other id into a dense vector, validating as it goes."""
     if not np.isfinite(rest):
         raise RemoteScoreError(f"sparse rest value is non-finite: {rest}")
     out = np.full(vocab_size, float(rest), dtype=np.float64)
@@ -108,64 +98,20 @@ def densify(topk: Sequence[Sequence], rest: float, vocab_size: int) -> np.ndarra
 
 
 class _Channel:
-    """Line-framed byte transport with deadline-aware reads."""
+    """Line-framed byte transport with deadline-aware reads.
 
-    def send_line(self, data: bytes) -> None:
-        raise NotImplementedError
+    A transport supplies ``send(data)``, ``close()`` and ``recv(timeout)``,
+    which returns the next chunk of bytes (``b""`` at end of stream) or
+    raises ``TimeoutError`` when none arrived within ``timeout`` seconds
+    (``None`` waits indefinitely). ``eof_message`` names the closed stream.
+    """
 
-    def recv_line(self, deadline: float | None) -> bytes:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class _SocketChannel(_Channel):
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
+    def __init__(self, send, recv, close, eof_message: str):
+        self.send_line = send
+        self.close = close
+        self._recv = recv
+        self._eof_message = eof_message
         self._buffer = b""
-
-    def send_line(self, data: bytes) -> None:
-        self._sock.sendall(data)
-
-    def recv_line(self, deadline: float | None) -> bytes:
-        while b"\n" not in self._buffer:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RemoteTimeoutError("timed out waiting for a frame")
-                self._sock.settimeout(remaining)
-            else:
-                self._sock.settimeout(None)
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                raise RemoteTimeoutError("timed out waiting for a frame") from None
-            if not chunk:
-                raise ProtocolError("connection closed by peer")
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class _PipeChannel(_Channel):
-    """Talks to a subprocess over its stdin/stdout pipes."""
-
-    def __init__(self, process: subprocess.Popen):
-        self._process = process
-        self._buffer = b""
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(process.stdout, selectors.EVENT_READ)
-
-    def send_line(self, data: bytes) -> None:
-        self._process.stdin.write(data)
-        self._process.stdin.flush()
 
     def recv_line(self, deadline: float | None) -> bytes:
         while b"\n" not in self._buffer:
@@ -174,28 +120,60 @@ class _PipeChannel(_Channel):
                 timeout = deadline - time.monotonic()
                 if timeout <= 0:
                     raise RemoteTimeoutError("timed out waiting for a frame")
-            if not self._selector.select(timeout):
-                raise RemoteTimeoutError("timed out waiting for a frame")
-            chunk = os.read(self._process.stdout.fileno(), 65536)
+            try:
+                chunk = self._recv(timeout)
+            except TimeoutError:
+                raise RemoteTimeoutError("timed out waiting for a frame") from None
             if not chunk:
-                raise ProtocolError("subprocess closed its output")
+                raise ProtocolError(self._eof_message)
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
 
-    def close(self) -> None:
-        self._selector.close()
-        for stream in (self._process.stdin, self._process.stdout):
+
+def _socket_channel(sock: socket.socket) -> _Channel:
+    def recv(timeout):
+        sock.settimeout(timeout)
+        return sock.recv(65536)
+
+    def close():
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+    return _Channel(sock.sendall, recv, close, "connection closed by peer")
+
+
+def _pipe_channel(process: subprocess.Popen) -> _Channel:
+    """Talks to a subprocess over its stdin/stdout pipes."""
+    selector = selectors.DefaultSelector()
+    selector.register(process.stdout, selectors.EVENT_READ)
+
+    def send(data: bytes) -> None:
+        process.stdin.write(data)
+        process.stdin.flush()
+
+    def recv(timeout):
+        if not selector.select(timeout):
+            raise TimeoutError
+        return os.read(process.stdout.fileno(), 65536)
+
+    def close():
+        selector.close()
+        for stream in (process.stdin, process.stdout):
             try:
                 stream.close()
             except OSError:
                 pass
-        self._process.terminate()
+        process.terminate()
         try:
-            self._process.wait(timeout=5)
+            process.wait(timeout=5)
         except subprocess.TimeoutExpired:
-            self._process.kill()
-            self._process.wait()
+            process.kill()
+            process.wait()
+
+    return _Channel(send, recv, close, "subprocess closed its output")
 
 
 class ScorerClient:
@@ -225,17 +203,25 @@ class ScorerClient:
     def connect_tcp(cls, host: str, port: int, timeout_ms: int = DEFAULT_TIMEOUT_MS):
         sock = socket.create_connection((host, port), timeout=timeout_ms / 1000.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        client = cls(_SocketChannel(sock), timeout_ms)
-        client.handshake()
-        return client
+        return cls._open(_socket_channel(sock), timeout_ms)
 
     @classmethod
     def connect_stdio(cls, command: Sequence[str], timeout_ms: int = DEFAULT_TIMEOUT_MS):
         process = subprocess.Popen(
             list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
-        client = cls(_PipeChannel(process), timeout_ms)
-        client.handshake()
+        return cls._open(_pipe_channel(process), timeout_ms)
+
+    @classmethod
+    def _open(cls, channel: _Channel, timeout_ms: int) -> "ScorerClient":
+        # A client that never finished its handshake is never returned, so
+        # its transport (socket or child process) is released here.
+        try:
+            client = cls(channel, timeout_ms)
+            client.handshake()
+        except BaseException:
+            channel.close()
+            raise
         return client
 
     def handshake(self) -> int:
@@ -356,11 +342,6 @@ class ScorerClient:
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def remote_score(client: ScorerClient, tokens: Sequence[int]) -> np.ndarray:
-    """One round trip: submit ``tokens`` and wait for the logits."""
-    return client.score_tokens(tokens)
 
 
 class RemoteScorer(Scorer):
@@ -528,7 +509,7 @@ class StubServer:
             self._threads.append(thread)
 
     def _serve_one(self, conn: socket.socket) -> None:
-        channel = _SocketChannel(conn)
+        channel = _socket_channel(conn)
         try:
             _serve_channel(self.scorer, channel, self.reorder_window, self.sparse_topk)
         finally:
@@ -554,27 +535,14 @@ def serve_stdio(scorer: Scorer, stdin=None, stdout=None) -> None:
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
 
-    class _StdioChannel(_Channel):
-        def __init__(self):
-            self._buffer = b""
+    read = stdin.read1 if hasattr(stdin, "read1") else stdin.read
 
-        def send_line(self, data: bytes) -> None:
-            stdout.write(data)
-            stdout.flush()
+    def send(data: bytes) -> None:
+        stdout.write(data)
+        stdout.flush()
 
-        def recv_line(self, deadline) -> bytes:
-            while b"\n" not in self._buffer:
-                chunk = stdin.read1(65536) if hasattr(stdin, "read1") else stdin.read(65536)
-                if not chunk:
-                    raise ProtocolError("stdin closed")
-                self._buffer += chunk
-            line, self._buffer = self._buffer.split(b"\n", 1)
-            return line
-
-        def close(self) -> None:
-            pass
-
-    _serve_channel(scorer, _StdioChannel(), reorder_window=1, sparse_topk=None)
+    channel = _Channel(send, lambda timeout: read(65536), lambda: None, "stdin closed")
+    _serve_channel(scorer, channel, reorder_window=1, sparse_topk=None)
 
 
 def parse_endpoint(spec: str):

@@ -33,7 +33,6 @@ __all__ = [
     "load_corpus",
     "load_scorer",
     "load_vocab",
-    "ngram_score",
     "render_tokens",
     "save_scorer",
     "save_vocab",
@@ -214,11 +213,6 @@ class NGramModel(Scorer):
                 numerators[t] += c
             total += self._totals[ctx]
         return np.log(numerators / total)
-
-
-def ngram_score(model: NGramModel, prefix: Sequence[int]) -> np.ndarray:
-    """Functional alias for :meth:`NGramModel.score`."""
-    return model.score(prefix)
 
 
 def train_ngram(

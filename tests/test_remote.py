@@ -1,7 +1,10 @@
+import contextlib
 import json
 import socket
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,11 +19,10 @@ from deltadecode.remote import (
     RemoteScorer,
     RemoteTimeoutError,
     ScorerClient,
-    SparseLogits,
     StubServer,
     connect_endpoint,
+    densify,
     parse_endpoint,
-    remote_score,
     stub_server_step,
 )
 from deltadecode.scorers import BigramMatrixScorer, ConstantScorer, build_vocab, train_ngram
@@ -34,8 +36,7 @@ def demo_scorer():
 
 class TestSparseLogits:
     def test_densify_worked_example(self):
-        sparse = SparseLogits(topk=((5, 3.2), (9, 1.1)), rest=-10.0)
-        dense = sparse.densify(12)
+        dense = densify(((5, 3.2), (9, 1.1)), -10.0, 12)
         expected = np.full(12, -10.0)
         expected[5] = 3.2
         expected[9] = 1.1
@@ -43,17 +44,17 @@ class TestSparseLogits:
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(RemoteScoreError):
-            SparseLogits(topk=((1, 2.0), (1, 3.0)), rest=0.0).densify(4)
+            densify(((1, 2.0), (1, 3.0)), 0.0, 4)
 
     def test_out_of_range_id_rejected(self):
         with pytest.raises(RemoteScoreError):
-            SparseLogits(topk=((9, 2.0),), rest=0.0).densify(4)
+            densify(((9, 2.0),), 0.0, 4)
 
     def test_non_finite_rejected(self):
         with pytest.raises(RemoteScoreError):
-            SparseLogits(topk=((0, float("nan")),), rest=0.0).densify(4)
+            densify(((0, float("nan")),), 0.0, 4)
         with pytest.raises(RemoteScoreError):
-            SparseLogits(topk=((0, 1.0),), rest=float("inf")).densify(4)
+            densify(((0, 1.0),), float("inf"), 4)
 
 
 class TestStubServerStep:
@@ -107,7 +108,7 @@ class TestTcpTransport:
                 for _ in range(50):
                     prefix = [int(t) for t in rng.integers(0, scorer.vocab.size, size=rng.integers(1, 6))]
                     local = scorer.score(prefix)
-                    remote = remote_score(client, prefix)
+                    remote = client.score_tokens(prefix)
                     assert local.tobytes() == remote.tobytes()
 
     def test_pipelined_out_of_order_delivery(self):
@@ -127,7 +128,7 @@ class TestTcpTransport:
         def worker(client, prefix, repeats=25):
             want = scorer.score(prefix).tobytes()
             for _ in range(repeats):
-                got = remote_score(client, prefix)
+                got = client.score_tokens(prefix)
                 if got.tobytes() != want:
                     failures.append(prefix)
 
@@ -162,7 +163,7 @@ class TestTcpTransport:
             with ScorerClient.connect_tcp(server.host, server.port) as client:
                 for prefix in ([0], [1], [0, 2]):
                     local = scorer.score(prefix)
-                    got = remote_score(client, prefix)
+                    got = client.score_tokens(prefix)
                     np.testing.assert_array_equal(got, local)
 
     def test_malformed_frame_gets_error_not_logits(self):
@@ -200,49 +201,72 @@ class TestTcpTransport:
                     client.collect(999)
 
 
+HELLO = json.dumps({"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": 3}).encode() + b"\n"
+
+
+@contextlib.contextmanager
+def fake_server(serve):
+    """Accept one TCP connection and run ``serve(conn)`` on it in a thread."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(10)
+
+    def run():
+        conn, _ = listener.accept()
+        with conn:
+            serve(conn)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def read_frames(conn, count):
+    buffer = b""
+    while buffer.count(b"\n") < count:
+        chunk = conn.recv(4096)
+        if not chunk:
+            break
+        buffer += chunk
+    return [json.loads(line) for line in buffer.splitlines()]
+
+
 class TestHandshakeValidation:
-    def run_fake_server(self, hello_line):
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        host, port = listener.getsockname()
+    def assert_rejected(self, hello_line, match=None):
+        after_hello = []
 
-        def serve():
-            conn, _ = listener.accept()
+        def serve(conn):
             conn.sendall(hello_line)
-            conn.recv(1024)
-            conn.close()
+            conn.settimeout(5)
+            try:
+                after_hello.append(conn.recv(1024))
+            except socket.timeout:
+                after_hello.append("still open")
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        return host, port, listener
+        with fake_server(serve) as (host, port):
+            with pytest.raises(HandshakeError, match=match) as excinfo:
+                ScorerClient.connect_tcp(host, port, timeout_ms=2000)
+        # excinfo keeps the failed call's frames, and so its socket, alive:
+        # the peer sees the connection end only if the error path closed it.
+        assert after_hello == [b""], excinfo.value
 
     def test_version_mismatch_names_both(self):
         hello = json.dumps({"type": "hello", "version": 2, "vocab_size": 7}).encode() + b"\n"
-        host, port, listener = self.run_fake_server(hello)
-        try:
-            with pytest.raises(HandshakeError, match="2.*1|1.*2"):
-                ScorerClient.connect_tcp(host, port, timeout_ms=2000)
-        finally:
-            listener.close()
+        self.assert_rejected(hello, match="2.*1|1.*2")
 
     def test_missing_vocab_size(self):
         hello = json.dumps({"type": "hello", "version": PROTOCOL_VERSION}).encode() + b"\n"
-        host, port, listener = self.run_fake_server(hello)
-        try:
-            with pytest.raises(HandshakeError, match="vocab_size"):
-                ScorerClient.connect_tcp(host, port, timeout_ms=2000)
-        finally:
-            listener.close()
+        self.assert_rejected(hello, match="vocab_size")
 
     def test_wrong_first_frame(self):
         hello = json.dumps({"type": "logits", "id": 0, "dense": [1.0]}).encode() + b"\n"
-        host, port, listener = self.run_fake_server(hello)
-        try:
-            with pytest.raises(HandshakeError):
-                ScorerClient.connect_tcp(host, port, timeout_ms=2000)
-        finally:
-            listener.close()
+        self.assert_rejected(hello)
 
     def test_timeout_when_server_silent(self):
         listener = socket.socket()
@@ -279,6 +303,73 @@ class TestStdioTransport:
             for prefix in ([0], [1, 2], [2, 0, 1]):
                 got = client.score_tokens(prefix)
                 assert got.tobytes() == scorer.score(prefix).tobytes()
+
+    @pytest.mark.parametrize(
+        "script, error, timeout_ms",
+        [
+            ("print('{\"type\":\"logits\"}', flush=True); time.sleep(20)", HandshakeError, 5000),
+            ("time.sleep(20)", RemoteTimeoutError, 300),
+        ],
+        ids=["wrong-first-frame", "silent"],
+    )
+    def test_failed_handshake_reaps_child(self, monkeypatch, script, error, timeout_ms):
+        started = []
+        real_popen = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            started.append(real_popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        begin = time.monotonic()
+        try:
+            with pytest.raises(error):
+                ScorerClient.connect_stdio(
+                    [sys.executable, "-c", "import time; " + script], timeout_ms=timeout_ms
+                )
+            assert time.monotonic() - begin < 10
+            assert started[0].poll() is not None
+        finally:
+            for process in started:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+
+
+class TestLineFraming:
+    @pytest.mark.parametrize("split", [1, len(HELLO) // 2, len(HELLO) - 1])
+    def test_split_hello_and_coalesced_responses(self, split):
+        def serve(conn):
+            conn.sendall(HELLO[:split])
+            time.sleep(0.05)
+            conn.sendall(HELLO[split:])
+            # Both answers go out in one send, newest first.
+            conn.sendall(
+                b"".join(
+                    json.dumps({"type": "logits", "id": r["id"], "dense": r["tokens"]}).encode() + b"\n"
+                    for r in reversed(read_frames(conn, 2))
+                )
+            )
+            conn.recv(1024)
+
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
+                assert client.vocab_size == 3
+                first = client.submit([0, 1, 2])
+                second = client.submit([2, 2, 1])
+                assert client.collect(first).tolist() == [0.0, 1.0, 2.0]
+                assert client.collect(second).tolist() == [2.0, 2.0, 1.0]
+
+    def test_peer_closing_mid_session(self):
+        def serve(conn):
+            conn.sendall(HELLO)
+            read_frames(conn, 1)
+
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
+                with pytest.raises(ProtocolError, match="closed") as excinfo:
+                    client.score_tokens([0])
+        assert not isinstance(excinfo.value, RemoteTimeoutError)
 
 
 class TestEndpoints:

@@ -15,7 +15,6 @@ from deltadecode.scorers import (
     load_corpus,
     load_scorer,
     load_vocab,
-    ngram_score,
     render_tokens,
     save_scorer,
     save_vocab,
@@ -147,10 +146,6 @@ class TestTrainNgram:
     def test_score_determinism(self):
         m = train_ngram([ids("a b a b", AB)], order=2, vocab=AB)
         assert m.score([0]).tobytes() == m.score([0]).tobytes()
-
-    def test_ngram_score_alias(self):
-        m = train_ngram([ids("a b a b", AB)], order=2, vocab=AB)
-        np.testing.assert_array_equal(ngram_score(m, [0]), m.score([0]))
 
 
 class TestSyntheticScorers:
