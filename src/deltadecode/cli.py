@@ -110,16 +110,11 @@ def _cmd_decode(args) -> int:
     )
     text = render_tokens(trajectory.tokens, base.vocab, base.tokenizer)
     payload = {
-        "prompt_tokens": list(trajectory.prompt_tokens),
-        "tokens": list(trajectory.tokens),
+        **trajectory.to_dict(),
         "text": text,
-        "stop_reason": trajectory.stop_reason,
-        "logprobs": [step.chosen_logprob for step in trajectory.generated],
         "config": trajectory.config_snapshot.to_dict(),
         "scorers": trajectory.labels,
     }
-    if "kl" in instrument:
-        payload["kl"] = [step.kl_base_vs_combined for step in trajectory.generated]
     if args.answer_style:
         payload["extracted_answer"] = extract_answer(text, args.answer_style)
     _emit(payload, args.out)

@@ -9,7 +9,7 @@ return a fresh array or raise; none mutate their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "argmax_token",
     "as_logits",
     "as_distribution",
+    "check_fields",
     "combine_logits",
     "nucleus_filter",
     "sample_token",
@@ -133,15 +134,29 @@ class DecodeConfig:
         return DecodeConfig(**current)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecodeConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfigError(f"unknown decode config fields: {sorted(unknown)}")
+        check_fields(cls, data, InvalidConfigError, "decode config")
         return cls(**data)
+
+
+def check_fields(cls, data, error: type[Exception], what: str) -> None:
+    """Check the dict form of dataclass ``cls`` before it is constructed.
+
+    Raises ``error`` naming the offending key when ``data`` is not a dict,
+    carries a key that is not a field of ``cls``, or lacks a field that
+    has no default.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{what} is missing field {f.name!r}")
 
 
 def as_logits(scores, vocab_size: int | None = None) -> np.ndarray:

@@ -91,14 +91,22 @@ class Trajectory:
         config_snapshot: DecodeConfig,
         scorer_labels=(),
         logprobs=None,
+        kl=None,
     ) -> "Trajectory":
-        """Build a trajectory from bare token ids (logprobs default to 0)."""
+        """Build a trajectory from bare token ids (logprobs default to 0, kl to None).
+
+        Raises ValueError unless given logprobs and kl have one entry per token.
+        """
         tokens = tuple(int(t) for t in tokens)
-        if logprobs is None:
-            logprobs = [0.0] * len(tokens)
+        logprobs = [0.0] * len(tokens) if logprobs is None else logprobs
+        kl = [None] * len(tokens) if kl is None else kl
+        if not len(tokens) == len(logprobs) == len(kl):
+            raise ValueError(
+                f"{len(tokens)} tokens, {len(logprobs)} logprobs and {len(kl)} kl entries"
+            )
         steps = tuple(
-            StepRecord(token=t, chosen_logprob=float(lp))
-            for t, lp in zip(tokens, logprobs)
+            StepRecord(t, float(lp), None if k is None else float(k))
+            for t, lp, k in zip(tokens, logprobs, kl)
         )
         return cls(
             prompt_tokens=tuple(int(t) for t in prompt_tokens),
@@ -106,6 +114,32 @@ class Trajectory:
             stop_reason=stop_reason,
             config_snapshot=config_snapshot,
             scorer_labels=tuple(scorer_labels),
+        )
+
+    def to_dict(self) -> dict:
+        """Persisted form for campaign lines and CLI output; ``kl`` only if recorded."""
+        data = {
+            "prompt_tokens": list(self.prompt_tokens),
+            "tokens": list(self.tokens),
+            "logprobs": [step.chosen_logprob for step in self.generated],
+            "stop_reason": self.stop_reason,
+        }
+        kl = [step.kl_base_vs_combined for step in self.generated]
+        if any(k is not None for k in kl):
+            data["kl"] = kl
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict, config_snapshot: DecodeConfig, scorer_labels=()) -> "Trajectory":
+        """Inverse of :meth:`to_dict`, through :meth:`from_tokens`; other keys are ignored."""
+        return cls.from_tokens(
+            data["prompt_tokens"],
+            data["tokens"],
+            data["stop_reason"],
+            config_snapshot,
+            scorer_labels,
+            logprobs=data["logprobs"],
+            kl=data.get("kl"),
         )
 
 

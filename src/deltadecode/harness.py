@@ -14,15 +14,15 @@ import json
 import re
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .core import DecodeConfig, InvalidConfigError
-from .decoder import StepRecord, Trajectory, decode
+from .core import DecodeConfig, InvalidConfigError, check_fields
+from .decoder import Trajectory, decode
 from .metrics import EvalRecord, extract_answer, pass_at_k_exact, save_records
 from .remote import RemoteScorer, connect_endpoint
 from .scorers import Scorer, encode_text, load_scorer, load_vocab, render_tokens
@@ -79,49 +79,12 @@ class ArmSpec:
         object.__setattr__(self, "instrument", tuple(self.instrument))
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "base": self.base,
-            "expert": self.expert,
-            "expert_base": self.expert_base,
-            "config": self.config.to_dict(),
-            "samples_per_problem": self.samples_per_problem,
-            "template": self.template,
-            "vocab": self.vocab,
-            "tokenizer": self.tokenizer,
-            "instrument": list(self.instrument),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArmSpec":
-        known = {
-            "label",
-            "base",
-            "expert",
-            "expert_base",
-            "config",
-            "samples_per_problem",
-            "template",
-            "vocab",
-            "tokenizer",
-            "instrument",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ManifestError(f"unknown arm fields: {sorted(unknown)}")
-        config = DecodeConfig.from_dict(data.get("config", {}))
-        return cls(
-            label=data["label"],
-            base=data["base"],
-            expert=data.get("expert"),
-            expert_base=data.get("expert_base"),
-            config=config,
-            samples_per_problem=data.get("samples_per_problem"),
-            template=data.get("template"),
-            vocab=data.get("vocab"),
-            tokenizer=data.get("tokenizer"),
-            instrument=tuple(data.get("instrument", ())),
-        )
+        check_fields(cls, data, ManifestError, "arm")
+        return cls(**{**data, "config": DecodeConfig.from_dict(data.get("config", {}))})
 
 
 @dataclass(frozen=True)
@@ -155,43 +118,12 @@ class RunManifest:
         return arm.samples_per_problem or self.samples_per_problem
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "dataset": self.dataset,
-            "arms": [arm.to_dict() for arm in self.arms],
-            "samples_per_problem": self.samples_per_problem,
-            "answer_style": self.answer_style,
-            "created_at": self.created_at,
-            "code_version": self.code_version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        known = {
-            "run_id",
-            "dataset",
-            "arms",
-            "samples_per_problem",
-            "answer_style",
-            "created_at",
-            "code_version",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ManifestError(f"unknown manifest fields: {sorted(unknown)}")
-        try:
-            arms = tuple(ArmSpec.from_dict(a) for a in data["arms"])
-            return cls(
-                run_id=data["run_id"],
-                dataset=data["dataset"],
-                arms=arms,
-                samples_per_problem=data.get("samples_per_problem", 32),
-                answer_style=data.get("answer_style", "boxed"),
-                created_at=data.get("created_at", ""),
-                code_version=data.get("code_version", ""),
-            )
-        except KeyError as exc:
-            raise ManifestError(f"manifest is missing field {exc}") from exc
+        check_fields(cls, data, ManifestError, "manifest")
+        return cls(**{**data, "arms": [ArmSpec.from_dict(arm) for arm in data["arms"]]})
 
     def save(self, path) -> None:
         Path(path).write_text(
@@ -421,20 +353,14 @@ def _load_arm_scorer(spec: str, arm: ArmSpec, cache: dict) -> Scorer:
 
 def _trajectory_line(sample_index: int, trajectory: Trajectory, answer: str | None) -> str:
     payload = {
+        **trajectory.to_dict(),
         "sample_index": sample_index,
-        "prompt_tokens": list(trajectory.prompt_tokens),
-        "tokens": list(trajectory.tokens),
-        "logprobs": [step.chosen_logprob for step in trajectory.generated],
-        "stop_reason": trajectory.stop_reason,
         "extracted_answer": answer,
     }
-    kls = [step.kl_base_vs_combined for step in trajectory.generated]
-    if any(k is not None for k in kls):
-        payload["kl"] = kls
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _read_existing_lines(path: Path, samples: int) -> dict[int, str]:
+def _read_existing_lines(path: Path, samples: int, config: DecodeConfig) -> dict[int, str]:
     """Salvage completed samples from a possibly torn JSONL file."""
     existing: dict[int, str] = {}
     if not path.is_file():
@@ -442,10 +368,11 @@ def _read_existing_lines(path: Path, samples: int) -> dict[int, str]:
     for line in path.read_text(encoding="utf-8").splitlines():
         try:
             row = json.loads(line)
+            Trajectory.from_dict(row, config)
             index = row["sample_index"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+        except (TypeError, KeyError, ValueError):
             continue  # torn or foreign line: regenerate that sample
-        if isinstance(index, int) and 0 <= index < samples:
+        if isinstance(index, int) and 0 <= index < samples and "extracted_answer" in row:
             existing[index] = line
     return existing
 
@@ -522,7 +449,7 @@ def _run_arm(
     for problem in problems:
         filename = _problem_filename(problem["problem_id"], taken)
         path = arm_dir / "problems" / f"{filename}.jsonl"
-        existing = _read_existing_lines(path, samples)
+        existing = _read_existing_lines(path, samples, arm.config)
         prompt = runtime.encode_prompt(problem["input"])
         lines = []
         try:
@@ -583,23 +510,10 @@ def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:
     for path in sorted(problems_dir.glob("*.jsonl")):
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             try:
-                row = json.loads(line)
-                steps = []
-                kls = row.get("kl", [None] * len(row["tokens"]))
-                for token, logprob, kl in zip(row["tokens"], row["logprobs"], kls):
-                    steps.append(
-                        StepRecord(token=token, chosen_logprob=logprob, kl_base_vs_combined=kl)
-                    )
                 trajectories.append(
-                    Trajectory(
-                        prompt_tokens=tuple(row["prompt_tokens"]),
-                        generated=tuple(steps),
-                        stop_reason=row["stop_reason"],
-                        config_snapshot=arm.config,
-                        scorer_labels=(("base", arm.base),),
-                    )
+                    Trajectory.from_dict(json.loads(line), arm.config, (("base", arm.base),))
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ManifestError(f"{path}: line {lineno}: malformed trajectory: {exc}") from exc
     return trajectories
 

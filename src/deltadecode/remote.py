@@ -182,7 +182,9 @@ class ScorerClient:
     ``submit`` sends a request and returns its id without blocking on the
     response; ``collect`` waits for that id, pumping the connection and
     parking frames for other ids so pipelined, out-of-order replies land
-    with their rightful callers.
+    with their rightful callers. A request whose ``collect`` timed out is
+    retired: its response, if it ever arrives, is dropped and counted in
+    ``late_frames``.
     """
 
     def __init__(self, channel: _Channel, timeout_ms: int = DEFAULT_TIMEOUT_MS):
@@ -196,6 +198,8 @@ class ScorerClient:
         self._send_lock = threading.Lock()
         self._responses: dict[int, dict] = {}
         self._outstanding: set[int] = set()
+        self._timed_out: set[int] = set()
+        self._late_frames = 0
         self._next_id = 0
         self._pumping = False
 
@@ -223,6 +227,11 @@ class ScorerClient:
             channel.close()
             raise
         return client
+
+    @property
+    def late_frames(self) -> int:
+        """Responses that arrived after their request timed out, and were dropped."""
+        return self._late_frames
 
     def handshake(self) -> int:
         """Consume the server hello; returns the advertised vocab size."""
@@ -257,17 +266,23 @@ class ScorerClient:
         deadline = time.monotonic() + self._timeout
         with self._cond:
             if request_id not in self._outstanding:
-                raise ProtocolError(f"request id {request_id} was never submitted")
-            while request_id not in self._responses:
-                if self._pumping:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise RemoteTimeoutError(
-                            f"no response for request {request_id} within {self.timeout_ms} ms"
-                        )
-                    self._cond.wait(timeout=remaining)
-                    continue
-                self._pump_one(deadline)
+                raise ProtocolError(f"request id {request_id} is not outstanding")
+            try:
+                while request_id not in self._responses:
+                    if self._pumping:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            raise RemoteTimeoutError(
+                                f"no response for request {request_id} within {self.timeout_ms} ms"
+                            )
+                        self._cond.wait(timeout=remaining)
+                        continue
+                    self._pump_one(deadline)
+            except RemoteTimeoutError:
+                # Retire the id so a late response is dropped, not parked forever.
+                self._outstanding.discard(request_id)
+                self._timed_out.add(request_id)
+                raise
             frame = self._responses.pop(request_id)
             self._outstanding.discard(request_id)
         return self._decode_response(frame)
@@ -295,9 +310,14 @@ class ScorerClient:
         frame_id = frame.get("id")
         if frame_id is None and kind == "error":
             raise RemoteScoreError(f"server error: {frame.get('message')!r}")
-        if frame_id not in self._outstanding:
+        # An id that is not an int (a list would not even hash) is unknown too.
+        if isinstance(frame_id, int) and frame_id in self._outstanding:
+            self._responses[frame_id] = frame
+        elif isinstance(frame_id, int) and frame_id in self._timed_out:
+            self._timed_out.discard(frame_id)
+            self._late_frames += 1
+        else:
             raise ProtocolError(f"response for unknown request id {frame_id!r}")
-        self._responses[frame_id] = frame
 
     @staticmethod
     def _parse_line(line: bytes) -> dict:

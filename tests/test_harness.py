@@ -379,9 +379,17 @@ class TestRunManifest:
                 {"run_id": "r", "dataset": "d", "arms": [], "extra": 1}
             )
 
-    def test_missing_field_rejected(self):
-        with pytest.raises(ManifestError, match="dataset"):
-            RunManifest.from_dict({"run_id": "r", "arms": []})
+    @pytest.mark.parametrize(
+        "cls, data, missing",
+        [
+            (RunManifest, {"run_id": "r", "arms": []}, "dataset"),
+            (ArmSpec, {"label": "a"}, "base"),
+        ],
+        ids=["manifest", "arm"],
+    )
+    def test_missing_field_rejected(self, cls, data, missing):
+        with pytest.raises(ManifestError, match=f"missing field '{missing}'"):
+            cls.from_dict(data)
 
     def test_load_resolves_relative_paths_against_manifest_dir(self, tmp_path):
         nested = tmp_path / "nested"
@@ -567,6 +575,28 @@ class TestRunCampaign:
         run_campaign(manifest, out)
         assert walk_bytes(out) == before
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: {"sample_index": row["sample_index"]},
+            lambda row: {**row, "logprobs": row["logprobs"] + [0.0]},
+            lambda row: {k: v for k, v in row.items() if k != "extracted_answer"},
+        ],
+        ids=["index-only", "extra-logprob", "no-answer"],
+    )
+    def test_non_trajectory_lines_are_regenerated(self, world, tmp_path, damage):
+        manifest = make_manifest(world)
+        run_campaign(manifest, tmp_path / "fresh")
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        victim = out / "arms/guided/problems/0.jsonl"
+        first, *rest = victim.read_text().splitlines()
+        victim.write_text(
+            "".join(line + "\n" for line in [json.dumps(damage(json.loads(first))), *rest])
+        )
+        run_campaign(manifest, out)
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+
     def test_records_round_trip_and_predictions(self, world, tmp_path):
         out = tmp_path / "out"
         run_campaign(make_manifest(world), out)
@@ -673,6 +703,17 @@ class TestLoadCampaignTrajectories:
         victim = out / "arms/base/problems/0.jsonl"
         victim.write_text('{"sample_index": 0}\n')
         with pytest.raises(ManifestError, match="line 1"):
+            load_campaign_trajectories(out, "base")
+
+    def test_unequal_lengths_rejected_not_truncated(self, world, tmp_path):
+        out = tmp_path / "out"
+        run_campaign(make_manifest(world), out)
+        victim = out / "arms/base/problems/0.jsonl"
+        row = json.loads(victim.read_text())
+        assert len(row["tokens"]) == 4
+        row["logprobs"] = row["logprobs"][:1]
+        victim.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ManifestError, match=r"0\.jsonl: line 1: .*4 tokens, 1 logprobs"):
             load_campaign_trajectories(out, "base")
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -370,6 +371,99 @@ class TestLineFraming:
                 with pytest.raises(ProtocolError, match="closed") as excinfo:
                     client.score_tokens([0])
         assert not isinstance(excinfo.value, RemoteTimeoutError)
+
+
+def answer(requests):
+    return b"".join(
+        json.dumps({"type": "logits", "id": r["id"], "dense": r["tokens"]}).encode() + b"\n"
+        for r in requests
+    )
+
+
+class TestResponseIds:
+    @pytest.mark.parametrize("frame_id", [99, "0", [0], {"id": 0}])
+    def test_unknown_response_id_is_protocol_error(self, frame_id):
+        def serve(conn):
+            conn.sendall(HELLO)
+            read_frames(conn, 1)
+            frame = {"type": "logits", "id": frame_id, "dense": [0.0, 0.0, 0.0]}
+            conn.sendall(json.dumps(frame).encode() + b"\n")
+            conn.recv(1024)
+
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
+                with pytest.raises(ProtocolError, match="unknown request id"):
+                    client.score_tokens([0])
+
+
+class TestLateFrames:
+    def test_timed_out_request_is_retired(self):
+        timed_out = threading.Event()
+
+        def serve(conn):
+            conn.sendall(HELLO)
+            requests = read_frames(conn, 2)
+            timed_out.wait(10)
+            # Request 0 is answered after its deadline passed, then request 1.
+            conn.sendall(answer(requests))
+            conn.recv(1024)
+
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=200) as client:
+                late = client.submit([0, 0, 0])
+                wanted = client.submit([1, 2, 0])
+                with pytest.raises(RemoteTimeoutError):
+                    client.collect(late)
+                timed_out.set()
+                assert client.collect(wanted).tolist() == [1.0, 2.0, 0.0]
+                assert client.late_frames == 1
+                with pytest.raises(ProtocolError, match="not outstanding"):
+                    client.collect(late)
+
+    def test_timeouts_under_thread_contention(self):
+        # Half the callers are answered at once, half only after every
+        # deadline passed; however each one lands, it is collected or
+        # counted late exactly once, with pumping and waiting callers mixed.
+        callers = 2 * (os.cpu_count() or 1) + 2
+        released = threading.Event()
+
+        def serve(conn):
+            conn.sendall(HELLO)
+            requests = read_frames(conn, callers)
+            conn.sendall(answer(r for r in requests if r["tokens"][0] == 0))
+            released.wait(10)
+            conn.sendall(answer(r for r in requests if r["tokens"][0] == 1))
+            conn.sendall(answer(read_frames(conn, 1)))
+            conn.recv(1024)
+
+        results, timeouts = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fake_server(serve) as (host, port):
+                with ScorerClient.connect_tcp(host, port, timeout_ms=500) as client:
+
+                    def call(i):
+                        prefix = [i % 2, i, 0]
+                        try:
+                            results.append((prefix, client.score_tokens(prefix).tolist()))
+                        except RemoteTimeoutError:
+                            timeouts.append(i)
+
+                    threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=10)
+                    assert not any(thread.is_alive() for thread in threads)
+                    released.set()
+                    assert client.score_tokens([1, 1, 1]).tolist() == [1.0, 1.0, 1.0]
+                    assert client.late_frames == len(timeouts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) + len(timeouts) == callers
+        assert len(timeouts) >= callers // 2
+        assert all(prefix == [float(t) for t in got] for prefix, got in results)
 
 
 class TestEndpoints:
