@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmptyInputError, Vocabulary, VocabularyMismatchError, as_logits
+from .core import EmptyInputError, TokenPrefix, Vocabulary, VocabularyMismatchError, as_logits
 from .decoder import InsufficientTrajectoryError, Trajectory, replay_against
 from .scorers import Scorer
 
@@ -80,7 +80,9 @@ def delta_series(trajectory: Trajectory, expert: Scorer, expert_base: Scorer) ->
 
     Row j is ``expert(prefix) - expert_base(prefix)`` where prefix is the
     prompt plus the first j generated tokens, so two scorer pairs evaluated
-    against the same trajectory yield aligned (steps x vocab) series.
+    against the same trajectory yield aligned (steps x vocab) series. A
+    token id outside the scorers' vocabulary raises
+    :class:`VocabularyMismatchError` naming its position.
     """
     if expert.vocab.size != expert_base.vocab.size:
         raise VocabularyMismatchError(
@@ -91,7 +93,7 @@ def delta_series(trajectory: Trajectory, expert: Scorer, expert_base: Scorer) ->
     if len(generated) == 0:
         raise EmptyInputError("trajectory has no generated tokens")
     size = expert.vocab.size
-    context = list(trajectory.prompt_tokens)
+    context = TokenPrefix(size, trajectory.prompt_tokens)
     rows = []
     for token in generated:
         rows.append(

@@ -9,6 +9,7 @@ return a fresh array or raise; none mutate their inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "InvalidConfigError",
     "InvalidDistributionError",
     "InvalidLogitsError",
+    "TokenPrefix",
     "Vocabulary",
     "VocabularyMismatchError",
     "argmax_token",
@@ -39,7 +41,8 @@ class InvalidLogitsError(ValueError):
 
 
 class VocabularyMismatchError(ValueError):
-    """Vectors or scorers that must share a vocabulary disagree on size."""
+    """Vectors or scorers that must share a vocabulary disagree on size,
+    or a token id lies outside a vocabulary."""
 
 
 class InvalidConfigError(ValueError):
@@ -97,6 +100,49 @@ class Vocabulary:
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
         return cls(surface=tuple(data["surface"]), eos=data["eos"], bos=data.get("bos"))
+
+
+class TokenPrefix(Sequence):
+    """Append-only token ids, each checked once against a vocabulary size.
+
+    Building one checks every id it is given and ``append`` checks only the
+    id it adds, so a decode that grows its prefix a token at a time checks
+    each id once. Scorers whose vocabulary has this ``size`` take the ids
+    as already checked. An id outside ``[0, size)`` raises
+    :class:`VocabularyMismatchError` naming its position.
+    """
+
+    __slots__ = ("_size", "_ids")
+
+    def __init__(self, size: int, ids: Iterable[int] = ()):
+        self._size = size
+        self._ids: list[int] = []
+        for token in ids:
+            self.append(token)
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def append(self, token: int) -> None:
+        t = int(token)
+        if not 0 <= t < self._size:
+            raise VocabularyMismatchError(
+                f"position {len(self._ids)}: token id {t} outside vocabulary of size {self._size}"
+            )
+        self._ids.append(t)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        return self._ids[index]
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __repr__(self) -> str:
+        return f"TokenPrefix({self._size}, {self._ids!r})"
 
 
 @dataclass(frozen=True)

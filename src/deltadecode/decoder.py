@@ -17,6 +17,7 @@ from .core import (
     DecodeConfig,
     EmptyInputError,
     InvalidConfigError,
+    TokenPrefix,
     VocabularyMismatchError,
     argmax_token,
     as_logits,
@@ -199,14 +200,12 @@ def decode(
                 f"scorer vocab sizes disagree: base={size}, "
                 f"expert={expert.vocab.size}, expert_base={expert_base.vocab.size}"
             )
-    context = [int(t) for t in prompt]
+    try:
+        context = TokenPrefix(size, prompt)
+    except VocabularyMismatchError as exc:
+        raise DecodeError(f"prompt {exc}") from None
     if not context:
         raise EmptyInputError("prompt must contain at least one token")
-    for pos, t in enumerate(context):
-        if not 0 <= t < size:
-            raise DecodeError(
-                f"prompt position {pos}: token id {t} outside vocabulary of size {size}"
-            )
 
     want_kl = "kl" in flags
     want_delta = "delta" in flags and expert is not None
@@ -275,7 +274,10 @@ def replay_against(trajectory: Trajectory, probe: Scorer) -> list[tuple[int, int
     """Teacher-forced greedy replay of a trajectory through ``probe``.
 
     For generated tokens t_1..t_n, returns the n-1 pairs
-    ``(argmax probe(prompt + t_1..t_i), t_{i+1})`` for i = 1..n-1.
+    ``(argmax probe(prompt + t_1..t_i), t_{i+1})`` for i = 1..n-1. A token
+    id outside the probe's vocabulary raises
+    :class:`VocabularyMismatchError` naming its position in prompt plus
+    generated tokens.
     """
     generated = trajectory.tokens
     n = len(generated)
@@ -284,15 +286,10 @@ def replay_against(trajectory: Trajectory, probe: Scorer) -> list[tuple[int, int
             f"replay needs at least 2 generated tokens, trajectory has {n}"
         )
     size = probe.vocab.size
-    for pos, t in enumerate(list(trajectory.prompt_tokens) + list(generated)):
-        if not 0 <= t < size:
-            raise VocabularyMismatchError(
-                f"trajectory position {pos}: token id {t} outside probe vocabulary of size {size}"
-            )
-    context = list(trajectory.prompt_tokens)
+    context = TokenPrefix(size, trajectory.prompt_tokens + generated[:1])
     pairs: list[tuple[int, int]] = []
-    for i in range(1, n):
-        context.append(generated[i - 1])
+    for token in generated[1:]:
         predicted = argmax_token(as_logits(probe.score(context), size))
-        pairs.append((predicted, generated[i]))
+        context.append(token)
+        pairs.append((predicted, token))
     return pairs

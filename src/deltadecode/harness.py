@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DecodeConfig, InvalidConfigError, check_fields
-from .decoder import Trajectory, decode
+from .decoder import INSTRUMENT_FLAGS, Trajectory, decode
 from .metrics import EvalRecord, extract_answer, pass_at_k_exact, save_records
 from .remote import RemoteScorer, connect_endpoint
 from .scorers import Scorer, encode_text, load_scorer, load_vocab, render_tokens
@@ -76,6 +76,17 @@ class ArmSpec:
             raise ManifestError(f"arm {self.label!r} must set expert and expert_base together")
         if self.samples_per_problem is not None and self.samples_per_problem < 1:
             raise ManifestError(f"arm {self.label!r}: samples_per_problem must be >= 1")
+        if not isinstance(self.instrument, (list, tuple)):
+            raise ManifestError(
+                f"arm {self.label!r}: instrument must be a list of flags, "
+                f"got {type(self.instrument).__name__}"
+            )
+        for flag in self.instrument:
+            if flag not in INSTRUMENT_FLAGS:
+                raise ManifestError(
+                    f"arm {self.label!r}: unknown instrument flag {flag!r}, "
+                    f"expected one of {list(INSTRUMENT_FLAGS)}"
+                )
         object.__setattr__(self, "instrument", tuple(self.instrument))
 
     def to_dict(self) -> dict:
@@ -106,6 +117,10 @@ class RunManifest:
             raise ManifestError("samples_per_problem must be >= 1")
         if self.answer_style not in ("boxed", "last_number"):
             raise ManifestError(f"unknown answer_style {self.answer_style!r}")
+        if not isinstance(self.arms, (list, tuple)):
+            raise ManifestError(
+                f"manifest field 'arms' must be a list, got {type(self.arms).__name__}"
+            )
         arms = tuple(self.arms)
         if not arms:
             raise ManifestError("manifest needs at least one arm")
@@ -123,7 +138,11 @@ class RunManifest:
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
         check_fields(cls, data, ManifestError, "manifest")
-        return cls(**{**data, "arms": [ArmSpec.from_dict(arm) for arm in data["arms"]]})
+        arms = data["arms"]
+        if isinstance(arms, (list, tuple)):
+            # Anything else reaches __post_init__, which names the field.
+            arms = [ArmSpec.from_dict(arm) for arm in arms]
+        return cls(**{**data, "arms": arms})
 
     def save(self, path) -> None:
         Path(path).write_text(

@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidConfigError, Vocabulary, as_logits
+from .core import (
+    InvalidConfigError,
+    TokenPrefix,
+    Vocabulary,
+    VocabularyMismatchError,
+    as_logits,
+)
 
 __all__ = [
     "BOS_TOKEN",
@@ -57,7 +63,9 @@ class Scorer(ABC):
     """Pure function from token-id prefix to a full-vocabulary logit vector.
 
     Implementations must be deterministic: identical prefixes yield
-    bitwise-identical logits, with no hidden state between calls.
+    bitwise-identical logits, with no hidden state between calls. ``score``
+    receives any ``Sequence`` of ids and passes it through
+    :meth:`_check_prefix` before reading it; it must not modify it.
     """
 
     kind = "abstract"
@@ -73,14 +81,19 @@ class Scorer(ABC):
     def score(self, prefix: Sequence[int]) -> np.ndarray:
         """Return logits for the next token after ``prefix``."""
 
-    def _check_prefix(self, prefix: Sequence[int]) -> list[int]:
-        ids = [int(t) for t in prefix]
-        for pos, t in enumerate(ids):
-            if not 0 <= t < self.vocab.size:
-                raise CorpusIngestionError(
-                    f"prefix position {pos}: token id {t} outside vocabulary of size {self.vocab.size}"
-                )
-        return ids
+    def _check_prefix(self, prefix: Sequence[int]) -> TokenPrefix:
+        """``prefix`` with every id known to be in range for this vocabulary.
+
+        A :class:`TokenPrefix` of this vocabulary's size is returned as it
+        is; any other sequence is checked id by id into a new one.
+        """
+        size = self.vocab.size
+        if isinstance(prefix, TokenPrefix) and prefix.size == size:
+            return prefix
+        try:
+            return TokenPrefix(size, prefix)
+        except VocabularyMismatchError as exc:
+            raise CorpusIngestionError(f"prefix {exc}") from None
 
 
 class ConstantScorer(Scorer):
@@ -196,7 +209,7 @@ class NGramModel(Scorer):
     def context_of(self, prefix: Sequence[int]) -> tuple[int, ...]:
         """Last ``order - 1`` tokens of ``prefix``, left-padded at the start."""
         need = self.order - 1
-        ids = list(prefix)[-need:] if need else []
+        ids = list(prefix[-need:]) if need else []
         if len(ids) < need:
             ids = [self.vocab.pad] * (need - len(ids)) + ids
         return tuple(ids)

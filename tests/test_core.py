@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltadecode.core import (
     DecodeConfig,
@@ -348,3 +350,70 @@ class TestPipelineProperties:
                 softmax_with_temperature(shifted, 1.0),
                 atol=1e-9,
             )
+
+
+# Distributions with exact ties (small integer weights) and with generic
+# float weights; zeros are allowed as long as some mass remains.
+weights = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=16),
+    st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=16),
+).filter(lambda w: sum(w) > 0)
+
+
+def normalized(w) -> np.ndarray:
+    arr = np.asarray(w, dtype=np.float64)
+    return arr / arr.sum()
+
+
+def rank(dist) -> list[int]:
+    """Token ids by descending probability, ties by ascending id."""
+    return sorted(range(len(dist)), key=lambda i: (-dist[i], i))
+
+
+class TestNucleusProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(w=weights, top_p=st.floats(min_value=1e-6, max_value=1.0))
+    def test_keeps_minimal_ranked_head(self, w, top_p):
+        dist = normalized(w)
+        out = nucleus_filter(dist, top_p)
+        kept = {i for i in range(dist.size) if out[i] > 0}
+        order = rank(dist)
+        # The kept tokens are the first len(kept) ranked ones, so among equal
+        # probabilities the lowest ids are kept.
+        assert kept == set(order[: len(kept)])
+        head = [float(dist[i]) for i in order[: len(kept)]]
+        # Minimal: without its last token the head misses top_p ...
+        assert sum(head[:-1]) < top_p
+        # ... and with it the head reaches top_p, unless rounding left the
+        # whole support short of it.
+        assert sum(head) >= top_p or len(kept) == np.count_nonzero(dist)
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=weights, top_p=st.floats(min_value=1e-6, max_value=1.0))
+    def test_renormalizes_the_kept_mass(self, w, top_p):
+        dist = normalized(w)
+        out = nucleus_filter(dist, top_p)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        kept = out > 0
+        np.testing.assert_allclose(out[kept], dist[kept] / dist[kept].sum(), rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=weights)
+    def test_full_mass_is_identity(self, w):
+        dist = normalized(w)
+        out = nucleus_filter(dist, 1.0)
+        assert out.tobytes() == dist.tobytes()
+        assert out is not dist
+
+
+class TestSampleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(w=weights, seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_one_draw_and_a_supported_id(self, w, seed):
+        dist = normalized(w)
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        token = sample_token(dist, rng)
+        twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert 0 <= token < dist.size and dist[token] > 0

@@ -343,6 +343,23 @@ class TestArmSpec:
         with pytest.raises(ManifestError, match="lambda"):
             ArmSpec.from_dict({"label": "a", "base": "m.json", "lambda": 1.0})
 
+    @pytest.mark.parametrize(
+        "instrument, message",
+        [
+            ("kl", "arm 'a': instrument must be a list of flags, got str"),
+            (7, "arm 'a': instrument must be a list of flags, got int"),
+            (["kl", "entropy"], "arm 'a': unknown instrument flag 'entropy'"),
+            (["k", "l"], "arm 'a': unknown instrument flag 'k'"),
+        ],
+    )
+    def test_bad_instrument_rejected_at_load(self, instrument, message):
+        with pytest.raises(ManifestError, match=message):
+            ArmSpec.from_dict({"label": "a", "base": "m.json", "instrument": instrument})
+
+    def test_instrument_flags_accepted(self):
+        arm = ArmSpec.from_dict({"label": "a", "base": "m.json", "instrument": ["delta", "kl"]})
+        assert arm.instrument == ("delta", "kl")
+
 
 class TestRunManifest:
     def test_samples_for_prefers_arm_override(self, world):
@@ -358,11 +375,14 @@ class TestRunManifest:
             ({"samples_per_problem": 0}, "samples_per_problem"),
             ({"answer_style": "regex"}, "answer_style"),
             ({"arms": ()}, "at least one arm"),
+            ({"arms": 3}, "manifest field 'arms' must be a list, got int"),
         ],
     )
     def test_invalid_manifests_rejected(self, world, overrides, message):
         with pytest.raises(ManifestError, match=message):
             make_manifest(world, **overrides)
+        with pytest.raises(ManifestError, match=message):
+            RunManifest.from_dict({**make_manifest(world).to_dict(), **overrides})
 
     def test_duplicate_labels_rejected(self, world):
         arm = ArmSpec(label="same", base=str(world / "base.json"))
