@@ -9,6 +9,7 @@ return a fresh array or raise; none mutate their inputs.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -108,8 +109,10 @@ class TokenPrefix(Sequence):
     Building one checks every id it is given and ``append`` checks only the
     id it adds, so a decode that grows its prefix a token at a time checks
     each id once. Scorers whose vocabulary has this ``size`` take the ids
-    as already checked. An id outside ``[0, size)`` raises
-    :class:`VocabularyMismatchError` naming its position.
+    as already checked. An id that is not an integer (``operator.index``
+    accepts Python and NumPy integers, never floats or strings) or lies
+    outside ``[0, size)`` raises :class:`VocabularyMismatchError` naming
+    its position.
     """
 
     __slots__ = ("_size", "_ids")
@@ -124,8 +127,19 @@ class TokenPrefix(Sequence):
     def size(self) -> int:
         return self._size
 
+    def head(self, n: int) -> "TokenPrefix":
+        """A new prefix of the first ``n`` ids, taken as already checked."""
+        out = TokenPrefix(self._size)
+        out._ids = self._ids[:n]
+        return out
+
     def append(self, token: int) -> None:
-        t = int(token)
+        try:
+            t = operator.index(token)
+        except TypeError:
+            raise VocabularyMismatchError(
+                f"position {len(self._ids)}: token id {token!r} is not an integer"
+            ) from None
         if not 0 <= t < self._size:
             raise VocabularyMismatchError(
                 f"position {len(self._ids)}: token id {t} outside vocabulary of size {self._size}"

@@ -124,6 +124,9 @@ class RunManifest:
         arms = tuple(self.arms)
         if not arms:
             raise ManifestError("manifest needs at least one arm")
+        for index, arm in enumerate(arms):
+            if not isinstance(arm, ArmSpec):
+                raise ManifestError(f"manifest arm {index} must be an ArmSpec, got {type(arm).__name__}")
         labels = [arm.label for arm in arms]
         if len(set(labels)) != len(labels):
             raise ManifestError(f"arm labels must be unique, got {labels}")

@@ -1,18 +1,29 @@
 """Wire protocol for remote scorers: newline-delimited JSON frames.
 
 The server speaks first with a hello frame naming the protocol version and
-vocabulary size; afterwards the client sends score requests carrying a
-request id and the server answers each id exactly once, in any order:
+vocabulary size; afterwards the client sends requests carrying a request
+id and the server answers each id exactly once, in any order:
 
-    {"type": "hello", "version": 1, "vocab_size": 14}
+    {"type": "hello", "version": 2, "vocab_size": 14}
     {"type": "score", "id": 7, "tokens": [0, 3, 1]}
     {"type": "logits", "id": 7, "dense": [-1.2, ...]}
     {"type": "logits", "id": 8, "topk": [[3, -0.5], [1, -1.0]], "rest": -9.0}
+    {"type": "extend", "id": 9, "keep": 3, "tokens": [2]}
+    {"type": "logits", "id": 9, "f64": "MzMzMzMz8z8..."}
     {"type": "error", "id": 7, "message": "..."}
 
-Numbers round-trip through ``repr`` so float64 logits survive the wire
-bit-exactly. The client multiplexes one connection across threads: sends
-are serialized, responses are matched to waiters by id. Sparse frames are
+Version 1 has only ``score`` frames, which carry the whole prefix and are
+answered with ``dense`` numbers that round-trip through ``repr``. Version 2
+adds ``extend``: "this connection's previous prefix cut to its first
+``keep`` ids, plus ``tokens``", answered with the logits' little-endian
+float64 bytes in base64 (``f64``). Both answers are bit-exact. A version 2
+server answers both kinds of request, and the client sends ``extend`` only
+to a server whose hello says version 2. An ``extend`` the server cannot
+resolve earns an error and poisons the connection's session: every later
+``extend`` with ``keep > 0`` fails until one with ``keep == 0`` arrives.
+
+The client multiplexes one connection across threads: sends are
+serialized, responses are matched to waiters by id. Sparse frames are
 expanded by :func:`densify`. Every transport (a TCP socket, a child
 process's pipes, the server's own stdin/stdout) frames lines through the
 same reader and differs only in how it sends, receives and closes.
@@ -20,7 +31,9 @@ same reader and differs only in how it sends, receives and closes.
 
 from __future__ import annotations
 
+import base64
 import json
+import operator
 import os
 import selectors
 import shlex
@@ -32,7 +45,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import Vocabulary, VocabularyMismatchError
+from .core import TokenPrefix, Vocabulary, VocabularyMismatchError
 from .scorers import Scorer
 
 __all__ = [
@@ -44,14 +57,17 @@ __all__ = [
     "RemoteTimeoutError",
     "ScorerClient",
     "StubServer",
+    "StubSession",
     "connect_endpoint",
+    "decode_f64",
     "densify",
+    "encode_f64",
     "parse_endpoint",
     "serve_stdio",
     "stub_server_step",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_TIMEOUT_MS = 10_000
 
 
@@ -85,6 +101,9 @@ def densify(topk: Sequence[Sequence], rest: float, vocab_size: int) -> np.ndarra
     for entry in topk:
         if len(entry) != 2:
             raise RemoteScoreError(f"sparse entry must be [id, value], got {entry!r}")
+        # Not int(): it would truncate 1.9 and take JSON true for id 1.
+        if type(entry[0]) is not int and not isinstance(entry[0], np.integer):
+            raise RemoteScoreError(f"sparse token id must be an integer, got {entry[0]!r}")
         token, value = int(entry[0]), float(entry[1])
         if not 0 <= token < vocab_size:
             raise RemoteScoreError(f"sparse token id {token} outside vocabulary of size {vocab_size}")
@@ -95,6 +114,34 @@ def densify(topk: Sequence[Sequence], rest: float, vocab_size: int) -> np.ndarra
         seen.add(token)
         out[token] = value
     return out
+
+
+def encode_f64(logits: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes of ``logits``."""
+    return base64.b64encode(np.asarray(logits, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_f64(payload, vocab_size: int) -> np.ndarray:
+    """Inverse of :func:`encode_f64`: a fresh float64 vector of ``vocab_size``
+    finite values, or :class:`RemoteScoreError`."""
+    if not isinstance(payload, str):
+        raise RemoteScoreError(f"f64 logits must be a base64 string, got {type(payload).__name__}")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise RemoteScoreError(f"f64 logits are not valid base64: {exc}") from None
+    # The character count also rejects padding past the canonical encoding,
+    # which b64decode tolerates.
+    size, chars = 8 * vocab_size, 4 * -(-8 * vocab_size // 3)
+    if len(raw) != size or len(payload) != chars:
+        raise RemoteScoreError(
+            f"f64 logits decode to {len(raw)} bytes from {len(payload)} base64 characters, "
+            f"expected {size} bytes from {chars}"
+        )
+    logits = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(logits).all():
+        raise RemoteScoreError("f64 logits contain non-finite values")
+    return logits
 
 
 class _Channel:
@@ -176,6 +223,18 @@ def _pipe_channel(process: subprocess.Popen) -> _Channel:
     return _Channel(send, recv, close, "subprocess closed its output")
 
 
+def _token_ids(tokens: Sequence) -> list[int]:
+    ids = []
+    for position, token in enumerate(tokens):
+        try:
+            ids.append(operator.index(token))
+        except TypeError:
+            raise VocabularyMismatchError(
+                f"position {position}: token id {token!r} is not an integer"
+            ) from None
+    return ids
+
+
 class ScorerClient:
     """Client side of the protocol, safe to share across decode threads.
 
@@ -184,7 +243,8 @@ class ScorerClient:
     parking frames for other ids so pipelined, out-of-order replies land
     with their rightful callers. A request whose ``collect`` timed out is
     retired: its response, if it ever arrives, is dropped and counted in
-    ``late_frames``.
+    ``late_frames``. Against a version 2 server each request is an
+    ``extend`` frame relative to the prefix this client sent last.
     """
 
     def __init__(self, channel: _Channel, timeout_ms: int = DEFAULT_TIMEOUT_MS):
@@ -194,8 +254,15 @@ class ScorerClient:
         self._timeout = timeout_ms / 1000.0
         self.timeout_ms = timeout_ms
         self.vocab_size: int | None = None
+        self.version: int | None = None
         self._cond = threading.Condition()
         self._send_lock = threading.Lock()
+        # Read and written under _send_lock: the server's session holds the
+        # first _sent_len ids of _sent (a TokenPrefix only grows), unless an
+        # error frame, which sets _resync, may have poisoned it.
+        self._sent: Sequence[int] = []
+        self._sent_len = 0
+        self._resync = False
         self._responses: dict[int, dict] = {}
         self._outstanding: set[int] = set()
         self._timed_out: set[int] = set()
@@ -240,26 +307,53 @@ class ScorerClient:
         if frame.get("type") != "hello":
             raise HandshakeError(f"expected hello frame, got {frame.get('type')!r}")
         version = frame.get("version")
-        if version != PROTOCOL_VERSION:
+        # JSON true and false parse to bool, which compares equal to 1 and 0.
+        if type(version) is not int or version not in (1, PROTOCOL_VERSION):
             raise HandshakeError(
-                f"server speaks protocol version {version}, client supports {PROTOCOL_VERSION}"
+                f"server speaks protocol version {version!r}, client supports 1 and {PROTOCOL_VERSION}"
             )
         vocab_size = frame.get("vocab_size")
-        if not isinstance(vocab_size, int) or vocab_size < 1:
+        if type(vocab_size) is not int or vocab_size < 1:
             raise HandshakeError(f"hello carries invalid vocab_size: {vocab_size!r}")
         self.vocab_size = vocab_size
+        self.version = version
         return vocab_size
 
     def submit(self, tokens: Sequence[int]) -> int:
-        """Send one score request; returns its id for a later collect."""
+        """Send one score request; returns its id for a later collect.
+
+        The server checks the ids against its vocabulary; a sequence other
+        than a :class:`TokenPrefix` is first checked to hold integers.
+        """
+        if self.vocab_size is None:
+            raise ProtocolError("cannot submit a request before the handshake")
+        prefix = tokens if isinstance(tokens, TokenPrefix) else _token_ids(tokens)
         with self._cond:
             request_id = self._next_id
             self._next_id += 1
             self._outstanding.add(request_id)
-        frame = {"type": "score", "id": request_id, "tokens": [int(t) for t in tokens]}
         with self._send_lock:
+            if self.version == 1:
+                frame = {"type": "score", "id": request_id, "tokens": prefix[:]}
+            else:
+                keep = self._shared_length(prefix)
+                frame = {"type": "extend", "id": request_id, "keep": keep, "tokens": prefix[keep:]}
+                self._sent, self._sent_len = prefix, len(prefix)
             self._channel.send_line(_encode_frame(frame))
         return request_id
+
+    def _shared_length(self, prefix: Sequence[int]) -> int:
+        """How many leading ids ``prefix`` shares with the session's prefix."""
+        if self._resync:
+            self._resync = False
+            return 0
+        if prefix is self._sent:
+            return self._sent_len
+        n = min(self._sent_len, len(prefix))
+        sent, new = self._sent[:n], prefix[:n]
+        if sent == new:
+            return n
+        return next(i for i in range(n) if sent[i] != new[i])
 
     def collect(self, request_id: int) -> np.ndarray:
         """Wait for the response to ``request_id`` and decode it."""
@@ -308,12 +402,17 @@ class ScorerClient:
         if kind not in ("logits", "error"):
             raise ProtocolError(f"unexpected frame type {kind!r} from server")
         frame_id = frame.get("id")
-        if frame_id is None and kind == "error":
-            raise RemoteScoreError(f"server error: {frame.get('message')!r}")
-        # An id that is not an int (a list would not even hash) is unknown too.
-        if isinstance(frame_id, int) and frame_id in self._outstanding:
+        if kind == "error":
+            # The failed request may have been an extend that poisoned the
+            # server's session, so the next request restarts it.
+            self._resync = True
+            if frame_id is None:
+                raise RemoteScoreError(f"server error: {frame.get('message')!r}")
+        # An id that is not an int (a list would not even hash, true would
+        # match request 1) is unknown too.
+        if type(frame_id) is int and frame_id in self._outstanding:
             self._responses[frame_id] = frame
-        elif isinstance(frame_id, int) and frame_id in self._timed_out:
+        elif type(frame_id) is int and frame_id in self._timed_out:
             self._timed_out.discard(frame_id)
             self._late_frames += 1
         else:
@@ -332,13 +431,14 @@ class ScorerClient:
     def _decode_response(self, frame: dict) -> np.ndarray:
         if frame["type"] == "error":
             raise RemoteScoreError(f"server error: {frame.get('message')!r}")
-        dense = frame.get("dense")
-        topk = frame.get("topk")
-        if (dense is None) == (topk is None):
-            raise RemoteScoreError("logits frame must carry exactly one of dense/topk")
+        dense, topk, f64 = frame.get("dense"), frame.get("topk"), frame.get("f64")
+        if [dense, topk, f64].count(None) != 2:
+            raise RemoteScoreError("logits frame must carry exactly one of dense/topk/f64")
+        if f64 is not None:
+            return decode_f64(f64, self.vocab_size)
         if dense is not None:
             arr = np.asarray(dense, dtype=np.float64)
-            if self.vocab_size is not None and arr.shape != (self.vocab_size,):
+            if arr.shape != (self.vocab_size,):
                 raise RemoteScoreError(
                     f"dense logits have shape {arr.shape}, expected ({self.vocab_size},)"
                 )
@@ -347,8 +447,6 @@ class ScorerClient:
             return arr
         if "rest" not in frame:
             raise RemoteScoreError("sparse logits frame is missing its rest value")
-        if self.vocab_size is None:
-            raise ProtocolError("cannot densify sparse logits before the handshake")
         return densify(topk, frame["rest"], self.vocab_size)
 
     def score_tokens(self, tokens: Sequence[int]) -> np.ndarray:
@@ -383,52 +481,114 @@ class RemoteScorer(Scorer):
         return self.client.score_tokens(self._check_prefix(prefix))
 
 
-def stub_server_step(scorer: Scorer, frame) -> dict:
-    """Answer one client frame with a local scorer; never raises.
-
-    Malformed input produces an error frame (with the request id when one
-    is recoverable), so a bad request can never yield wrong logits.
-    """
-    if not isinstance(frame, dict):
-        return {"type": "error", "id": None, "message": "frame must be a JSON object"}
-    frame_id = frame.get("id")
-    if not isinstance(frame_id, int):
-        frame_id = None
-    if frame.get("type") != "score":
-        return {
-            "type": "error",
-            "id": frame_id,
-            "message": f"unsupported frame type {frame.get('type')!r}",
-        }
-    if frame_id is None:
-        return {"type": "error", "id": None, "message": "score frame needs an integer id"}
-    tokens = frame.get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, int) for t in tokens):
-        return {"type": "error", "id": frame_id, "message": "tokens must be a list of integers"}
-    try:
-        logits = np.asarray(scorer.score(tokens), dtype=np.float64)
-        if logits.shape != (scorer.vocab.size,) or not np.isfinite(logits).all():
-            raise ValueError(f"scorer returned unusable logits of shape {logits.shape}")
-    except Exception as exc:
-        return {"type": "error", "id": frame_id, "message": str(exc)}
-    return {"type": "logits", "id": frame_id, "dense": [float(x) for x in logits]}
+def _error_frame(frame_id, message: str) -> dict:
+    return {"type": "error", "id": frame_id, "message": message}
 
 
-def _sparse_response(frame: dict, logits: list[float], topk: int) -> dict:
-    """Rewrite a dense response as topk+rest when the tail shares one value."""
-    if frame["type"] != "logits" or len(logits) <= topk:
-        return frame
+def _is_id_list(tokens) -> bool:
+    # JSON true and false parse to bool, a subclass of int: not ids.
+    return isinstance(tokens, list) and all(type(t) is int for t in tokens)
+
+
+def _sparse_response(frame_id: int, logits: list[float], topk: int) -> dict | None:
+    """A topk+rest frame when the off-top logits share one value, else None."""
+    if len(logits) <= topk:
+        return None
     order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
     head, tail = order[:topk], order[topk:]
     rest = logits[tail[0]]
     if any(logits[i] != rest for i in tail):
-        return frame
+        return None
     return {
         "type": "logits",
-        "id": frame["id"],
+        "id": frame_id,
         "topk": [[i, logits[i]] for i in sorted(head)],
         "rest": rest,
     }
+
+
+class StubSession:
+    """The server side of one connection, answering with a local scorer.
+
+    A ``score`` frame is answered from its own tokens with ``dense``
+    numbers. An ``extend`` frame grows the session's prefix, so each id is
+    checked once, and is answered with ``f64`` bytes; one that cannot be
+    resolved poisons the prefix (``None``) until an ``extend`` with
+    ``keep == 0`` starts it afresh. ``sparse_topk`` answers with topk+rest
+    instead whenever the off-top logits share one exact value.
+    """
+
+    def __init__(self, scorer: Scorer, sparse_topk: int | None = None):
+        self.scorer = scorer
+        self.sparse_topk = sparse_topk
+        self.prefix: TokenPrefix | None = TokenPrefix(scorer.vocab.size)
+
+    def step(self, frame) -> dict:
+        """Answer one client frame; never raises.
+
+        Malformed input produces an error frame (with the request id when
+        one is recoverable), so a bad request can never yield wrong logits.
+        """
+        if not isinstance(frame, dict):
+            return _error_frame(None, "frame must be a JSON object")
+        frame_id = frame.get("id")
+        if type(frame_id) is not int:
+            frame_id = None
+        kind = frame.get("type")
+        if kind == "extend":
+            try:
+                prefix = self._extend(frame_id, frame.get("keep"), frame.get("tokens"))
+            except ValueError as exc:
+                self.prefix = None
+                return _error_frame(frame_id, f"{exc} (session reset: the next extend needs keep 0)")
+        elif kind == "score":
+            if frame_id is None:
+                return _error_frame(None, "score frame needs an integer id")
+            prefix = frame.get("tokens")
+            if not _is_id_list(prefix):
+                return _error_frame(frame_id, "tokens must be a list of integers")
+        else:
+            return _error_frame(frame_id, f"unsupported frame type {kind!r}")
+        try:
+            logits = np.asarray(self.scorer.score(prefix), dtype=np.float64)
+            if logits.shape != (self.scorer.vocab.size,) or not np.isfinite(logits).all():
+                raise ValueError(f"scorer returned unusable logits of shape {logits.shape}")
+        except Exception as exc:
+            return _error_frame(frame_id, str(exc))
+        if self.sparse_topk is not None:
+            sparse = _sparse_response(frame_id, logits.tolist(), self.sparse_topk)
+            if sparse is not None:
+                return sparse
+        if kind == "score":
+            return {"type": "logits", "id": frame_id, "dense": [float(x) for x in logits]}
+        return {"type": "logits", "id": frame_id, "f64": encode_f64(logits)}
+
+    def _extend(self, frame_id, keep, tokens) -> TokenPrefix:
+        """Make the session prefix its first ``keep`` ids plus ``tokens``;
+        raises ValueError when the frame cannot be resolved."""
+        if frame_id is None:
+            raise ValueError("extend frame needs an integer id")
+        if type(keep) is not int or keep < 0:
+            raise ValueError(f"keep must be a non-negative integer, got {keep!r}")
+        if not _is_id_list(tokens):
+            raise ValueError("tokens must be a list of integers")
+        held = self.prefix
+        if held is None:
+            if keep > 0:
+                raise ValueError(f"keep {keep} refers to a session an earlier error reset")
+            held = TokenPrefix(self.scorer.vocab.size)
+        if keep > len(held):
+            raise ValueError(f"keep {keep} exceeds the session's {len(held)} ids")
+        prefix = held if keep == len(held) else held.head(keep)
+        for token in tokens:
+            prefix.append(token)
+        self.prefix = prefix
+        return prefix
+
+
+def stub_server_step(scorer: Scorer, frame) -> dict:
+    """Answer one client frame with a local scorer, in a session of its own."""
+    return StubSession(scorer).step(frame)
 
 
 def _hello_frame(scorer: Scorer) -> dict:
@@ -437,6 +597,7 @@ def _hello_frame(scorer: Scorer) -> dict:
 
 def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int, sparse_topk) -> None:
     channel.send_line(_encode_frame(_hello_frame(scorer)))
+    session = StubSession(scorer, sparse_topk)
     pending: list[dict] = []
 
     def flush():
@@ -463,13 +624,9 @@ def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int, spars
         try:
             frame = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            channel.send_line(
-                _encode_frame({"type": "error", "id": None, "message": f"bad frame: {exc}"})
-            )
+            channel.send_line(_encode_frame(_error_frame(None, f"bad frame: {exc}")))
             continue
-        response = stub_server_step(scorer, frame)
-        if sparse_topk is not None and response["type"] == "logits":
-            response = _sparse_response(response, response["dense"], sparse_topk)
+        response = session.step(frame)
         if reorder_window <= 1:
             channel.send_line(_encode_frame(response))
         else:

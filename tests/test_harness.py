@@ -376,6 +376,7 @@ class TestRunManifest:
             ({"answer_style": "regex"}, "answer_style"),
             ({"arms": ()}, "at least one arm"),
             ({"arms": 3}, "manifest field 'arms' must be a list, got int"),
+            ({"arms": (1,)}, "arm.*must be an? .*, got int"),
         ],
     )
     def test_invalid_manifests_rejected(self, world, overrides, message):

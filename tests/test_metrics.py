@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltadecode.core import EmptyInputError, InvalidConfigError
 from deltadecode.metrics import (
@@ -174,6 +176,18 @@ class TestPassAtKExact:
             records = random_records(rng, int(rng.integers(1, 6)), n=8)
             values = [pass_at_k_exact(records, k).value for k in range(1, 9)]
             assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["1", "0", "2"]), min_size=1, max_size=8), min_size=1, max_size=5), st.data())
+    def test_matches_subset_enumeration(self, pools, data):
+        k = data.draw(st.integers(1, min(len(pool) for pool in pools)))
+        records = [EvalRecord(f"p{i}", "1", tuple(pool)) for i, pool in enumerate(pools)]
+        expected = [
+            Fraction(sum(any(pool[i] == "1" for i in subset) for subset in subsets), len(subsets))
+            for pool in pools
+            for subsets in [list(combinations(range(len(pool)), k))]
+        ]
+        assert pass_at_k_exact(records, k).value == pytest.approx(float(sum(expected) / len(expected)), abs=1e-15)
 
     def test_k_too_large_rejected(self):
         records = [EvalRecord("p", "1", ("1", "0"))]

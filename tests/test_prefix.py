@@ -82,6 +82,20 @@ class TestTokenPrefix:
         with pytest.raises(VocabularyMismatchError, match="position 1: token id 7"):
             TokenPrefix(5, [0, 7, 1])
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "0", None])
+    def test_non_integer_rejected_not_converted(self, bad):
+        with pytest.raises(VocabularyMismatchError, match=f"position 1: token id {bad!r} is not an integer"):
+            TokenPrefix(3, [0, bad])
+        p = TokenPrefix(3, [np.int64(2), np.uint8(1)])
+        assert list(p) == [2, 1] and all(type(t) is int for t in p)
+
+    def test_head_shares_checked_ids(self):
+        p = TokenPrefix(5, [3, 1, 4])
+        head = p.head(2)
+        head.append(0)
+        assert list(head) == [3, 1, 0] and head.size == 5
+        assert list(p) == [3, 1, 4]
+
 
 class TestScorerCheck:
     VOCAB = make_vocab(5)
@@ -122,6 +136,13 @@ class TestDecodeChecks:
         message = "prompt position 2: token id 6 outside vocabulary of size 6"
         with pytest.raises(DecodeError, match=message):
             decode(base, prompt=[0, 1, 6], config=DecodeConfig(max_tokens=2))
+
+    def test_float_or_string_prompt_rejected(self):
+        base = ConstantScorer(self.VOCAB, np.zeros(6))
+        with pytest.raises(DecodeError, match="prompt position 0: token id 1.9 is not an integer"):
+            decode(base, prompt=[1.9, "0"], config=DecodeConfig(max_tokens=2))
+        with pytest.raises(DecodeError, match="prompt position 1: token id '0' is not an integer"):
+            decode(base, prompt=[1, "0"], config=DecodeConfig(max_tokens=2))
 
     def test_long_decode_checks_each_id_once(self, monkeypatch):
         """Id checks and prefix reads grow with prompt + tokens, not with T^2."""

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import json
 import os
@@ -9,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltadecode.core import DecodeConfig, VocabularyMismatchError
 from deltadecode.decoder import decode
@@ -21,12 +24,18 @@ from deltadecode.remote import (
     RemoteTimeoutError,
     ScorerClient,
     StubServer,
+    StubSession,
     connect_endpoint,
+    decode_f64,
     densify,
+    encode_f64,
     parse_endpoint,
     stub_server_step,
 )
-from deltadecode.scorers import BigramMatrixScorer, ConstantScorer, build_vocab, train_ngram
+from deltadecode.scorers import BigramMatrixScorer, ConstantScorer, TableScorer, build_vocab, train_ngram
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def demo_scorer():
@@ -51,11 +60,27 @@ class TestSparseLogits:
         with pytest.raises(RemoteScoreError):
             densify(((9, 2.0),), 0.0, 4)
 
+    @pytest.mark.parametrize("bad", [True, 1.9, 1.0, "1"])
+    def test_non_integer_id_rejected(self, bad):
+        with pytest.raises(RemoteScoreError, match="must be an integer"):
+            densify(((bad, 2.0),), 0.0, 4)
+        assert densify(((np.int64(1), 2.0),), 0.0, 4).tolist() == [0.0, 2.0, 0.0, 0.0]
+
     def test_non_finite_rejected(self):
         with pytest.raises(RemoteScoreError):
             densify(((0, float("nan")),), 0.0, 4)
         with pytest.raises(RemoteScoreError):
             densify(((0, 1.0),), float("inf"), 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), FINITE, st.data())
+    def test_densify_matches_full_and_assign(self, size, rest, data):
+        entries = data.draw(st.dictionaries(st.integers(0, size - 1), FINITE))
+        topk = data.draw(st.permutations([[i, v] for i, v in entries.items()]))
+        expected = np.full(size, rest, dtype=np.float64)
+        for i, v in entries.items():
+            expected[i] = v
+        assert densify(topk, rest, size).tobytes() == expected.tobytes()
 
 
 class TestStubServerStep:
@@ -92,6 +117,13 @@ class TestStubServerStep:
         for frame in ({}, {"type": "score"}, {"type": "score", "id": "x", "tokens": "y"}):
             response = stub_server_step(demo_scorer(), frame)
             assert response["type"] == "error"
+
+    def test_boolean_ids_rejected(self):
+        # JSON true/false parse to bool, which equals 1/0 and is an int subclass.
+        response = stub_server_step(demo_scorer(), {"type": "score", "id": True, "tokens": [True, False]})
+        assert response == {"type": "error", "id": None, "message": "score frame needs an integer id"}
+        response = stub_server_step(demo_scorer(), {"type": "score", "id": 1, "tokens": [0, True]})
+        assert response == {"type": "error", "id": 1, "message": "tokens must be a list of integers"}
 
 
 class TestTcpTransport:
@@ -202,7 +234,8 @@ class TestTcpTransport:
                     client.collect(999)
 
 
-HELLO = json.dumps({"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": 3}).encode() + b"\n"
+# The fake servers below echo each v1 score frame's tokens back as logits.
+HELLO = json.dumps({"type": "hello", "version": 1, "vocab_size": 3}).encode() + b"\n"
 
 
 @contextlib.contextmanager
@@ -258,8 +291,13 @@ class TestHandshakeValidation:
         assert after_hello == [b""], excinfo.value
 
     def test_version_mismatch_names_both(self):
-        hello = json.dumps({"type": "hello", "version": 2, "vocab_size": 7}).encode() + b"\n"
-        self.assert_rejected(hello, match="2.*1|1.*2")
+        hello = json.dumps({"type": "hello", "version": 3, "vocab_size": 7}).encode() + b"\n"
+        self.assert_rejected(hello, match="version 3, client supports 1 and 2")
+
+    @pytest.mark.parametrize("field", ["version", "vocab_size"])
+    def test_boolean_hello_fields_rejected(self, field):
+        hello = {"type": "hello", "version": 1, "vocab_size": 3, field: True}
+        self.assert_rejected(json.dumps(hello).encode() + b"\n", match=field)
 
     def test_missing_vocab_size(self):
         hello = json.dumps({"type": "hello", "version": PROTOCOL_VERSION}).encode() + b"\n"
@@ -381,7 +419,7 @@ def answer(requests):
 
 
 class TestResponseIds:
-    @pytest.mark.parametrize("frame_id", [99, "0", [0], {"id": 0}])
+    @pytest.mark.parametrize("frame_id", [99, "0", [0], {"id": 0}, False])
     def test_unknown_response_id_is_protocol_error(self, frame_id):
         def serve(conn):
             conn.sendall(HELLO)
@@ -502,3 +540,227 @@ class TestProtocolStress:
                 for request_id, prefix in zip(ids, prefixes):
                     got = client.collect(request_id)
                     assert got.tobytes() == scorer.score(prefix).tobytes()
+
+
+def trigram_scorer():
+    vocab = build_vocab([["a", "b", "c", "d"]])
+    docs = [[0, 1, 2, 3, 0, 2, 1], [3, 3, 1, 0, 2], [2, 0, 1, 3]]
+    return train_ngram(docs, order=3, vocab=vocab, smoothing_k=0.3, name="tri")
+
+
+class TestF64Codec:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=64))
+    @example([-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1.7976931348623157e308, -1.7976931348623157e308])
+    def test_round_trip_is_bitwise(self, values):
+        logits = np.array(values, dtype=np.float64)
+        frame = json.loads(json.dumps({"f64": encode_f64(logits)}))
+        got = decode_f64(frame["f64"], len(values))
+        assert got.tobytes() == logits.tobytes()
+        assert got.dtype == np.float64 and got.flags.owndata and got.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=16), st.data())
+    def test_non_finite_rejected(self, values, data):
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+            st.sampled_from([float("nan"), float("inf"), float("-inf")])
+        )
+        with pytest.raises(RemoteScoreError, match="non-finite"):
+            decode_f64(encode_f64(np.array(values)), len(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=16), st.integers(-3, 3), st.integers(0, 7))
+    def test_wrong_length_rejected(self, values, extra, cut):
+        raw = np.array(values, dtype="<f8").tobytes()
+        if extra == 0 and cut == 0:
+            cut = 1
+        payload = base64.b64encode(raw[: len(raw) - cut]).decode()
+        with pytest.raises(RemoteScoreError, match="bytes from .* base64 characters, expected"):
+            decode_f64(payload, len(values) + extra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=16), st.data())
+    def test_bad_base64_rejected(self, values, data):
+        payload = encode_f64(np.array(values))
+        at = data.draw(st.integers(0, len(payload)))
+        bad = payload[:at] + data.draw(st.sampled_from(["!", "*", "-", " ", "\n", "é", "="])) + payload[at:]
+        with pytest.raises(RemoteScoreError, match="base64"):
+            decode_f64(bad, len(values))
+
+    def test_excess_padding_rejected(self):
+        # b64decode accepts trailing padding after a complete encoding.
+        payload = encode_f64(np.zeros(3))
+        assert not payload.endswith("=")
+        with pytest.raises(RemoteScoreError, match="base64 characters"):
+            decode_f64(payload + "=", 3)
+
+    @pytest.mark.parametrize("payload", [None, 3, ["AAAAAAAAAAA="], b"AAAAAAAAAAA="])
+    def test_non_string_rejected(self, payload):
+        with pytest.raises(RemoteScoreError, match="base64 string"):
+            decode_f64(payload, 1)
+
+
+def extend(request_id, keep, tokens):
+    return {"type": "extend", "id": request_id, "keep": keep, "tokens": tokens}
+
+
+class TestExtendSession:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_extend_stream_equals_full_frames(self, data):
+        scorer = trigram_scorer()
+        size = scorer.vocab.size
+        session = StubSession(scorer)
+        model: list[int] = []
+        for request_id in range(data.draw(st.integers(1, 12))):
+            keep = data.draw(st.integers(0, len(model)))
+            tokens = data.draw(st.lists(st.integers(0, size - 1), max_size=5))
+            model = model[:keep] + tokens
+            response = session.step(extend(request_id, keep, tokens))
+            assert list(session.prefix) == model
+            full = stub_server_step(scorer, {"type": "score", "id": request_id, "tokens": model})
+            assert response["type"] == "logits" and response["id"] == request_id
+            assert decode_f64(response["f64"], size).tobytes() == np.array(full["dense"]).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (extend(5, 3, [0]), "keep 3 exceeds the session's 2 ids"),
+            (extend(5, 2, [99]), "position 2: token id 99 outside"),
+            (extend(5, 2, [-1]), "position 2: token id -1 outside"),
+            (extend(5, 2, [1.5]), "tokens must be a list of integers"),
+            (extend(5, 2, [True]), "tokens must be a list of integers"),
+            (extend(5, 2, ["0"]), "tokens must be a list of integers"),
+            (extend(5, 2, "01"), "tokens must be a list of integers"),
+            (extend(5, -1, [0]), "keep must be a non-negative integer"),
+            (extend(5, True, [0]), "keep must be a non-negative integer"),
+            (extend(5, None, [0]), "keep must be a non-negative integer"),
+            (extend(None, 2, [0]), "extend frame needs an integer id"),
+            (extend(True, 2, [0]), "extend frame needs an integer id"),
+        ],
+    )
+    def test_unresolvable_frame_poisons_session(self, bad, message):
+        scorer = trigram_scorer()
+        session = StubSession(scorer)
+        assert session.step(extend(1, 0, [0, 1]))["type"] == "logits"
+        response = session.step(bad)
+        assert response["type"] == "error" and message in response["message"]
+        assert response["id"] == (5 if type(bad["id"]) is int else None)
+        assert session.prefix is None
+        for keep in (2, 1):
+            response = session.step(extend(6, keep, [2]))
+            assert response["type"] == "error" and "reset" in response["message"]
+        response = session.step(extend(7, 0, [0, 1, 2]))
+        assert decode_f64(response["f64"], scorer.vocab.size).tobytes() == scorer.score([0, 1, 2]).tobytes()
+        assert list(session.prefix) == [0, 1, 2]
+
+    def test_scorer_failure_keeps_session(self):
+        vocab = build_vocab([["a"]])
+        session = StubSession(TableScorer(vocab, {(0,): [0.0, 1.0, 2.0]}))
+        response = session.step(extend(0, 0, [1]))
+        assert response["type"] == "error" and "reset" not in response["message"]
+        assert list(session.prefix) == [1]
+        response = session.step(extend(1, 0, [0]))
+        assert decode_f64(response["f64"], 3).tolist() == [0.0, 1.0, 2.0]
+
+
+class TestProtocolV2:
+    def test_long_decode_sends_one_token_per_frame(self, monkeypatch):
+        frames = []
+        step = StubSession.step
+
+        def recording_step(self, frame):
+            response = step(self, frame)
+            frames.append((frame, response))
+            return response
+
+        monkeypatch.setattr(StubSession, "step", recording_step)
+        corpus = [[i % 4 for i in range(j, j + 40)] + [j % 4, (j + 2) % 4] for j in range(4)]
+        base, expert, expert_base = (
+            train_ngram(corpus, 3, build_vocab([["a", "b", "c", "d"]]), smoothing_k=k, append_eos=False)
+            for k in (0.05, 0.1, 0.2)
+        )
+        prompt = [0, 1, 2]
+        config = DecodeConfig(mode="sample", max_tokens=1200, top_p=0.9, seed=3)
+        local = decode(base, expert, expert_base, prompt=prompt, config=config)
+        with StubServer(base) as server:
+            with ScorerClient.connect_tcp(server.host, server.port) as client:
+                assert client.version == 2
+                remote = RemoteScorer(client, base.vocab, name="remote")
+                got = decode(remote, expert, expert_base, prompt=prompt, config=config)
+        assert len(local.generated) == 1200
+        assert got.tokens == local.tokens
+        assert [s.chosen_logprob.hex() for s in got.generated] == [
+            s.chosen_logprob.hex() for s in local.generated
+        ]
+        assert len(frames) == 1200
+        assert frames[0][0] == extend(0, 0, prompt)
+        for request_id, (frame, response) in enumerate(frames[1:], start=1):
+            assert frame == extend(request_id, len(prompt) + request_id - 1, [got.tokens[request_id - 1]])
+            assert set(response) == {"type", "id", "f64"}
+
+    def test_v1_server_gets_score_frames(self):
+        scorer = trigram_scorer()
+        kinds = []
+
+        def serve(conn):
+            hello = {"type": "hello", "version": 1, "vocab_size": scorer.vocab.size}
+            conn.sendall(json.dumps(hello).encode() + b"\n")
+            for line in conn.makefile("rb"):
+                frame = json.loads(line)
+                kinds.append(frame["type"])
+                conn.sendall(json.dumps(stub_server_step(scorer, frame)).encode() + b"\n")
+
+        config = DecodeConfig(mode="sample", max_tokens=20, seed=4)
+        local = decode(scorer, prompt=[0, 1], config=config)
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
+                assert client.version == 1
+                got = decode(RemoteScorer(client, scorer.vocab), prompt=[0, 1], config=config)
+        assert got.tokens == local.tokens
+        assert [s.chosen_logprob for s in got.generated] == [s.chosen_logprob for s in local.generated]
+        assert kinds == ["score"] * len(local.generated)
+
+    def test_keep_tracks_prefix_stream(self, monkeypatch):
+        frames = []
+        step = StubSession.step
+        monkeypatch.setattr(StubSession, "step", lambda self, frame: frames.append(frame) or step(self, frame))
+        scorer = trigram_scorer()
+        rng = np.random.default_rng(62)
+        prefix: list[int] = []
+        keeps = []
+        with StubServer(scorer) as server:
+            with ScorerClient.connect_tcp(server.host, server.port) as client:
+                for _ in range(200):
+                    keep = int(rng.integers(0, len(prefix) + 1))
+                    tail = [int(t) for t in rng.integers(0, scorer.vocab.size, size=int(rng.integers(0, 4)))]
+                    previous, prefix = prefix, prefix[:keep] + tail
+                    shared = next(
+                        (i for i, (a, b) in enumerate(zip(previous, prefix)) if a != b),
+                        min(len(previous), len(prefix)),
+                    )
+                    keeps.append(shared)
+                    assert client.score_tokens(prefix).tobytes() == scorer.score(prefix).tobytes()
+        assert [frame["keep"] for frame in frames] == keeps
+
+    def test_client_restarts_session_after_error(self, monkeypatch):
+        frames = []
+        step = StubSession.step
+        monkeypatch.setattr(StubSession, "step", lambda self, frame: frames.append(frame) or step(self, frame))
+        scorer = trigram_scorer()
+        with StubServer(scorer) as server:
+            with ScorerClient.connect_tcp(server.host, server.port) as client:
+                assert client.score_tokens([0, 1]).tobytes() == scorer.score([0, 1]).tobytes()
+                with pytest.raises(RemoteScoreError, match="outside vocabulary"):
+                    client.score_tokens([0, 1, 99])
+                assert client.score_tokens([0, 1, 2]).tobytes() == scorer.score([0, 1, 2]).tobytes()
+                assert client.score_tokens([0, 1, 2, 3]).tobytes() == scorer.score([0, 1, 2, 3]).tobytes()
+        assert [(f["keep"], f["tokens"]) for f in frames] == [(0, [0, 1]), (2, [99]), (0, [0, 1, 2]), (3, [3])]
+
+    @pytest.mark.parametrize("bad", [1.5, "0", None])
+    def test_client_rejects_non_integer_ids(self, bad):
+        with StubServer(demo_scorer()) as server:
+            with ScorerClient.connect_tcp(server.host, server.port) as client:
+                with pytest.raises(VocabularyMismatchError, match=f"position 1: token id {bad!r} is not an integer"):
+                    client.submit([0, bad])
+                assert client.score_tokens([np.int64(1)]).tobytes() == demo_scorer().score([1]).tobytes()
