@@ -5,28 +5,29 @@ vocabulary size; afterwards the client sends requests carrying a request
 id and the server answers each id exactly once, in any order:
 
     {"type": "hello", "version": 2, "vocab_size": 14}
-    {"type": "score", "id": 7, "tokens": [0, 3, 1]}
-    {"type": "logits", "id": 7, "dense": [-1.2, ...]}
-    {"type": "logits", "id": 8, "topk": [[3, -0.5], [1, -1.0]], "rest": -9.0}
     {"type": "extend", "id": 9, "keep": 3, "tokens": [2]}
     {"type": "logits", "id": 9, "f64": "MzMzMzMz8z8..."}
-    {"type": "error", "id": 7, "message": "..."}
+    {"type": "error", "id": 9, "message": "..."}
 
-Version 1 has only ``score`` frames, which carry the whole prefix and are
-answered with ``dense`` numbers that round-trip through ``repr``. Version 2
-adds ``extend``: "this connection's previous prefix cut to its first
-``keep`` ids, plus ``tokens``", answered with the logits' little-endian
-float64 bytes in base64 (``f64``). Both answers are bit-exact. A version 2
-server answers both kinds of request, and the client sends ``extend`` only
-to a server whose hello says version 2. An ``extend`` the server cannot
-resolve earns an error and poisons the connection's session: every later
-``extend`` with ``keep > 0`` fails until one with ``keep == 0`` arrives.
+An ``extend`` means "this connection's previous prefix cut to its first
+``keep`` ids, plus ``tokens``", and is answered with the logits'
+little-endian float64 bytes in base64 (``f64``), which is bit-exact. An
+``extend`` the server cannot resolve earns an error and poisons the
+connection's session: every later ``extend`` with ``keep > 0`` fails until
+one with ``keep == 0`` arrives. The client speaks only this version and
+refuses a hello naming any other.
+
+The server also answers a version 1 ``score`` frame, which carries the
+whole prefix, with ``dense`` numbers that round-trip through ``repr``:
+
+    {"type": "score", "id": 7, "tokens": [0, 3, 1]}
+    {"type": "logits", "id": 7, "dense": [-1.2, ...]}
 
 The client multiplexes one connection across threads: sends are
-serialized, responses are matched to waiters by id. Sparse frames are
-expanded by :func:`densify`. Every transport (a TCP socket, a child
-process's pipes, the server's own stdin/stdout) frames lines through the
-same reader and differs only in how it sends, receives and closes.
+serialized, responses are matched to waiters by id. Every transport (a TCP
+socket, a child process's pipes, the server's own stdin/stdout) frames
+lines through the same reader and differs only in how it sends, receives
+and closes.
 """
 
 from __future__ import annotations
@@ -60,11 +61,9 @@ __all__ = [
     "StubSession",
     "connect_endpoint",
     "decode_f64",
-    "densify",
     "encode_f64",
     "parse_endpoint",
     "serve_stdio",
-    "stub_server_step",
 ]
 
 PROTOCOL_VERSION = 2
@@ -89,31 +88,6 @@ class RemoteTimeoutError(ProtocolError):
 
 def _encode_frame(frame: dict) -> bytes:
     return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def densify(topk: Sequence[Sequence], rest: float, vocab_size: int) -> np.ndarray:
-    """Expand top-k ``[id, logit]`` pairs plus one shared ``rest`` value for
-    every other id into a dense vector, validating as it goes."""
-    if not np.isfinite(rest):
-        raise RemoteScoreError(f"sparse rest value is non-finite: {rest}")
-    out = np.full(vocab_size, float(rest), dtype=np.float64)
-    seen: set[int] = set()
-    for entry in topk:
-        if len(entry) != 2:
-            raise RemoteScoreError(f"sparse entry must be [id, value], got {entry!r}")
-        # Not int(): it would truncate 1.9 and take JSON true for id 1.
-        if type(entry[0]) is not int and not isinstance(entry[0], np.integer):
-            raise RemoteScoreError(f"sparse token id must be an integer, got {entry[0]!r}")
-        token, value = int(entry[0]), float(entry[1])
-        if not 0 <= token < vocab_size:
-            raise RemoteScoreError(f"sparse token id {token} outside vocabulary of size {vocab_size}")
-        if token in seen:
-            raise RemoteScoreError(f"sparse token id {token} appears twice")
-        if not np.isfinite(value):
-            raise RemoteScoreError(f"sparse logit for token {token} is non-finite")
-        seen.add(token)
-        out[token] = value
-    return out
 
 
 def encode_f64(logits: np.ndarray) -> str:
@@ -243,8 +217,8 @@ class ScorerClient:
     parking frames for other ids so pipelined, out-of-order replies land
     with their rightful callers. A request whose ``collect`` timed out is
     retired: its response, if it ever arrives, is dropped and counted in
-    ``late_frames``. Against a version 2 server each request is an
-    ``extend`` frame relative to the prefix this client sent last.
+    ``late_frames``. Each request is an ``extend`` frame relative to the
+    prefix this client sent last.
     """
 
     def __init__(self, channel: _Channel, timeout_ms: int = DEFAULT_TIMEOUT_MS):
@@ -254,7 +228,6 @@ class ScorerClient:
         self._timeout = timeout_ms / 1000.0
         self.timeout_ms = timeout_ms
         self.vocab_size: int | None = None
-        self.version: int | None = None
         self._cond = threading.Condition()
         self._send_lock = threading.Lock()
         # Read and written under _send_lock: the server's session holds the
@@ -308,15 +281,14 @@ class ScorerClient:
             raise HandshakeError(f"expected hello frame, got {frame.get('type')!r}")
         version = frame.get("version")
         # JSON true and false parse to bool, which compares equal to 1 and 0.
-        if type(version) is not int or version not in (1, PROTOCOL_VERSION):
+        if type(version) is not int or version != PROTOCOL_VERSION:
             raise HandshakeError(
-                f"server speaks protocol version {version!r}, client supports 1 and {PROTOCOL_VERSION}"
+                f"server speaks protocol version {version!r}, client supports {PROTOCOL_VERSION}"
             )
         vocab_size = frame.get("vocab_size")
         if type(vocab_size) is not int or vocab_size < 1:
             raise HandshakeError(f"hello carries invalid vocab_size: {vocab_size!r}")
         self.vocab_size = vocab_size
-        self.version = version
         return vocab_size
 
     def submit(self, tokens: Sequence[int]) -> int:
@@ -333,12 +305,9 @@ class ScorerClient:
             self._next_id += 1
             self._outstanding.add(request_id)
         with self._send_lock:
-            if self.version == 1:
-                frame = {"type": "score", "id": request_id, "tokens": prefix[:]}
-            else:
-                keep = self._shared_length(prefix)
-                frame = {"type": "extend", "id": request_id, "keep": keep, "tokens": prefix[keep:]}
-                self._sent, self._sent_len = prefix, len(prefix)
+            keep = self._shared_length(prefix)
+            frame = {"type": "extend", "id": request_id, "keep": keep, "tokens": prefix[keep:]}
+            self._sent, self._sent_len = prefix, len(prefix)
             self._channel.send_line(_encode_frame(frame))
         return request_id
 
@@ -431,23 +400,9 @@ class ScorerClient:
     def _decode_response(self, frame: dict) -> np.ndarray:
         if frame["type"] == "error":
             raise RemoteScoreError(f"server error: {frame.get('message')!r}")
-        dense, topk, f64 = frame.get("dense"), frame.get("topk"), frame.get("f64")
-        if [dense, topk, f64].count(None) != 2:
-            raise RemoteScoreError("logits frame must carry exactly one of dense/topk/f64")
-        if f64 is not None:
-            return decode_f64(f64, self.vocab_size)
-        if dense is not None:
-            arr = np.asarray(dense, dtype=np.float64)
-            if arr.shape != (self.vocab_size,):
-                raise RemoteScoreError(
-                    f"dense logits have shape {arr.shape}, expected ({self.vocab_size},)"
-                )
-            if not np.isfinite(arr).all():
-                raise RemoteScoreError("dense logits contain non-finite values")
-            return arr
-        if "rest" not in frame:
-            raise RemoteScoreError("sparse logits frame is missing its rest value")
-        return densify(topk, frame["rest"], self.vocab_size)
+        if "f64" not in frame:
+            raise RemoteScoreError(f"logits frame must carry f64 logits, got fields {sorted(frame)}")
+        return decode_f64(frame["f64"], self.vocab_size)
 
     def score_tokens(self, tokens: Sequence[int]) -> np.ndarray:
         return self.collect(self.submit(tokens))
@@ -469,8 +424,6 @@ class RemoteScorer(Scorer):
 
     def __init__(self, client: ScorerClient, vocab: Vocabulary, name="", tokenizer="whitespace"):
         super().__init__(vocab, name, tokenizer)
-        if client.vocab_size is None:
-            client.handshake()
         if client.vocab_size != vocab.size:
             raise VocabularyMismatchError(
                 f"server vocab size {client.vocab_size} != local vocabulary size {vocab.size}"
@@ -490,23 +443,6 @@ def _is_id_list(tokens) -> bool:
     return isinstance(tokens, list) and all(type(t) is int for t in tokens)
 
 
-def _sparse_response(frame_id: int, logits: list[float], topk: int) -> dict | None:
-    """A topk+rest frame when the off-top logits share one value, else None."""
-    if len(logits) <= topk:
-        return None
-    order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
-    head, tail = order[:topk], order[topk:]
-    rest = logits[tail[0]]
-    if any(logits[i] != rest for i in tail):
-        return None
-    return {
-        "type": "logits",
-        "id": frame_id,
-        "topk": [[i, logits[i]] for i in sorted(head)],
-        "rest": rest,
-    }
-
-
 class StubSession:
     """The server side of one connection, answering with a local scorer.
 
@@ -514,13 +450,11 @@ class StubSession:
     numbers. An ``extend`` frame grows the session's prefix, so each id is
     checked once, and is answered with ``f64`` bytes; one that cannot be
     resolved poisons the prefix (``None``) until an ``extend`` with
-    ``keep == 0`` starts it afresh. ``sparse_topk`` answers with topk+rest
-    instead whenever the off-top logits share one exact value.
+    ``keep == 0`` starts it afresh.
     """
 
-    def __init__(self, scorer: Scorer, sparse_topk: int | None = None):
+    def __init__(self, scorer: Scorer):
         self.scorer = scorer
-        self.sparse_topk = sparse_topk
         self.prefix: TokenPrefix | None = TokenPrefix(scorer.vocab.size)
 
     def step(self, frame) -> dict:
@@ -555,10 +489,6 @@ class StubSession:
                 raise ValueError(f"scorer returned unusable logits of shape {logits.shape}")
         except Exception as exc:
             return _error_frame(frame_id, str(exc))
-        if self.sparse_topk is not None:
-            sparse = _sparse_response(frame_id, logits.tolist(), self.sparse_topk)
-            if sparse is not None:
-                return sparse
         if kind == "score":
             return {"type": "logits", "id": frame_id, "dense": [float(x) for x in logits]}
         return {"type": "logits", "id": frame_id, "f64": encode_f64(logits)}
@@ -586,18 +516,13 @@ class StubSession:
         return prefix
 
 
-def stub_server_step(scorer: Scorer, frame) -> dict:
-    """Answer one client frame with a local scorer, in a session of its own."""
-    return StubSession(scorer).step(frame)
-
-
 def _hello_frame(scorer: Scorer) -> dict:
     return {"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": scorer.vocab.size}
 
 
-def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int, sparse_topk) -> None:
+def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int) -> None:
     channel.send_line(_encode_frame(_hello_frame(scorer)))
-    session = StubSession(scorer, sparse_topk)
+    session = StubSession(scorer)
     pending: list[dict] = []
 
     def flush():
@@ -640,8 +565,8 @@ class StubServer:
     """TCP server exposing a local scorer over the wire protocol.
 
     ``reorder_window > 1`` batches that many responses and delivers them in
-    reverse, for testing pipelined clients. ``sparse_topk`` answers with
-    topk+rest frames whenever the off-top logits share one exact value.
+    reverse, for testing pipelined clients. ``stop`` closes the listener and
+    every open connection, and joins the threads serving them.
     """
 
     def __init__(
@@ -650,18 +575,20 @@ class StubServer:
         host: str = "127.0.0.1",
         port: int = 0,
         reorder_window: int = 1,
-        sparse_topk: int | None = None,
     ):
         self.scorer = scorer
         self.reorder_window = reorder_window
-        self.sparse_topk = sparse_topk
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen()
         self.host, self.port = self._listener.getsockname()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        # Each open connection and the thread serving it. A connection is
+        # closed under the lock as it leaves, so stop() never shuts down a
+        # socket that is already closed.
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
         self._accept_thread: threading.Thread | None = None
 
     def start(self) -> "StubServer":
@@ -682,21 +609,35 @@ class StubServer:
             thread = threading.Thread(
                 target=self._serve_one, args=(conn,), daemon=True
             )
+            with self._lock:
+                self._connections[conn] = thread
             thread.start()
-            self._threads.append(thread)
 
     def _serve_one(self, conn: socket.socket) -> None:
         channel = _socket_channel(conn)
         try:
-            _serve_channel(self.scorer, channel, self.reorder_window, self.sparse_topk)
+            _serve_channel(self.scorer, channel, self.reorder_window)
+        except OSError:
+            pass  # stop() shut the connection down, or the peer reset it, mid-send
         finally:
-            channel.close()
+            with self._lock:
+                del self._connections[conn]
+                channel.close()
 
     def stop(self) -> None:
         self._stop.set()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         self._listener.close()
+        with self._lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already reset it
+            threads = list(self._connections.values())
+        for thread in threads:
+            thread.join(timeout=5)
 
     def __enter__(self):
         return self.start()
@@ -719,7 +660,7 @@ def serve_stdio(scorer: Scorer, stdin=None, stdout=None) -> None:
         stdout.flush()
 
     channel = _Channel(send, lambda timeout: read(65536), lambda: None, "stdin closed")
-    _serve_channel(scorer, channel, reorder_window=1, sparse_topk=None)
+    _serve_channel(scorer, channel, reorder_window=1)
 
 
 def parse_endpoint(spec: str):

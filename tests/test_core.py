@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltadecode.core import (
@@ -368,6 +368,67 @@ def normalized(w) -> np.ndarray:
 def rank(dist) -> list[int]:
     """Token ids by descending probability, ties by ascending id."""
     return sorted(range(len(dist)), key=lambda i: (-dist[i], i))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+MAX = np.finfo(np.float64).max
+
+
+def vectors(n):
+    return st.lists(FINITE, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64))
+
+
+@st.composite
+def logit_triples(draw):
+    """Finite base, expert and expert_base vectors of one length."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    return tuple(draw(vectors(n)) for _ in range(3))
+
+
+class TestCombineProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(logits=logit_triples())
+    def test_zero_scale_returns_base_bytes_in_a_fresh_array(self, logits):
+        base, expert, expert_base = logits
+        out = combine_logits(base, expert, expert_base, 0.0)
+        assert out.tobytes() == base.tobytes()
+        assert not np.shares_memory(out, base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(logits=logit_triples(), scale=SCALES)
+    def test_identical_pair_returns_base(self, logits, scale):
+        base, expert, _ = logits
+        np.testing.assert_array_equal(combine_logits(base, expert, expert, scale), base)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(min_value=1, max_value=8), min_size=3, max_size=3).filter(
+            lambda n: len(set(n)) > 1
+        ),
+        scale=SCALES,
+        data=st.data(),
+    )
+    def test_mismatched_lengths_raise(self, lengths, scale, data):
+        base, expert, expert_base = (data.draw(vectors(n)) for n in lengths)
+        with pytest.raises(VocabularyMismatchError, match="logit lengths disagree"):
+            combine_logits(base, expert, expert_base, scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=logit_triples(), scale=SCALES.filter(lambda s: s > 0))
+    # The difference overflows; the difference is finite but the sum is not.
+    @example(logits=(np.array([0.0]), np.array([MAX]), np.array([-MAX])), scale=1.0)
+    @example(logits=(np.array([MAX, 0.0]), np.array([MAX, 0.0]), np.array([0.0, 0.0])), scale=1.0)
+    def test_formula_or_overflow_error(self, logits, scale):
+        base, expert, expert_base = logits
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = base + scale * (expert - expert_base)
+            if np.isfinite(expected).all():
+                out = combine_logits(base, expert, expert_base, scale)
+                assert out.tobytes() == expected.tobytes()
+            else:
+                with pytest.raises(InvalidLogitsError, match="overflowed"):
+                    combine_logits(base, expert, expert_base, scale)
 
 
 class TestNucleusProperties:

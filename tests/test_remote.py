@@ -27,10 +27,8 @@ from deltadecode.remote import (
     StubSession,
     connect_endpoint,
     decode_f64,
-    densify,
     encode_f64,
     parse_endpoint,
-    stub_server_step,
 )
 from deltadecode.scorers import BigramMatrixScorer, ConstantScorer, TableScorer, build_vocab, train_ngram
 
@@ -44,50 +42,11 @@ def demo_scorer():
     return train_ngram(docs, order=2, vocab=vocab, smoothing_k=0.5, name="demo")
 
 
-class TestSparseLogits:
-    def test_densify_worked_example(self):
-        dense = densify(((5, 3.2), (9, 1.1)), -10.0, 12)
-        expected = np.full(12, -10.0)
-        expected[5] = 3.2
-        expected[9] = 1.1
-        np.testing.assert_array_equal(dense, expected)
-
-    def test_duplicate_id_rejected(self):
-        with pytest.raises(RemoteScoreError):
-            densify(((1, 2.0), (1, 3.0)), 0.0, 4)
-
-    def test_out_of_range_id_rejected(self):
-        with pytest.raises(RemoteScoreError):
-            densify(((9, 2.0),), 0.0, 4)
-
-    @pytest.mark.parametrize("bad", [True, 1.9, 1.0, "1"])
-    def test_non_integer_id_rejected(self, bad):
-        with pytest.raises(RemoteScoreError, match="must be an integer"):
-            densify(((bad, 2.0),), 0.0, 4)
-        assert densify(((np.int64(1), 2.0),), 0.0, 4).tolist() == [0.0, 2.0, 0.0, 0.0]
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(RemoteScoreError):
-            densify(((0, float("nan")),), 0.0, 4)
-        with pytest.raises(RemoteScoreError):
-            densify(((0, 1.0),), float("inf"), 4)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 40), FINITE, st.data())
-    def test_densify_matches_full_and_assign(self, size, rest, data):
-        entries = data.draw(st.dictionaries(st.integers(0, size - 1), FINITE))
-        topk = data.draw(st.permutations([[i, v] for i, v in entries.items()]))
-        expected = np.full(size, rest, dtype=np.float64)
-        for i, v in entries.items():
-            expected[i] = v
-        assert densify(topk, rest, size).tobytes() == expected.tobytes()
-
-
 class TestStubServerStep:
     def test_score_round_trip(self):
         scorer = demo_scorer()
         frame = {"type": "score", "id": 7, "tokens": [0, 1]}
-        response = stub_server_step(scorer, frame)
+        response = StubSession(scorer).step(frame)
         assert response["type"] == "logits"
         assert response["id"] == 7
         np.testing.assert_array_equal(np.array(response["dense"]), scorer.score([0, 1]))
@@ -95,34 +54,34 @@ class TestStubServerStep:
     def test_constant_scorer_any_prefix(self):
         vocab = build_vocab([["a"]])
         scorer = ConstantScorer(vocab, [1.0, 2.0, 0.0])
-        response = stub_server_step(scorer, {"type": "score", "id": 1, "tokens": [0, 0]})
+        response = StubSession(scorer).step({"type": "score", "id": 1, "tokens": [0, 0]})
         assert response["dense"] == [1.0, 2.0, 0.0]
 
     def test_token_out_of_range_yields_error_frame(self):
-        response = stub_server_step(demo_scorer(), {"type": "score", "id": 3, "tokens": [99]})
+        response = StubSession(demo_scorer()).step({"type": "score", "id": 3, "tokens": [99]})
         assert response["type"] == "error"
         assert response["id"] == 3
         assert "99" in response["message"]
 
     def test_missing_id_yields_error_frame(self):
-        response = stub_server_step(demo_scorer(), {"type": "score", "tokens": [0]})
+        response = StubSession(demo_scorer()).step({"type": "score", "tokens": [0]})
         assert response["type"] == "error"
         assert response["id"] is None
 
     def test_wrong_type_yields_error_frame(self):
-        response = stub_server_step(demo_scorer(), {"type": "shutdown", "id": 4})
+        response = StubSession(demo_scorer()).step({"type": "shutdown", "id": 4})
         assert response["type"] == "error"
 
     def test_never_raises(self):
         for frame in ({}, {"type": "score"}, {"type": "score", "id": "x", "tokens": "y"}):
-            response = stub_server_step(demo_scorer(), frame)
+            response = StubSession(demo_scorer()).step(frame)
             assert response["type"] == "error"
 
     def test_boolean_ids_rejected(self):
         # JSON true/false parse to bool, which equals 1/0 and is an int subclass.
-        response = stub_server_step(demo_scorer(), {"type": "score", "id": True, "tokens": [True, False]})
+        response = StubSession(demo_scorer()).step({"type": "score", "id": True, "tokens": [True, False]})
         assert response == {"type": "error", "id": None, "message": "score frame needs an integer id"}
-        response = stub_server_step(demo_scorer(), {"type": "score", "id": 1, "tokens": [0, True]})
+        response = StubSession(demo_scorer()).step({"type": "score", "id": 1, "tokens": [0, True]})
         assert response == {"type": "error", "id": 1, "message": "tokens must be a list of integers"}
 
 
@@ -190,15 +149,6 @@ class TestTcpTransport:
             s.chosen_logprob for s in local.generated
         ]
 
-    def test_sparse_server_transparent(self):
-        scorer = demo_scorer()
-        with StubServer(scorer, sparse_topk=2) as server:
-            with ScorerClient.connect_tcp(server.host, server.port) as client:
-                for prefix in ([0], [1], [0, 2]):
-                    local = scorer.score(prefix)
-                    got = client.score_tokens(prefix)
-                    np.testing.assert_array_equal(got, local)
-
     def test_malformed_frame_gets_error_not_logits(self):
         scorer = demo_scorer()
         with StubServer(scorer) as server:
@@ -233,9 +183,21 @@ class TestTcpTransport:
                 with pytest.raises(ProtocolError):
                     client.collect(999)
 
+    def test_stop_closes_open_connections(self):
+        scorer = demo_scorer()
+        with StubServer(scorer) as server:
+            with ScorerClient.connect_tcp(server.host, server.port, timeout_ms=5000) as client:
+                assert client.score_tokens([0, 1]).tobytes() == scorer.score([0, 1]).tobytes()
+                serving = [t for t in threading.enumerate() if "_serve_one" in t.name]
+                assert serving
+                server.stop()
+                with pytest.raises(ProtocolError, match="closed"):
+                    client.score_tokens([0, 1])
+        assert not any(thread.is_alive() for thread in serving)
 
-# The fake servers below echo each v1 score frame's tokens back as logits.
-HELLO = json.dumps({"type": "hello", "version": 1, "vocab_size": 3}).encode() + b"\n"
+
+# The fake servers below answer each request with its whole prefix as logits.
+HELLO = json.dumps({"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": 3}).encode() + b"\n"
 
 
 @contextlib.contextmanager
@@ -271,6 +233,30 @@ def read_frames(conn, count):
     return [json.loads(line) for line in buffer.splitlines()]
 
 
+class EchoSession:
+    """A fake server's view of one connection's ``extend`` stream."""
+
+    def __init__(self):
+        self.prefix = []
+
+    def resolve(self, frames):
+        """The id and whole prefix of each frame, in arrival order."""
+        requests = []
+        for frame in frames:
+            self.prefix = self.prefix[: frame["keep"]] + frame["tokens"]
+            requests.append((frame["id"], self.prefix))
+        return requests
+
+
+def logits_frame(frame_id, values):
+    frame = {"type": "logits", "id": frame_id, "f64": encode_f64(np.array(values, dtype=np.float64))}
+    return json.dumps(frame).encode() + b"\n"
+
+
+def answer(requests):
+    return b"".join(logits_frame(frame_id, prefix) for frame_id, prefix in requests)
+
+
 class TestHandshakeValidation:
     def assert_rejected(self, hello_line, match=None):
         after_hello = []
@@ -291,12 +277,13 @@ class TestHandshakeValidation:
         assert after_hello == [b""], excinfo.value
 
     def test_version_mismatch_names_both(self):
-        hello = json.dumps({"type": "hello", "version": 3, "vocab_size": 7}).encode() + b"\n"
-        self.assert_rejected(hello, match="version 3, client supports 1 and 2")
+        for version in (1, 3):
+            hello = json.dumps({"type": "hello", "version": version, "vocab_size": 7}).encode() + b"\n"
+            self.assert_rejected(hello, match=f"version {version}, client supports 2")
 
     @pytest.mark.parametrize("field", ["version", "vocab_size"])
     def test_boolean_hello_fields_rejected(self, field):
-        hello = {"type": "hello", "version": 1, "vocab_size": 3, field: True}
+        hello = {"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": 3, field: True}
         self.assert_rejected(json.dumps(hello).encode() + b"\n", match=field)
 
     def test_missing_vocab_size(self):
@@ -383,12 +370,7 @@ class TestLineFraming:
             time.sleep(0.05)
             conn.sendall(HELLO[split:])
             # Both answers go out in one send, newest first.
-            conn.sendall(
-                b"".join(
-                    json.dumps({"type": "logits", "id": r["id"], "dense": r["tokens"]}).encode() + b"\n"
-                    for r in reversed(read_frames(conn, 2))
-                )
-            )
+            conn.sendall(answer(reversed(EchoSession().resolve(read_frames(conn, 2)))))
             conn.recv(1024)
 
         with fake_server(serve) as (host, port):
@@ -411,26 +393,42 @@ class TestLineFraming:
         assert not isinstance(excinfo.value, RemoteTimeoutError)
 
 
-def answer(requests):
-    return b"".join(
-        json.dumps({"type": "logits", "id": r["id"], "dense": r["tokens"]}).encode() + b"\n"
-        for r in requests
-    )
-
-
 class TestResponseIds:
     @pytest.mark.parametrize("frame_id", [99, "0", [0], {"id": 0}, False])
     def test_unknown_response_id_is_protocol_error(self, frame_id):
         def serve(conn):
             conn.sendall(HELLO)
             read_frames(conn, 1)
-            frame = {"type": "logits", "id": frame_id, "dense": [0.0, 0.0, 0.0]}
-            conn.sendall(json.dumps(frame).encode() + b"\n")
+            conn.sendall(logits_frame(frame_id, [0.0, 0.0, 0.0]))
             conn.recv(1024)
 
         with fake_server(serve) as (host, port):
             with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
                 with pytest.raises(ProtocolError, match="unknown request id"):
+                    client.score_tokens([0])
+
+
+class TestReplyFormat:
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"dense": [0.0, 1.0, 2.0]},
+            {"dense": ["1.5", True, False]},
+            {"topk": [[0, 2.5]], "rest": 0.0},
+            {},
+        ],
+        ids=["dense", "dense-not-numbers", "topk", "empty"],
+    )
+    def test_logits_without_f64_rejected(self, reply):
+        def serve(conn):
+            conn.sendall(HELLO)
+            (frame,) = read_frames(conn, 1)
+            conn.sendall(json.dumps({"type": "logits", "id": frame["id"], **reply}).encode() + b"\n")
+            conn.recv(1024)
+
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
+                with pytest.raises(RemoteScoreError, match="must carry f64"):
                     client.score_tokens([0])
 
 
@@ -440,7 +438,7 @@ class TestLateFrames:
 
         def serve(conn):
             conn.sendall(HELLO)
-            requests = read_frames(conn, 2)
+            requests = EchoSession().resolve(read_frames(conn, 2))
             timed_out.wait(10)
             # Request 0 is answered after its deadline passed, then request 1.
             conn.sendall(answer(requests))
@@ -467,11 +465,12 @@ class TestLateFrames:
 
         def serve(conn):
             conn.sendall(HELLO)
-            requests = read_frames(conn, callers)
-            conn.sendall(answer(r for r in requests if r["tokens"][0] == 0))
+            session = EchoSession()
+            requests = session.resolve(read_frames(conn, callers))
+            conn.sendall(answer(r for r in requests if r[1][0] == 0))
             released.wait(10)
-            conn.sendall(answer(r for r in requests if r["tokens"][0] == 1))
-            conn.sendall(answer(read_frames(conn, 1)))
+            conn.sendall(answer(r for r in requests if r[1][0] == 1))
+            conn.sendall(answer(session.resolve(read_frames(conn, 1))))
             conn.recv(1024)
 
         results, timeouts = [], []
@@ -618,7 +617,7 @@ class TestExtendSession:
             model = model[:keep] + tokens
             response = session.step(extend(request_id, keep, tokens))
             assert list(session.prefix) == model
-            full = stub_server_step(scorer, {"type": "score", "id": request_id, "tokens": model})
+            full = StubSession(scorer).step({"type": "score", "id": request_id, "tokens": model})
             assert response["type"] == "logits" and response["id"] == request_id
             assert decode_f64(response["f64"], size).tobytes() == np.array(full["dense"]).tobytes()
 
@@ -685,7 +684,6 @@ class TestProtocolV2:
         local = decode(base, expert, expert_base, prompt=prompt, config=config)
         with StubServer(base) as server:
             with ScorerClient.connect_tcp(server.host, server.port) as client:
-                assert client.version == 2
                 remote = RemoteScorer(client, base.vocab, name="remote")
                 got = decode(remote, expert, expert_base, prompt=prompt, config=config)
         assert len(local.generated) == 1200
@@ -698,28 +696,6 @@ class TestProtocolV2:
         for request_id, (frame, response) in enumerate(frames[1:], start=1):
             assert frame == extend(request_id, len(prompt) + request_id - 1, [got.tokens[request_id - 1]])
             assert set(response) == {"type", "id", "f64"}
-
-    def test_v1_server_gets_score_frames(self):
-        scorer = trigram_scorer()
-        kinds = []
-
-        def serve(conn):
-            hello = {"type": "hello", "version": 1, "vocab_size": scorer.vocab.size}
-            conn.sendall(json.dumps(hello).encode() + b"\n")
-            for line in conn.makefile("rb"):
-                frame = json.loads(line)
-                kinds.append(frame["type"])
-                conn.sendall(json.dumps(stub_server_step(scorer, frame)).encode() + b"\n")
-
-        config = DecodeConfig(mode="sample", max_tokens=20, seed=4)
-        local = decode(scorer, prompt=[0, 1], config=config)
-        with fake_server(serve) as (host, port):
-            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
-                assert client.version == 1
-                got = decode(RemoteScorer(client, scorer.vocab), prompt=[0, 1], config=config)
-        assert got.tokens == local.tokens
-        assert [s.chosen_logprob for s in got.generated] == [s.chosen_logprob for s in local.generated]
-        assert kinds == ["score"] * len(local.generated)
 
     def test_keep_tracks_prefix_stream(self, monkeypatch):
         frames = []
