@@ -3,7 +3,9 @@
 Everything downstream (scorers, decoder, harness) is built on four pure
 operations over dense float64 vectors: logit combination, temperature
 softmax, nucleus filtering, and categorical sampling. All of them either
-return a fresh array or raise; none mutate their inputs.
+return a fresh array or raise; none mutate their inputs. Each public
+function checks its arguments and then runs a private step that checks
+nothing; ``decode`` calls the private steps on rows it validated once.
 """
 
 from __future__ import annotations
@@ -165,6 +167,7 @@ class DecodeConfig:
 
     ``delta_scale`` multiplies the expert-minus-base logit difference before
     it is added to the base logits; 0 reduces decoding to the base alone.
+    Every field is checked here, once: ``decode`` repeats none of it.
     """
 
     delta_scale: float = 1.0
@@ -177,15 +180,15 @@ class DecodeConfig:
     def __post_init__(self):
         if not math.isfinite(self.delta_scale) or self.delta_scale < 0:
             raise InvalidConfigError(f"delta_scale must be >= 0, got {self.delta_scale}")
-        if self.temperature <= 0:
-            raise InvalidConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise InvalidConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise InvalidConfigError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.max_tokens < 1:
-            raise InvalidConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if type(self.max_tokens) is not int or self.max_tokens < 1:
+            raise InvalidConfigError(f"max_tokens must be an integer >= 1, got {self.max_tokens!r}")
         if self.mode not in DECODE_MODES:
             raise InvalidConfigError(f"mode must be one of {DECODE_MODES}, got {self.mode!r}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise InvalidConfigError(f"seed must be an integer, got {type(self.seed).__name__}")
 
     def replace(self, **changes) -> "DecodeConfig":
@@ -268,24 +271,18 @@ def combine_logits(base, expert, expert_base, scale: float) -> np.ndarray:
         )
     if scale < 0:
         raise InvalidConfigError(f"delta scale must be >= 0, got {scale}")
-    if scale == 0.0:
-        return b.copy()
-    out = b + scale * (e - eb)
-    if not np.isfinite(out).all():
-        raise InvalidLogitsError("combined logits overflowed to non-finite values")
-    return out
+    return _combine(b, e, eb, scale)
 
 
 def softmax_with_temperature(logits, temperature: float) -> np.ndarray:
-    """Softmax of ``logits / temperature`` with max-subtraction for stability."""
-    if temperature <= 0:
-        raise InvalidConfigError(f"temperature must be > 0, got {temperature}")
-    arr = as_logits(logits)
-    scaled = arr / temperature
-    scaled = scaled - scaled.max()
-    probs = np.exp(scaled)
-    probs /= probs.sum()
-    return probs
+    """Softmax of ``logits / temperature`` with max-subtraction for stability.
+
+    Raises :class:`InvalidDistributionError` when the temperature is so
+    small that the scaled logits overflow and the softmax is undefined.
+    """
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise InvalidConfigError(f"temperature must be finite and > 0, got {temperature}")
+    return _softmax(as_logits(logits), temperature)
 
 
 def nucleus_filter(probs, top_p: float) -> np.ndarray:
@@ -299,18 +296,7 @@ def nucleus_filter(probs, top_p: float) -> np.ndarray:
     if not 0 < top_p <= 1:
         raise InvalidConfigError(f"top_p must be in (0, 1], got {top_p}")
     arr = as_distribution(probs, require_normalized=True)
-    if top_p == 1.0:
-        return arr.copy()
-    order = np.argsort(-arr, kind="stable")
-    cumulative = np.cumsum(arr[order])
-    cut = int(np.searchsorted(cumulative, top_p, side="left"))
-    # Rounding can leave the total just under top_p; keep everything then.
-    cut = min(cut, arr.size - 1)
-    kept = order[: cut + 1]
-    out = np.zeros_like(arr)
-    out[kept] = arr[kept]
-    out /= out.sum()
-    return out
+    return _nucleus(arr, top_p)[0]
 
 
 def argmax_token(scores) -> int:
@@ -322,11 +308,94 @@ def argmax_token(scores) -> int:
 def sample_token(probs, rng: np.random.Generator) -> int:
     """Draw one token from ``probs``, consuming exactly one uniform draw."""
     arr = as_distribution(probs, require_normalized=True)
-    cumulative = np.cumsum(arr)
-    u = rng.random()
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    if idx >= arr.size:
+    return _sample(arr, np.arange(arr.size), rng)
+
+
+# The private steps. None writes into its inputs (``decode`` reads the base
+# row again for its instruments): in-place arithmetic only touches arrays
+# the step allocated itself.
+
+
+def _combine(b: np.ndarray, e: np.ndarray, eb: np.ndarray, scale: float) -> np.ndarray:
+    if scale == 0.0:
+        return b.copy()
+    out = e - eb
+    if scale != 1.0:  # x * 1.0 == x exactly, so skipping it keeps the bits
+        out *= scale
+    out += b
+    if not np.isfinite(out).all():
+        raise InvalidLogitsError("combined logits overflowed to non-finite values")
+    return out
+
+
+def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
+    scaled = logits if temperature == 1.0 else logits / temperature  # x / 1.0 == x
+    probs = scaled - scaled.max()
+    np.exp(probs, out=probs)
+    total = probs.sum()
+    # Finite logits over a tiny temperature can overflow to +-inf, and
+    # inf - inf is NaN; the normaliser is the one place that shows it.
+    if not math.isfinite(total):
+        raise InvalidDistributionError(
+            f"softmax at temperature {temperature} overflowed to non-finite values"
+        )
+    probs /= total
+    return probs
+
+
+def _nucleus(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nucleus of ``probs`` and the ascending ids outside which it is zero.
+
+    Only ids with mass >= ``(1 - top_p) / V`` are candidates. The others
+    hold less than ``1 - top_p`` together, so the candidates are a prefix
+    of the full ranking and usually reach ``top_p`` on their own: then
+    only they are sorted, and only the kept ids are returned. When every
+    id is a candidate, or rounding keeps the candidates short of
+    ``top_p``, every id is ranked and returned.
+    """
+    size = probs.size
+    if top_p == 1.0:
+        return probs.copy(), np.arange(size)
+    head = np.flatnonzero(probs >= (1.0 - top_p) / size)
+    if head.size < size:
+        order = head[np.argsort(-probs[head], kind="stable")]
+        cut = int(np.searchsorted(np.cumsum(probs[order]), top_p, side="left"))
+        if cut < order.size:
+            kept = np.sort(order[: cut + 1])
+            # The normaliser stays a sum over all V entries: a pairwise
+            # sum's bits depend on the array's length, not only on its
+            # non-zero values. Only the kept entries need dividing.
+            values = probs[kept]
+            out = np.zeros(size)
+            out[kept] = values
+            out[kept] = values / out.sum()
+            return out, kept
+    order = np.argsort(-probs, kind="stable")
+    # Rounding can leave the total just under top_p; then cut == V and the
+    # slice keeps every id.
+    cut = int(np.searchsorted(np.cumsum(probs[order]), top_p, side="left"))
+    kept = order[: cut + 1]
+    out = np.zeros(size)
+    out[kept] = probs[kept]
+    out /= out.sum()
+    return out, np.arange(size)
+
+
+def _greedy(dist: np.ndarray, kept: np.ndarray) -> int:
+    """The most probable of the ``kept`` ids (ascending), lowest id on ties."""
+    return int(kept[np.argmax(dist[kept])])
+
+
+def _sample(dist: np.ndarray, kept: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw from ``dist`` over ``kept``, ascending ids outside which it is zero.
+
+    A sequential cumsum over the kept ids has the same bits as one over the
+    whole vector, whose other entries add exact zeros.
+    """
+    values = dist[kept]
+    idx = int(np.searchsorted(np.cumsum(values), rng.random(), side="right"))
+    if idx >= kept.size:
         # u landed past the last cumulative value (mass summed slightly
         # below 1); fall back to the highest-id token with support.
-        idx = int(np.flatnonzero(arr > 0)[-1])
-    return idx
+        return int(kept[np.flatnonzero(values)[-1]])
+    return int(kept[idx])

