@@ -9,8 +9,12 @@ desk-scale stand-in for a real language model.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from abc import ABC, abstractmethod
+from collections import Counter
 from collections.abc import Mapping, Sequence
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -165,8 +169,16 @@ class NGramModel(Scorer):
 
     ``counts`` maps a context tuple (the ``order - 1`` most recent tokens,
     left-padded with the vocabulary's pad id at sequence start) to per-token
-    occurrence counts. Logits are ``ln((count + k) / (total + k * V))``, so
-    they exponentiate back to the smoothed conditional distribution.
+    occurrence counts. It may also be given as ``(context, row)`` pairs with
+    each row as ``(token, count)`` pairs, the layout :func:`save_scorer`
+    writes. Logits are ``ln((count + k) / (total + k * V))``, so they
+    exponentiate back to the smoothed conditional distribution.
+
+    Construction checks every input once and flattens the counts into one
+    table: the counted ids of every context back to back, their counts and
+    logits, and one fill logit ``ln(k / (total + k * V))`` per context for
+    the ids it never counted. A row is then an O(V) fill plus a scatter of
+    the context's counted logits.
     """
 
     kind = "ngram"
@@ -175,36 +187,51 @@ class NGramModel(Scorer):
         self,
         vocab,
         order: int,
-        counts: Mapping,
+        counts: Mapping | Sequence,
         smoothing_k: float = 1.0,
         name="",
         tokenizer="whitespace",
     ):
         super().__init__(vocab, name, tokenizer)
-        if order < 1:
-            raise InvalidConfigError(f"order must be >= 1, got {order}")
-        if smoothing_k <= 0:
-            raise InvalidConfigError(f"smoothing_k must be > 0, got {smoothing_k}")
-        self.order = int(order)
-        self.smoothing_k = float(smoothing_k)
-        self._counts: dict[tuple[int, ...], dict[int, int]] = {}
-        self._totals: dict[tuple[int, ...], int] = {}
-        for key, row in counts.items():
-            ctx = tuple(int(t) for t in key)
-            if len(ctx) != self.order - 1:
-                raise InvalidConfigError(
-                    f"context {ctx} has length {len(ctx)}, expected {self.order - 1}"
-                )
-            clean = {int(t): int(c) for t, c in dict(row).items()}
-            for t in clean:
-                if not 0 <= t < vocab.size:
-                    raise InvalidConfigError(f"count for token id {t} outside vocabulary")
-            self._counts[ctx] = clean
-            self._totals[ctx] = sum(clean.values())
+        self.order = _check_order(order)
+        if (
+            isinstance(smoothing_k, bool)
+            or not isinstance(smoothing_k, numbers.Real)
+            or not (math.isfinite(smoothing_k) and smoothing_k > 0)
+        ):
+            raise InvalidConfigError(f"smoothing_k must be finite and > 0, got {smoothing_k!r}")
+        self.smoothing_k = k = float(smoothing_k)
+        size = vocab.size
+        self._rows, lengths, ids, counts = _flat_counts(counts, self.order - 1, size)
+        # Row i holds _ids[bounds[i]:bounds[i + 1]]; the last row, for
+        # contexts never seen, is empty.
+        self._bounds = list(accumulate(lengths, initial=0))
+        self._bounds.append(self._bounds[-1])
+        self._unseen = len(self._rows)
+        too_big = "n-gram counts must sum to less than 2**53"
+        try:
+            weights = np.array(counts, dtype=np.float64)
+        except OverflowError:  # a count past the float range
+            raise InvalidConfigError(too_big) from None
+        running = np.concatenate(([0.0], weights.cumsum()))
+        if running[-1] >= 2.0**53:
+            raise InvalidConfigError(too_big)
+        # Below 2**53 every running sum is exact in float64, so every total
+        # is, as in the dense formula.
+        ends = running[self._bounds]
+        denominators = k * size + (ends[1:] - ends[:-1])
+        self._ids = np.array(ids, dtype=np.int64)
+        self._counts = np.array(counts, dtype=np.int64)
+        self._logits = np.log((weights + k) / denominators[:-1].repeat(lengths))
+        self._fill = np.log(k / denominators)
 
     @property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
-        return {ctx: dict(row) for ctx, row in self._counts.items()}
+        ids, counts, bounds = self._ids.tolist(), self._counts.tolist(), self._bounds
+        return {
+            ctx: dict(zip(ids[bounds[i] : bounds[i + 1]], counts[bounds[i] : bounds[i + 1]]))
+            for ctx, i in self._rows.items()
+        }
 
     def context_of(self, prefix: Sequence[int]) -> tuple[int, ...]:
         """Last ``order - 1`` tokens of ``prefix``, left-padded at the start."""
@@ -216,16 +243,97 @@ class NGramModel(Scorer):
 
     def score(self, prefix):
         ctx = self.context_of(self._check_prefix(prefix))
-        k = self.smoothing_k
-        size = self.vocab.size
-        numerators = np.full(size, k, dtype=np.float64)
-        total = k * size
-        row = self._counts.get(ctx)
-        if row:
-            for t, c in row.items():
-                numerators[t] += c
-            total += self._totals[ctx]
-        return np.log(numerators / total)
+        i = self._rows.get(ctx, self._unseen)
+        start, stop = self._bounds[i], self._bounds[i + 1]
+        out = np.full(self.vocab.size, self._fill[i], dtype=np.float64)
+        out[self._ids[start:stop]] = self._logits[start:stop]
+        return out
+
+
+def _check_order(order) -> int:
+    if not _is_int(order) or order < 1:
+        raise InvalidConfigError(f"order must be an int >= 1, got {order!r}")
+    return int(order)
+
+
+def _is_int_type(kind: type) -> bool:
+    """Python and NumPy ints, which ``operator.index`` accepts, less bools."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _is_int(value) -> bool:
+    return _is_int_type(type(value))
+
+
+def _flat_counts(counts, width: int, size: int):
+    """Check n-gram ``counts`` and flatten them for :class:`NGramModel`.
+
+    Returns a dict from each context (a tuple of ints) to its row index,
+    the number of counted ids per row, and the counted ids of every row
+    back to back with their counts, as lists. Each check is one pass over
+    flat lists (the distinct types, the minimum and maximum, one dict per
+    row for repeats); only a failure walks the rows, to name the context
+    and token at fault.
+    """
+    try:
+        items = list(counts.items() if isinstance(counts, Mapping) else counts)
+        keys = [key for key, _ in items]
+        rows = [row if isinstance(row, (list, tuple)) else row.items() for _, row in items]
+        pairs = list(chain.from_iterable(rows))
+        lengths = list(map(len, rows))
+        shapes_ok = set(map(len, keys)) <= {width} and set(map(len, pairs)) <= {2}
+        context_ids = list(chain.from_iterable(keys))
+        flat = list(chain.from_iterable(pairs))
+    except (AttributeError, TypeError, ValueError):
+        raise InvalidConfigError(
+            "counts must map each context to a row of (token, count) pairs"
+        ) from None
+    ids, values = flat[0::2], flat[1::2]
+    all_ids = context_ids + ids
+    if not (
+        shapes_ok
+        and all(map(_is_int_type, set(map(type, context_ids + flat))))
+        and (not all_ids or (0 <= min(all_ids) and max(all_ids) < size))
+        and (not values or min(values) >= 0)
+        and sum(map(len, map(dict, rows))) == len(pairs)  # no row counts a token twice
+    ):
+        raise InvalidConfigError(_first_bad_entry(keys, rows, width, size))
+    # Plain ints, in groups of ``width``.
+    keys = list(zip(*[iter(map(int, context_ids))] * width)) if width else [()] * len(keys)
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) < len(keys):
+        ctx = next(key for key, n in Counter(keys).items() if n > 1)
+        raise InvalidConfigError(f"context {ctx} is listed twice")
+    return index, lengths, ids, values
+
+
+def _first_bad_entry(keys, rows, width: int, size: int) -> str:
+    """Message naming the first context, token or count that is malformed."""
+    for key, row in zip(map(tuple, keys), rows):
+        if len(key) != width:
+            return f"context {key} has length {len(key)}, expected {width}"
+        for t in key:
+            if not _is_int(t):
+                return f"context {key}: ids must be ints"
+            if not 0 <= t < size:
+                return f"context {key}: id {t} outside vocabulary of size {size}"
+        seen = set()
+        for pair in row:
+            if len(pair) != 2:
+                return f"context {key}: expected (token, count) pairs, got {pair!r}"
+            token, count = pair
+            if not _is_int(token):
+                return f"context {key}: token {token!r} is not an int id"
+            if not 0 <= token < size:
+                return f"context {key}: token id {token} outside vocabulary of size {size}"
+            if not _is_int(count):
+                return f"context {key}, token {token}: count {count!r} is not an int"
+            if count < 0:
+                return f"context {key}, token {token}: count {count} is negative"
+            if token in seen:
+                return f"context {key}: token {token} is counted twice"
+            seen.add(token)
+    raise AssertionError("no malformed n-gram entry")
 
 
 def train_ngram(
@@ -246,8 +354,7 @@ def train_ngram(
     ``append_eos`` extends each document with eos so trained models learn
     where documents end (pass False to count the raw tokens only).
     """
-    if order < 1:
-        raise InvalidConfigError(f"order must be >= 1, got {order}")
+    order = _check_order(order)
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     need = order - 1
     for doc_index, doc in enumerate(corpus):
@@ -388,8 +495,7 @@ def _scorer_payload(scorer: Scorer) -> dict:
         payload["order"] = scorer.order
         payload["smoothing_k"] = scorer.smoothing_k
         payload["counts"] = [
-            [list(ctx), sorted((t, c) for t, c in row.items())]
-            for ctx, row in sorted(scorer.counts.items())
+            [list(ctx), sorted(row.items())] for ctx, row in sorted(scorer.counts.items())
         ]
     elif isinstance(scorer, ConstantScorer):
         payload["logits"] = [float(x) for x in scorer._logits]
@@ -415,7 +521,8 @@ def save_scorer(scorer: Scorer, path) -> None:
 
 def load_scorer(path) -> Scorer:
     """Load a scorer saved by :func:`save_scorer`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    with open(path, "rb") as fh:
+        payload = json.loads(fh.read().decode("utf-8"))
     kind = payload.get("kind")
     if kind not in ("ngram", "constant", "bigram_matrix", "table"):
         raise InvalidConfigError(f"unknown scorer kind {kind!r} in {path}")
@@ -423,11 +530,10 @@ def load_scorer(path) -> Scorer:
     name = payload.get("name", "")
     tokenizer = payload.get("tokenizer", "whitespace")
     if kind == "ngram":
-        counts = {tuple(ctx): dict(row) for ctx, row in payload["counts"]}
         return NGramModel(
             vocab,
             payload["order"],
-            counts,
+            payload["counts"],
             payload["smoothing_k"],
             name=name,
             tokenizer=tokenizer,

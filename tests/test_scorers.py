@@ -1,5 +1,11 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltadecode.core import InvalidConfigError, Vocabulary
 from deltadecode.scorers import (
@@ -254,3 +260,209 @@ class TestScorerSerialization:
         (tmp_path / "bad.json").write_text('{"kind": "transformer"}')
         with pytest.raises(InvalidConfigError):
             load_scorer(tmp_path / "bad.json")
+
+
+ABC = Vocabulary(surface=("a", "b", "c"), eos=2, bos=None)
+
+
+class TestNGramValidation:
+    """Every malformed input is refused when the model is built."""
+
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_count(self, count):
+        message = rf"context \(0,\), token 1: count {count} is negative"
+        with pytest.raises(InvalidConfigError, match=message):
+            NGramModel(ABC, 2, {(0,): {1: count}})
+
+    @pytest.mark.parametrize("count", [2.7, "3", True, np.True_, None])
+    def test_non_int_count(self, count):
+        with pytest.raises(InvalidConfigError, match=r"context \(0,\), token 1: count .* is not an int"):
+            NGramModel(ABC, 2, {(0,): {0: 1, 1: count}})
+
+    def test_numpy_int_counts_and_ids_pass(self):
+        m = NGramModel(ABC, 2, {(np.int64(0),): {np.int32(1): np.uint8(3)}})
+        assert m.counts == {(0,): {1: 3}}
+        assert [type(t) for t in (*next(iter(m.counts)), *m.counts[(0,)])] == [int, int]
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, "1.0", True])
+    def test_bad_smoothing_k(self, k):
+        with pytest.raises(InvalidConfigError, match="smoothing_k must be finite and > 0"):
+            NGramModel(ABC, 2, {(0,): {1: 1}}, smoothing_k=k)
+
+    @pytest.mark.parametrize("order", [2.5, True, 0, -1, "2", np.float64(2.0)])
+    def test_bad_order(self, order):
+        with pytest.raises(InvalidConfigError, match="order must be an int >= 1"):
+            NGramModel(ABC, order, {})
+
+    def test_bad_order_in_train_ngram(self):
+        with pytest.raises(InvalidConfigError, match="order must be an int >= 1"):
+            train_ngram([[0, 1]], order=2.5, vocab=ABC)
+
+    def test_numpy_int_order_passes(self):
+        assert NGramModel(ABC, np.int64(2), {(0,): {1: 1}}).order == 2
+
+    @pytest.mark.parametrize("ctx", [(99,), (3,), (-1,)])
+    def test_context_id_outside_vocabulary(self, ctx):
+        message = rf"context \({ctx[0]},\): id {ctx[0]} outside vocabulary of size 3"
+        with pytest.raises(InvalidConfigError, match=message):
+            NGramModel(ABC, 2, {(0,): {1: 1}, ctx: {1: 1}})
+
+    @pytest.mark.parametrize("ctx", [(1.9,), ("1",), (True,)])
+    def test_non_int_context_id(self, ctx):
+        with pytest.raises(InvalidConfigError, match="ids must be ints"):
+            NGramModel(ABC, 2, {ctx: {1: 1}})
+
+    def test_token_id_outside_vocabulary(self):
+        with pytest.raises(InvalidConfigError, match=r"context \(1,\): token id 3 outside vocabulary"):
+            NGramModel(ABC, 2, {(0,): {1: 1}, (1,): {0: 1, 3: 1}})
+
+    def test_non_int_token_id(self):
+        with pytest.raises(InvalidConfigError, match=r"context \(0,\): token 1.0 is not an int id"):
+            NGramModel(ABC, 2, {(0,): {1.0: 1}})
+
+    def test_context_length(self):
+        with pytest.raises(InvalidConfigError, match=r"context \(0, 1\) has length 2, expected 1"):
+            NGramModel(ABC, 2, {(0, 1): {1: 1}})
+
+    def test_repeated_context_in_pairs(self):
+        with pytest.raises(InvalidConfigError, match=r"context \(1,\) is listed twice"):
+            NGramModel(ABC, 2, [[[1], [[0, 1]]], [[0], []], [[1], [[2, 1]]]])
+
+    @pytest.mark.parametrize("row", [[[2, 1], [0, 1], [2, 4]], [[0, 1], [0, 2]]])
+    def test_repeated_token_in_pairs(self, row):
+        with pytest.raises(InvalidConfigError, match=r"context \(1,\): token (2|0) is counted twice"):
+            NGramModel(ABC, 2, [[[0], [[0, 1]]], [[1], row]])
+
+    @pytest.mark.parametrize("counts", [3, {(0,): 5}, [[[0], [[1, 2, 3]]]], [[[0]]]])
+    def test_malformed_layout(self, counts):
+        with pytest.raises(InvalidConfigError):
+            NGramModel(ABC, 2, counts)
+
+    @pytest.mark.parametrize("row", [{1: 2**52, 2: 2**52}, {1: 2**62}, {1: 2**63}, {1: 10**400}])
+    def test_counts_must_sum_below_2_53(self, row):
+        # Below 2**53 every total is exact in float64.
+        with pytest.raises(InvalidConfigError, match=r"sum to less than 2\*\*53"):
+            NGramModel(ABC, 2, {(0,): {0: 1}, (1,): row})
+
+    def test_huge_ids_are_out_of_range(self):
+        with pytest.raises(InvalidConfigError, match="outside vocabulary"):
+            NGramModel(ABC, 2, {(2**70,): {1: 1}})
+        with pytest.raises(InvalidConfigError, match="outside vocabulary"):
+            NGramModel(ABC, 2, {(0,): {2**70: 1}})
+
+    def test_pairs_equal_mapping(self):
+        mapping = NGramModel(ABC, 2, {(0,): {2: 4, 1: 1}, (2,): {}})
+        pairs = NGramModel(ABC, 2, [[[0], [[1, 1], [2, 4]]], [[2], []]])
+        assert pairs.counts == mapping.counts
+        for ctx in ([0], [1], [2], []):
+            assert pairs.score(ctx).tobytes() == mapping.score(ctx).tobytes()
+
+
+def dense_reference(counts, order, k, vocab, prefix):
+    """The dense n-gram row: ``k`` everywhere, counts added, one log over V."""
+    need = order - 1
+    ctx = list(prefix[-need:]) if need else []
+    ctx = tuple([vocab.pad] * (need - len(ctx)) + ctx)
+    numerators = np.full(vocab.size, k, dtype=np.float64)
+    total = k * vocab.size
+    row = counts.get(ctx)
+    if row:
+        for t, c in row.items():
+            numerators[t] += c
+        total += sum(row.values())
+    return np.log(numerators / total)
+
+
+def _vocab(size):
+    return Vocabulary(
+        surface=tuple(f"t{i}" for i in range(size)),
+        eos=size - 1,
+        bos=size - 2 if size >= 2 else None,
+    )
+
+
+@st.composite
+def ngram_cases(draw):
+    size = draw(st.integers(1, 2000))
+    order = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1e-6, 0.5, 1.0]) | st.floats(1e-9, 1e3))
+    ids = st.integers(0, size - 1)
+    rows = st.dictionaries(ids, st.integers(0, 2**40), max_size=12)
+    counts = draw(st.dictionaries(st.tuples(*[ids] * (order - 1)), rows, max_size=6))
+    prefixes = draw(st.lists(st.lists(ids, max_size=order + 1), min_size=1, max_size=4))
+    # Also ask for every counted context, as the tail of a longer prefix.
+    prefixes += [[draw(ids), *ctx] for ctx in counts]
+    return _vocab(size), order, k, counts, prefixes
+
+
+class TestNGramScoreBitwise:
+    """``score`` returns the dense formula's bytes, in a fresh array each call."""
+
+    def _check(self, vocab, order, k, counts, prefixes):
+        model = NGramModel(vocab, order, counts, smoothing_k=k)
+        for prefix in prefixes:
+            out = model.score(prefix)
+            want = dense_reference(counts, order, k, vocab, prefix)
+            assert out.dtype == np.float64 and out.base is None
+            assert out.tobytes() == want.tobytes()
+            out[:] = 7.0
+            assert model.score(prefix).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ngram_cases())
+    def test_matches_dense_formula(self, case):
+        self._check(*case)
+
+    def test_wide_vocabulary(self):
+        rng = np.random.default_rng(8)
+        size = 32768
+        counts = {
+            (int(c),): {int(t): int(n) for t, n in zip(rng.integers(0, size, 8), rng.integers(1, 100, 8))}
+            for c in rng.integers(0, size, 50)
+        }
+        counts[(size - 2,)] = {}
+        counts[(0,)] = {5: 2**40, 6: 0}
+        prefixes = [[c[0]] for c in counts] + [[], [1, 2, 3], [int(rng.integers(0, size))]]
+        for k in (1e-6, 1.0):
+            self._check(_vocab(size), 2, k, counts, prefixes)
+
+
+def _load_module(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestNGramFileRoundTrip:
+    """Loaded counts equal the file's rows, and saving again gives its bytes."""
+
+    def _check_files(self, paths, tmp_path):
+        for path in paths:
+            data = path.read_bytes()
+            payload = json.loads(data)
+            model = load_scorer(path)
+            assert isinstance(model, NGramModel)
+            assert model.counts == {tuple(ctx): dict(row) for ctx, row in payload["counts"]}
+            save_scorer(model, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == data
+
+    def test_decode_wide_scorers(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        inputs = _load_module(root / "perfbench" / "inputs.py", "perfbench_inputs")
+        inputs.generate("decode-wide", 1, tmp_path / "wide")
+        names = ("base.json", "expert.json", "expert_base.json")
+        self._check_files([tmp_path / "wide" / n for n in names], tmp_path)
+
+    def test_transfer_fixture(self, tmp_path):
+        data = Path(__file__).resolve().parent / "data"
+        base_docs, vocab = load_corpus(data / "transfer_base.txt")
+        expert_docs, _ = load_corpus(data / "transfer_expert.txt", vocab=vocab)
+        models = {
+            "base": train_ngram(base_docs, 3, vocab, smoothing_k=0.5),
+            "expert": train_ngram(expert_docs, 2, vocab, smoothing_k=0.5),
+            "expert_base": train_ngram(base_docs, 2, vocab, smoothing_k=0.5),
+        }
+        for name, model in models.items():
+            save_scorer(model, tmp_path / f"{name}.json")
+        self._check_files([tmp_path / f"{name}.json" for name in models], tmp_path)
