@@ -4,18 +4,21 @@ The server speaks first with a hello frame naming the protocol version and
 vocabulary size; afterwards the client sends requests carrying a request
 id and the server answers each id exactly once, in any order:
 
-    {"type": "hello", "version": 2, "vocab_size": 14}
+    {"type": "hello", "version": 3, "vocab_size": 14}
     {"type": "extend", "id": 9, "keep": 3, "tokens": [2]}
-    {"type": "logits", "id": 9, "f64": "MzMzMzMz8z8..."}
+    {"type": "logits", "id": 9, "nbytes": 112}
+    <exactly 112 bytes: 14 little-endian float64 logits>
     {"type": "error", "id": 9, "message": "..."}
 
 An ``extend`` means "this connection's previous prefix cut to its first
-``keep`` ids, plus ``tokens``", and is answered with the logits'
-little-endian float64 bytes in base64 (``f64``), which is bit-exact. An
-``extend`` the server cannot resolve earns an error and poisons the
-connection's session: every later ``extend`` with ``keep > 0`` fails until
-one with ``keep == 0`` arrives. The client speaks only this version and
-refuses a hello naming any other.
+``keep`` ids, plus ``tokens``", and is answered with a ``logits`` header
+line followed by ``nbytes`` (always 8 × vocab size) raw little-endian
+float64 bytes, which are bit-exact. The client reads the payload of every
+``logits`` header, so the stream stays in frame even for a reply it
+drops. An ``extend`` the server cannot resolve earns an error and poisons
+the connection's session: every later ``extend`` with ``keep > 0`` fails
+until one with ``keep == 0`` arrives. The client speaks only this version
+and refuses a hello naming any other.
 
 The server also answers a version 1 ``score`` frame, which carries the
 whole prefix, with ``dense`` numbers that round-trip through ``repr``:
@@ -26,13 +29,12 @@ whole prefix, with ``dense`` numbers that round-trip through ``repr``:
 The client multiplexes one connection across threads: sends are
 serialized, responses are matched to waiters by id. Every transport (a TCP
 socket, a child process's pipes, the server's own stdin/stdout) frames
-lines through the same reader and differs only in how it sends, receives
-and closes.
+lines and payloads through the same reader and differs only in how it
+sends, receives and closes.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import operator
 import os
@@ -60,13 +62,11 @@ __all__ = [
     "StubServer",
     "StubSession",
     "connect_endpoint",
-    "decode_f64",
-    "encode_f64",
     "parse_endpoint",
     "serve_stdio",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_TIMEOUT_MS = 10_000
 
 
@@ -90,66 +90,50 @@ def _encode_frame(frame: dict) -> bytes:
     return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def encode_f64(logits: np.ndarray) -> str:
-    """Base64 of the little-endian float64 bytes of ``logits``."""
-    return base64.b64encode(np.asarray(logits, dtype="<f8").tobytes()).decode("ascii")
-
-
-def decode_f64(payload, vocab_size: int) -> np.ndarray:
-    """Inverse of :func:`encode_f64`: a fresh float64 vector of ``vocab_size``
-    finite values, or :class:`RemoteScoreError`."""
-    if not isinstance(payload, str):
-        raise RemoteScoreError(f"f64 logits must be a base64 string, got {type(payload).__name__}")
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise RemoteScoreError(f"f64 logits are not valid base64: {exc}") from None
-    # The character count also rejects padding past the canonical encoding,
-    # which b64decode tolerates.
-    size, chars = 8 * vocab_size, 4 * -(-8 * vocab_size // 3)
-    if len(raw) != size or len(payload) != chars:
-        raise RemoteScoreError(
-            f"f64 logits decode to {len(raw)} bytes from {len(payload)} base64 characters, "
-            f"expected {size} bytes from {chars}"
-        )
-    logits = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if not np.isfinite(logits).all():
-        raise RemoteScoreError("f64 logits contain non-finite values")
-    return logits
-
-
 class _Channel:
-    """Line-framed byte transport with deadline-aware reads.
+    """Line- and length-framed byte transport with deadline-aware reads.
 
     A transport supplies ``send(data)``, ``close()`` and ``recv(timeout)``,
     which returns the next chunk of bytes (``b""`` at end of stream) or
     raises ``TimeoutError`` when none arrived within ``timeout`` seconds
     (``None`` waits indefinitely). ``eof_message`` names the closed stream.
+    A read that times out leaves what it buffered for the next read.
     """
 
     def __init__(self, send, recv, close, eof_message: str):
-        self.send_line = send
+        self.send = send
         self.close = close
         self._recv = recv
         self._eof_message = eof_message
         self._buffer = b""
 
+    def _fill(self, deadline: float | None) -> None:
+        timeout = None
+        if deadline is not None:
+            timeout = deadline - time.monotonic()
+            if timeout <= 0:
+                raise RemoteTimeoutError("timed out waiting for a frame")
+        try:
+            chunk = self._recv(timeout)
+        except TimeoutError:
+            raise RemoteTimeoutError("timed out waiting for a frame") from None
+        if not chunk:
+            raise ProtocolError(self._eof_message)
+        self._buffer += chunk
+
     def recv_line(self, deadline: float | None) -> bytes:
+        """The bytes up to the next newline, which is consumed."""
         while b"\n" not in self._buffer:
-            timeout = None
-            if deadline is not None:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    raise RemoteTimeoutError("timed out waiting for a frame")
-            try:
-                chunk = self._recv(timeout)
-            except TimeoutError:
-                raise RemoteTimeoutError("timed out waiting for a frame") from None
-            if not chunk:
-                raise ProtocolError(self._eof_message)
-            self._buffer += chunk
+            self._fill(deadline)
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
+
+    def recv_exact(self, n: int, deadline: float | None) -> bytes:
+        """The next ``n`` bytes, buffered ones first."""
+        while len(self._buffer) < n:
+            self._fill(deadline)
+        data, self._buffer = self._buffer[:n], self._buffer[n:]
+        return data
 
 
 def _socket_channel(sock: socket.socket) -> _Channel:
@@ -236,12 +220,16 @@ class ScorerClient:
         self._sent: Sequence[int] = []
         self._sent_len = 0
         self._resync = False
-        self._responses: dict[int, dict] = {}
+        self._responses: dict[int, tuple[dict, bytes | None]] = {}
         self._outstanding: set[int] = set()
         self._timed_out: set[int] = set()
         self._late_frames = 0
         self._next_id = 0
         self._pumping = False
+        # Only the pumping thread touches it: a frame whose header was read
+        # and whose payload was not, so the next pump reads that payload
+        # first, or (when the header's nbytes was refused) fails again.
+        self._header: dict | None = None
 
     @classmethod
     def connect_tcp(cls, host: str, port: int, timeout_ms: int = DEFAULT_TIMEOUT_MS):
@@ -308,7 +296,7 @@ class ScorerClient:
             keep = self._shared_length(prefix)
             frame = {"type": "extend", "id": request_id, "keep": keep, "tokens": prefix[keep:]}
             self._sent, self._sent_len = prefix, len(prefix)
-            self._channel.send_line(_encode_frame(frame))
+            self._channel.send(_encode_frame(frame))
         return request_id
 
     def _shared_length(self, prefix: Sequence[int]) -> int:
@@ -346,23 +334,29 @@ class ScorerClient:
                 self._outstanding.discard(request_id)
                 self._timed_out.add(request_id)
                 raise
-            frame = self._responses.pop(request_id)
+            frame, payload = self._responses.pop(request_id)
             self._outstanding.discard(request_id)
-        return self._decode_response(frame)
+        return self._decode_response(frame, payload)
 
     def _pump_one(self, deadline: float) -> None:
-        # Caller holds the condition; read one frame with it released so
-        # other threads can park as waiters meanwhile.
+        # Caller holds the condition; read one frame, and the payload of a
+        # logits frame, with it released so other threads can park as
+        # waiters meanwhile. The payload is read before the id is matched,
+        # so a dropped reply leaves the stream in frame.
         self._pumping = True
         self._cond.release()
         try:
             try:
-                line = self._channel.recv_line(deadline)
+                if self._header is None:
+                    self._header = self._parse_line(self._channel.recv_line(deadline))
+                frame, payload = self._header, None
+                if frame.get("type") == "logits":
+                    payload = self._channel.recv_exact(self._payload_size(frame), deadline)
+                self._header = None
             except RemoteTimeoutError:
                 raise RemoteTimeoutError(
                     f"no response within {self.timeout_ms} ms"
                 ) from None
-            frame = self._parse_line(line)
         finally:
             self._cond.acquire()
             self._pumping = False
@@ -380,7 +374,7 @@ class ScorerClient:
         # An id that is not an int (a list would not even hash, true would
         # match request 1) is unknown too.
         if type(frame_id) is int and frame_id in self._outstanding:
-            self._responses[frame_id] = frame
+            self._responses[frame_id] = (frame, payload)
         elif type(frame_id) is int and frame_id in self._timed_out:
             self._timed_out.discard(frame_id)
             self._late_frames += 1
@@ -397,12 +391,23 @@ class ScorerClient:
             raise ProtocolError(f"frame must be a JSON object, got {type(frame).__name__}")
         return frame
 
-    def _decode_response(self, frame: dict) -> np.ndarray:
-        if frame["type"] == "error":
+    def _payload_size(self, frame: dict) -> int:
+        nbytes, size = frame.get("nbytes"), 8 * self.vocab_size
+        # JSON true parses to a bool and 8.0 to a float, which compare equal to ints.
+        if type(nbytes) is not int or nbytes != size:
+            raise ProtocolError(
+                f"logits header announces nbytes {nbytes!r}, expected {size} (8 x vocab size)"
+            )
+        return size
+
+    @staticmethod
+    def _decode_response(frame: dict, payload: bytes | None) -> np.ndarray:
+        if payload is None:
             raise RemoteScoreError(f"server error: {frame.get('message')!r}")
-        if "f64" not in frame:
-            raise RemoteScoreError(f"logits frame must carry f64 logits, got fields {sorted(frame)}")
-        return decode_f64(frame["f64"], self.vocab_size)
+        logits = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if not np.isfinite(logits).all():
+            raise RemoteScoreError("logits contain non-finite values")
+        return logits
 
     def score_tokens(self, tokens: Sequence[int]) -> np.ndarray:
         return self.collect(self.submit(tokens))
@@ -434,8 +439,8 @@ class RemoteScorer(Scorer):
         return self.client.score_tokens(self._check_prefix(prefix))
 
 
-def _error_frame(frame_id, message: str) -> dict:
-    return {"type": "error", "id": frame_id, "message": message}
+def _error_frame(frame_id, message: str) -> tuple[dict, bytes]:
+    return {"type": "error", "id": frame_id, "message": message}, b""
 
 
 def _is_id_list(tokens) -> bool:
@@ -448,20 +453,23 @@ class StubSession:
 
     A ``score`` frame is answered from its own tokens with ``dense``
     numbers. An ``extend`` frame grows the session's prefix, so each id is
-    checked once, and is answered with ``f64`` bytes; one that cannot be
-    resolved poisons the prefix (``None``) until an ``extend`` with
-    ``keep == 0`` starts it afresh.
+    checked once, and is answered with the logits' float64 bytes; one that
+    cannot be resolved poisons the prefix (``None``) until an ``extend``
+    with ``keep == 0`` starts it afresh.
     """
 
     def __init__(self, scorer: Scorer):
         self.scorer = scorer
         self.prefix: TokenPrefix | None = TokenPrefix(scorer.vocab.size)
 
-    def step(self, frame) -> dict:
-        """Answer one client frame; never raises.
+    def step(self, frame) -> tuple[dict, bytes]:
+        """Answer one client frame with a header frame and the payload
+        bytes that follow it on the wire; never raises.
 
-        Malformed input produces an error frame (with the request id when
-        one is recoverable), so a bad request can never yield wrong logits.
+        The payload is empty except after the ``nbytes`` header that
+        answers an ``extend``. Malformed input produces an error frame
+        (with the request id when one is recoverable), so a bad request can
+        never yield wrong logits.
         """
         if not isinstance(frame, dict):
             return _error_frame(None, "frame must be a JSON object")
@@ -490,8 +498,9 @@ class StubSession:
         except Exception as exc:
             return _error_frame(frame_id, str(exc))
         if kind == "score":
-            return {"type": "logits", "id": frame_id, "dense": [float(x) for x in logits]}
-        return {"type": "logits", "id": frame_id, "f64": encode_f64(logits)}
+            return {"type": "logits", "id": frame_id, "dense": [float(x) for x in logits]}, b""
+        payload = logits.astype("<f8", copy=False).tobytes()
+        return {"type": "logits", "id": frame_id, "nbytes": len(payload)}, payload
 
     def _extend(self, frame_id, keep, tokens) -> TokenPrefix:
         """Make the session prefix its first ``keep`` ids plus ``tokens``;
@@ -521,14 +530,14 @@ def _hello_frame(scorer: Scorer) -> dict:
 
 
 def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int) -> None:
-    channel.send_line(_encode_frame(_hello_frame(scorer)))
+    channel.send(_encode_frame(_hello_frame(scorer)))
     session = StubSession(scorer)
-    pending: list[dict] = []
+    pending: list[bytes] = []
 
     def flush():
         # Reversed delivery exercises the client's out-of-order matching.
         for response in reversed(pending):
-            channel.send_line(_encode_frame(response))
+            channel.send(response)
         pending.clear()
 
     while True:
@@ -549,11 +558,13 @@ def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int) -> No
         try:
             frame = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            channel.send_line(_encode_frame(_error_frame(None, f"bad frame: {exc}")))
+            header, _ = _error_frame(None, f"bad frame: {exc}")
+            channel.send(_encode_frame(header))
             continue
-        response = session.step(frame)
+        header, payload = session.step(frame)
+        response = _encode_frame(header) + payload
         if reorder_window <= 1:
-            channel.send_line(_encode_frame(response))
+            channel.send(response)
         else:
             pending.append(response)
             if len(pending) >= reorder_window:

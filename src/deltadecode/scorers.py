@@ -125,9 +125,11 @@ class TableScorer(Scorer):
 
     def __init__(self, vocab, table: Mapping, default=None, name="", tokenizer="whitespace"):
         super().__init__(vocab, name, tokenizer)
+        for key in table:
+            if not all(map(_is_int, key)):
+                raise InvalidConfigError(f"table key {key!r}: ids must be ints")
         self._table = {
-            tuple(int(t) for t in key): as_logits(row, vocab.size).copy()
-            for key, row in table.items()
+            tuple(map(int, key)): as_logits(row, vocab.size).copy() for key, row in table.items()
         }
         self._default = None if default is None else as_logits(default, vocab.size).copy()
 
@@ -359,18 +361,21 @@ def train_ngram(
     need = order - 1
     for doc_index, doc in enumerate(corpus):
         try:
-            ids = [int(t) for t in doc]
-        except (TypeError, ValueError):
-            raise CorpusIngestionError(
-                f"document {doc_index}: expected token ids, got "
-                f"non-integer tokens (encode surfaces with encode_text first)"
-            ) from None
+            ids = list(doc)
+        except TypeError:
+            raise CorpusIngestionError(f"document {doc_index}: expected a sequence of token ids") from None
         for pos, t in enumerate(ids):
+            if not _is_int(t):
+                raise CorpusIngestionError(
+                    f"document {doc_index}, position {pos}: token {t!r} is not an int id "
+                    f"(encode surfaces with encode_text first)"
+                )
             if not 0 <= t < vocab.size:
                 raise CorpusIngestionError(
                     f"document {doc_index}, position {pos}: token id {t} "
                     f"outside vocabulary of size {vocab.size}"
                 )
+        ids = list(map(int, ids))
         if append_eos:
             ids = ids + [vocab.eos]
         seq = ([vocab.bos] * need + ids) if vocab.bos is not None else ids

@@ -490,4 +490,4 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         hello = json.loads(result.stdout.splitlines()[0])
-        assert hello == {"type": "hello", "version": 2, "vocab_size": 5}
+        assert hello == {"type": "hello", "version": 3, "vocab_size": 5}

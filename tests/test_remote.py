@@ -1,4 +1,3 @@
-import base64
 import contextlib
 import json
 import os
@@ -10,10 +9,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from deltadecode.core import DecodeConfig, VocabularyMismatchError
+from deltadecode.core import DecodeConfig, Vocabulary, VocabularyMismatchError
 from deltadecode.decoder import decode
 from deltadecode.remote import (
     PROTOCOL_VERSION,
@@ -25,12 +24,18 @@ from deltadecode.remote import (
     ScorerClient,
     StubServer,
     StubSession,
+    _Channel,
     connect_endpoint,
-    decode_f64,
-    encode_f64,
     parse_endpoint,
 )
-from deltadecode.scorers import BigramMatrixScorer, ConstantScorer, TableScorer, build_vocab, train_ngram
+from deltadecode.scorers import (
+    BigramMatrixScorer,
+    ConstantScorer,
+    TableScorer,
+    build_vocab,
+    save_scorer,
+    train_ngram,
+)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -46,43 +51,46 @@ class TestStubServerStep:
     def test_score_round_trip(self):
         scorer = demo_scorer()
         frame = {"type": "score", "id": 7, "tokens": [0, 1]}
-        response = StubSession(scorer).step(frame)
+        response, payload = StubSession(scorer).step(frame)
         assert response["type"] == "logits"
         assert response["id"] == 7
+        assert payload == b""
         np.testing.assert_array_equal(np.array(response["dense"]), scorer.score([0, 1]))
 
     def test_constant_scorer_any_prefix(self):
         vocab = build_vocab([["a"]])
         scorer = ConstantScorer(vocab, [1.0, 2.0, 0.0])
-        response = StubSession(scorer).step({"type": "score", "id": 1, "tokens": [0, 0]})
+        response, payload = StubSession(scorer).step({"type": "score", "id": 1, "tokens": [0, 0]})
         assert response["dense"] == [1.0, 2.0, 0.0]
+        assert payload == b""
 
     def test_token_out_of_range_yields_error_frame(self):
-        response = StubSession(demo_scorer()).step({"type": "score", "id": 3, "tokens": [99]})
+        response, _ = StubSession(demo_scorer()).step({"type": "score", "id": 3, "tokens": [99]})
         assert response["type"] == "error"
         assert response["id"] == 3
         assert "99" in response["message"]
 
     def test_missing_id_yields_error_frame(self):
-        response = StubSession(demo_scorer()).step({"type": "score", "tokens": [0]})
+        response, _ = StubSession(demo_scorer()).step({"type": "score", "tokens": [0]})
         assert response["type"] == "error"
         assert response["id"] is None
 
     def test_wrong_type_yields_error_frame(self):
-        response = StubSession(demo_scorer()).step({"type": "shutdown", "id": 4})
+        response, _ = StubSession(demo_scorer()).step({"type": "shutdown", "id": 4})
         assert response["type"] == "error"
 
     def test_never_raises(self):
         for frame in ({}, {"type": "score"}, {"type": "score", "id": "x", "tokens": "y"}):
-            response = StubSession(demo_scorer()).step(frame)
+            response, payload = StubSession(demo_scorer()).step(frame)
             assert response["type"] == "error"
+            assert payload == b""
 
     def test_boolean_ids_rejected(self):
         # JSON true/false parse to bool, which equals 1/0 and is an int subclass.
         response = StubSession(demo_scorer()).step({"type": "score", "id": True, "tokens": [True, False]})
-        assert response == {"type": "error", "id": None, "message": "score frame needs an integer id"}
+        assert response == ({"type": "error", "id": None, "message": "score frame needs an integer id"}, b"")
         response = StubSession(demo_scorer()).step({"type": "score", "id": 1, "tokens": [0, True]})
-        assert response == {"type": "error", "id": 1, "message": "tokens must be a list of integers"}
+        assert response == ({"type": "error", "id": 1, "message": "tokens must be a list of integers"}, b"")
 
 
 class TestTcpTransport:
@@ -197,7 +205,11 @@ class TestTcpTransport:
 
 
 # The fake servers below answer each request with its whole prefix as logits.
-HELLO = json.dumps({"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": 3}).encode() + b"\n"
+def hello(vocab_size):
+    return json.dumps({"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": vocab_size}).encode() + b"\n"
+
+
+HELLO = hello(3)
 
 
 @contextlib.contextmanager
@@ -248,9 +260,27 @@ class EchoSession:
         return requests
 
 
-def logits_frame(frame_id, values):
-    frame = {"type": "logits", "id": frame_id, "f64": encode_f64(np.array(values, dtype=np.float64))}
-    return json.dumps(frame).encode() + b"\n"
+def logits_frame(frame_id, values, **fields):
+    """A logits header line (``fields`` override its own) and its float64 payload."""
+    payload = np.array(values, dtype="<f8").tobytes()
+    header = {"type": "logits", "id": frame_id, "nbytes": len(payload), **fields}
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def error_frame(frame_id, message):
+    return json.dumps({"type": "error", "id": frame_id, "message": message}).encode() + b"\n"
+
+
+def scripted_client(stream, cuts=(), timeout_ms=5000):
+    """A handshaken client whose server's bytes are ``stream``, received in
+    chunks split at the offsets ``cuts``, then the end of the stream."""
+    bounds = sorted({0, len(stream), *(cut for cut in cuts if 0 < cut < len(stream))})
+    chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+    sent = []
+    channel = _Channel(sent.append, lambda timeout: chunks.pop(0) if chunks else b"", lambda: None, "stream ended")
+    client = ScorerClient(channel, timeout_ms)
+    client.handshake()
+    return client, sent
 
 
 def answer(requests):
@@ -277,9 +307,10 @@ class TestHandshakeValidation:
         assert after_hello == [b""], excinfo.value
 
     def test_version_mismatch_names_both(self):
-        for version in (1, 3):
+        # A version 2 server would answer with base64 text frames, never raw bytes.
+        for version in (1, 2, 4):
             hello = json.dumps({"type": "hello", "version": version, "vocab_size": 7}).encode() + b"\n"
-            self.assert_rejected(hello, match=f"version {version}, client supports 2")
+            self.assert_rejected(hello, match=f"version {version}, client supports 3")
 
     @pytest.mark.parametrize("field", ["version", "vocab_size"])
     def test_boolean_hello_fields_rejected(self, field):
@@ -308,8 +339,6 @@ class TestHandshakeValidation:
 
 class TestStdioTransport:
     def test_subprocess_round_trip(self, tmp_path):
-        from deltadecode.scorers import save_scorer
-
         scorer = demo_scorer()
         model_path = tmp_path / "model.json"
         save_scorer(scorer, model_path)
@@ -392,6 +421,48 @@ class TestLineFraming:
                     client.score_tokens([0])
         assert not isinstance(excinfo.value, RemoteTimeoutError)
 
+    def test_peer_closing_mid_payload(self):
+        def serve(conn):
+            conn.sendall(HELLO)
+            read_frames(conn, 1)
+            conn.sendall(logits_frame(0, [1.0, 2.0, 3.0])[:-5])
+
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
+                with pytest.raises(ProtocolError, match="closed") as excinfo:
+                    client.score_tokens([0])
+        assert type(excinfo.value) is ProtocolError
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_chunking_decodes_like_scorer(self, data):
+        # Rows of 0x0a bytes put newlines inside payloads, which only a
+        # length-framed read gets past.
+        newlines = np.frombuffer(b"\n" * 8, dtype="<f8")[0]
+        row = st.lists(FINITE | st.just(newlines), min_size=3, max_size=3)
+        vocab = build_vocab([["a"]])
+        scorer = BigramMatrixScorer(vocab, np.array(data.draw(st.lists(row, min_size=3, max_size=3))))
+        prefixes = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4), min_size=1, max_size=6))
+        failing = data.draw(st.sets(st.sampled_from(range(len(prefixes)))))
+        frames = [hello(3)] + [
+            error_frame(i, f"no row {i}") if i in failing else logits_frame(i, scorer.score(prefixes[i]))
+            for i in data.draw(st.permutations(range(len(prefixes))))
+        ]
+        stream = b"".join(frames)
+        # Cut anywhere, and also right at, before or after every header's end.
+        ends = [stream.index(b"\n", start) + 1 for start in np.cumsum([0] + list(map(len, frames[:-1])))]
+        near = st.sampled_from(ends).flatmap(lambda end: st.integers(end - 1, end + 1))
+        cuts = data.draw(st.lists(near | st.integers(1, len(stream) - 1), max_size=12))
+        client, sent = scripted_client(stream, cuts)
+        assert [client.submit(prefix) for prefix in prefixes] == list(range(len(prefixes)))
+        for i, prefix in enumerate(prefixes):
+            if i in failing:
+                with pytest.raises(RemoteScoreError, match=f"no row {i}"):
+                    client.collect(i)
+            else:
+                assert client.collect(i).tobytes() == scorer.score(prefix).tobytes()
+        assert len(sent) == len(prefixes)
+
 
 class TestResponseIds:
     @pytest.mark.parametrize("frame_id", [99, "0", [0], {"id": 0}, False])
@@ -420,6 +491,7 @@ class TestReplyFormat:
         ids=["dense", "dense-not-numbers", "topk", "empty"],
     )
     def test_logits_without_f64_rejected(self, reply):
+        # A logits frame must announce its float64 payload in nbytes.
         def serve(conn):
             conn.sendall(HELLO)
             (frame,) = read_frames(conn, 1)
@@ -428,8 +500,30 @@ class TestReplyFormat:
 
         with fake_server(serve) as (host, port):
             with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
-                with pytest.raises(RemoteScoreError, match="must carry f64"):
+                with pytest.raises(ProtocolError, match="nbytes None, expected 24") as excinfo:
                     client.score_tokens([0])
+        assert type(excinfo.value) is ProtocolError
+
+    @pytest.mark.parametrize(
+        "nbytes", [16, 32, True, 24.0, "24", None], ids=["too-small", "too-large", "true", "float", "string", "null"]
+    )
+    def test_bad_nbytes_rejected_and_nothing_more_read(self, nbytes):
+        # The right payload follows, then a good reply: a client that read
+        # on after a bad header would decode the second request.
+        stream = HELLO + logits_frame(0, [1.0, 2.0, 3.0], nbytes=nbytes) + logits_frame(1, [4.0, 5.0, 6.0])
+        client, _ = scripted_client(stream)
+        for prefix in ([0], [1]):
+            with pytest.raises(ProtocolError, match=f"nbytes {nbytes!r}, expected 24") as excinfo:
+                client.score_tokens(prefix)
+            assert type(excinfo.value) is ProtocolError
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_payload_rejected(self, bad):
+        stream = HELLO + logits_frame(0, [1.0, bad, 3.0]) + logits_frame(1, [4.0, 5.0, 6.0])
+        client, _ = scripted_client(stream)
+        with pytest.raises(RemoteScoreError, match="non-finite"):
+            client.score_tokens([0])
+        assert client.score_tokens([1]).tolist() == [4.0, 5.0, 6.0]
 
 
 class TestLateFrames:
@@ -455,6 +549,31 @@ class TestLateFrames:
                 assert client.late_frames == 1
                 with pytest.raises(ProtocolError, match="not outstanding"):
                     client.collect(late)
+
+    def test_stall_mid_payload_retires_id(self):
+        resumed = threading.Event()
+
+        def serve(conn):
+            conn.sendall(HELLO)
+            requests = EchoSession().resolve(read_frames(conn, 2))
+            reply = answer(requests[:1])
+            # The header and part of the payload, then a stall past the deadline.
+            conn.sendall(reply[:-10])
+            resumed.wait(10)
+            conn.sendall(reply[-10:] + answer(requests[1:]))
+            conn.recv(1024)
+
+        with fake_server(serve) as (host, port):
+            with ScorerClient.connect_tcp(host, port, timeout_ms=200) as client:
+                stalled = client.submit([2, 1, 0])
+                wanted = client.submit([1, 2, 2])
+                with pytest.raises(RemoteTimeoutError):
+                    client.collect(stalled)
+                with pytest.raises(ProtocolError, match="not outstanding"):
+                    client.collect(stalled)
+                resumed.set()
+                assert client.collect(wanted).tolist() == [1.0, 2.0, 2.0]
+                assert client.late_frames == 1
 
     def test_timeouts_under_thread_contention(self):
         # Half the callers are answered at once, half only after every
@@ -547,14 +666,24 @@ def trigram_scorer():
     return train_ngram(docs, order=3, vocab=vocab, smoothing_k=0.3, name="tri")
 
 
+def constant_session(values):
+    vocab = Vocabulary(surface=tuple(f"t{i}" for i in range(len(values))), eos=len(values) - 1)
+    return StubSession(ConstantScorer(vocab, values))
+
+
 class TestF64Codec:
+    """The float64 payload: the server's little-endian bytes, the client's decode."""
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(FINITE, min_size=1, max_size=64))
     @example([-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1.7976931348623157e308, -1.7976931348623157e308])
     def test_round_trip_is_bitwise(self, values):
         logits = np.array(values, dtype=np.float64)
-        frame = json.loads(json.dumps({"f64": encode_f64(logits)}))
-        got = decode_f64(frame["f64"], len(values))
+        header, payload = constant_session(values).step(extend(0, 0, []))
+        assert header == {"type": "logits", "id": 0, "nbytes": 8 * len(values)}
+        assert payload == logits.astype("<f8").tobytes()
+        client, _ = scripted_client(hello(len(values)) + json.dumps(header).encode() + b"\n" + payload)
+        got = client.score_tokens([])
         assert got.tobytes() == logits.tobytes()
         assert got.dtype == np.float64 and got.flags.owndata and got.flags.writeable
 
@@ -564,39 +693,19 @@ class TestF64Codec:
         values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
             st.sampled_from([float("nan"), float("inf"), float("-inf")])
         )
+        client, _ = scripted_client(hello(len(values)) + logits_frame(0, values))
         with pytest.raises(RemoteScoreError, match="non-finite"):
-            decode_f64(encode_f64(np.array(values)), len(values))
+            client.score_tokens([])
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(FINITE, min_size=1, max_size=16), st.integers(-3, 3), st.integers(0, 7))
-    def test_wrong_length_rejected(self, values, extra, cut):
-        raw = np.array(values, dtype="<f8").tobytes()
-        if extra == 0 and cut == 0:
-            cut = 1
-        payload = base64.b64encode(raw[: len(raw) - cut]).decode()
-        with pytest.raises(RemoteScoreError, match="bytes from .* base64 characters, expected"):
-            decode_f64(payload, len(values) + extra)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(FINITE, min_size=1, max_size=16), st.data())
-    def test_bad_base64_rejected(self, values, data):
-        payload = encode_f64(np.array(values))
-        at = data.draw(st.integers(0, len(payload)))
-        bad = payload[:at] + data.draw(st.sampled_from(["!", "*", "-", " ", "\n", "é", "="])) + payload[at:]
-        with pytest.raises(RemoteScoreError, match="base64"):
-            decode_f64(bad, len(values))
-
-    def test_excess_padding_rejected(self):
-        # b64decode accepts trailing padding after a complete encoding.
-        payload = encode_f64(np.zeros(3))
-        assert not payload.endswith("=")
-        with pytest.raises(RemoteScoreError, match="base64 characters"):
-            decode_f64(payload + "=", 3)
-
-    @pytest.mark.parametrize("payload", [None, 3, ["AAAAAAAAAAA="], b"AAAAAAAAAAA="])
-    def test_non_string_rejected(self, payload):
-        with pytest.raises(RemoteScoreError, match="base64 string"):
-            decode_f64(payload, 1)
+    @given(st.lists(FINITE, min_size=1, max_size=16), st.integers(-3, 3))
+    def test_wrong_length_rejected(self, values, extra):
+        # The payload is as long as the header says; the vocabulary is not.
+        size = len(values) + (extra or 1)
+        assume(size >= 1)
+        client, _ = scripted_client(hello(size) + logits_frame(0, values))
+        with pytest.raises(ProtocolError, match=f"nbytes {8 * len(values)}, expected {8 * size}"):
+            client.score_tokens([])
 
 
 def extend(request_id, keep, tokens):
@@ -615,11 +724,11 @@ class TestExtendSession:
             keep = data.draw(st.integers(0, len(model)))
             tokens = data.draw(st.lists(st.integers(0, size - 1), max_size=5))
             model = model[:keep] + tokens
-            response = session.step(extend(request_id, keep, tokens))
+            response, payload = session.step(extend(request_id, keep, tokens))
             assert list(session.prefix) == model
-            full = StubSession(scorer).step({"type": "score", "id": request_id, "tokens": model})
-            assert response["type"] == "logits" and response["id"] == request_id
-            assert decode_f64(response["f64"], size).tobytes() == np.array(full["dense"]).tobytes()
+            full, _ = StubSession(scorer).step({"type": "score", "id": request_id, "tokens": model})
+            assert response == {"type": "logits", "id": request_id, "nbytes": 8 * size}
+            assert payload == np.array(full["dense"]).tobytes()
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -641,26 +750,28 @@ class TestExtendSession:
     def test_unresolvable_frame_poisons_session(self, bad, message):
         scorer = trigram_scorer()
         session = StubSession(scorer)
-        assert session.step(extend(1, 0, [0, 1]))["type"] == "logits"
-        response = session.step(bad)
-        assert response["type"] == "error" and message in response["message"]
+        assert session.step(extend(1, 0, [0, 1]))[0]["type"] == "logits"
+        response, payload = session.step(bad)
+        assert response["type"] == "error" and message in response["message"] and payload == b""
         assert response["id"] == (5 if type(bad["id"]) is int else None)
         assert session.prefix is None
         for keep in (2, 1):
-            response = session.step(extend(6, keep, [2]))
+            response, _ = session.step(extend(6, keep, [2]))
             assert response["type"] == "error" and "reset" in response["message"]
-        response = session.step(extend(7, 0, [0, 1, 2]))
-        assert decode_f64(response["f64"], scorer.vocab.size).tobytes() == scorer.score([0, 1, 2]).tobytes()
+        response, payload = session.step(extend(7, 0, [0, 1, 2]))
+        assert response == {"type": "logits", "id": 7, "nbytes": 8 * scorer.vocab.size}
+        assert payload == scorer.score([0, 1, 2]).tobytes()
         assert list(session.prefix) == [0, 1, 2]
 
     def test_scorer_failure_keeps_session(self):
         vocab = build_vocab([["a"]])
         session = StubSession(TableScorer(vocab, {(0,): [0.0, 1.0, 2.0]}))
-        response = session.step(extend(0, 0, [1]))
+        response, _ = session.step(extend(0, 0, [1]))
         assert response["type"] == "error" and "reset" not in response["message"]
         assert list(session.prefix) == [1]
-        response = session.step(extend(1, 0, [0]))
-        assert decode_f64(response["f64"], 3).tolist() == [0.0, 1.0, 2.0]
+        response, payload = session.step(extend(1, 0, [0]))
+        assert response == {"type": "logits", "id": 1, "nbytes": 24}
+        assert np.frombuffer(payload, dtype="<f8").tolist() == [0.0, 1.0, 2.0]
 
 
 class TestProtocolV2:
@@ -695,7 +806,9 @@ class TestProtocolV2:
         assert frames[0][0] == extend(0, 0, prompt)
         for request_id, (frame, response) in enumerate(frames[1:], start=1):
             assert frame == extend(request_id, len(prompt) + request_id - 1, [got.tokens[request_id - 1]])
-            assert set(response) == {"type", "id", "f64"}
+            header, payload = response
+            assert header == {"type": "logits", "id": request_id, "nbytes": 8 * base.vocab.size}
+            assert len(payload) == 8 * base.vocab.size
 
     def test_keep_tracks_prefix_stream(self, monkeypatch):
         frames = []
@@ -740,3 +853,36 @@ class TestProtocolV2:
                 with pytest.raises(VocabularyMismatchError, match=f"position 1: token id {bad!r} is not an integer"):
                     client.submit([0, bad])
                 assert client.score_tokens([np.int64(1)]).tobytes() == demo_scorer().score([1]).tobytes()
+
+
+def wide_scorer():
+    """V = 16384, so one reply's payload (128 KB) spans several 64 KB reads."""
+    vocab = build_vocab([[f"t{i}" for i in range(16382)]])
+    rng = np.random.default_rng(64)
+    docs = [[int(t) for t in rng.integers(0, 64, size=400)] for _ in range(4)]
+    return train_ngram(docs, 2, vocab, smoothing_k=0.01, name="wide")
+
+
+class TestWideReplies:
+    CONFIG = DecodeConfig(mode="sample", max_tokens=24, top_p=0.95, seed=9)
+
+    def assert_decodes_like_local(self, scorer, client):
+        assert client.vocab_size == 16384
+        local = decode(scorer, prompt=[0, 1], config=self.CONFIG)
+        got = decode(RemoteScorer(client, scorer.vocab), prompt=[0, 1], config=self.CONFIG)
+        assert got.tokens == local.tokens
+        assert [s.chosen_logprob.hex() for s in got.generated] == [s.chosen_logprob.hex() for s in local.generated]
+        assert client.score_tokens(list(local.tokens)).tobytes() == scorer.score(local.tokens).tobytes()
+
+    def test_tcp(self):
+        scorer = wide_scorer()
+        with StubServer(scorer) as server:
+            with ScorerClient.connect_tcp(server.host, server.port, timeout_ms=30_000) as client:
+                self.assert_decodes_like_local(scorer, client)
+
+    def test_stdio(self, tmp_path):
+        scorer = wide_scorer()
+        save_scorer(scorer, tmp_path / "wide.json")
+        command = [sys.executable, "-m", "deltadecode.cli", "serve-stub", "--model", str(tmp_path / "wide.json"), "--stdio"]
+        with ScorerClient.connect_stdio(command, timeout_ms=30_000) as client:
+            self.assert_decodes_like_local(scorer, client)

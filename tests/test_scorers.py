@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,24 @@ class TestTrainNgram:
         with pytest.raises(CorpusIngestionError, match="encode_text"):
             train_ngram([["a", "b"]], order=2, vocab=AB)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1.9, 0], "document 1, position 0: token 1.9 is not an int id"),
+            ([0, "1"], "document 1, position 1: token '1' is not an int id"),
+            ([True, 0], "document 1, position 0: token True is not an int id"),
+        ],
+        ids=["float", "numeric-string", "bool"],
+    )
+    def test_non_int_ids_rejected(self, doc, message):
+        with pytest.raises(CorpusIngestionError, match=message):
+            train_ngram([[0, 1], doc], order=2, vocab=AB, append_eos=False)
+
+    def test_numpy_int_ids_train_as_ints(self):
+        m = train_ngram([np.array([0, 1, 0, 1])], order=2, vocab=AB, append_eos=False)
+        assert m.counts == {(0,): {1: 2}, (1,): {0: 1}}
+        assert all(type(t) is int for ctx in m.counts for t in ctx)
+
     def test_order_zero_rejected(self):
         with pytest.raises(InvalidConfigError):
             train_ngram([[0]], order=0, vocab=AB)
@@ -183,6 +202,17 @@ class TestSyntheticScorers:
         s = TableScorer(v, {(0,): [1.0, 0.0, 0.0, 0.0]})
         with pytest.raises(UnknownPrefixError):
             s.score([1])
+
+    @pytest.mark.parametrize("key", [(1.9,), ("1",), (True,), (None,)], ids=["float", "numeric-string", "bool", "none"])
+    def test_table_non_int_key_rejected(self, key):
+        v = Vocabulary(surface=("a", "b", "c"), eos=2)
+        with pytest.raises(InvalidConfigError, match=re.escape(f"table key {key!r}: ids must be ints")):
+            TableScorer(v, {(0,): [0.0, 0.0, 0.0], key: [0.0, 1.0, 2.0]})
+
+    def test_table_numpy_int_keys(self):
+        v = Vocabulary(surface=("a", "b", "c"), eos=2)
+        s = TableScorer(v, {(np.int64(1), np.int32(0)): [0.0, 1.0, 2.0]})
+        np.testing.assert_array_equal(s.score([1, 0]), [0.0, 1.0, 2.0])
 
     def test_table_default_row(self):
         v = build_vocab([["a", "b"]])
