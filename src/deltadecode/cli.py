@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--in", dest="in_dir")
     met.add_argument("--arm")
     met.add_argument("-k", type=int, default=1)
-    met.add_argument("--exact", action="store_true", help="force the closed-form estimator")
     met.add_argument("--repeats", type=int, help="resample with this many repeats")
     met.add_argument("--seed", type=int, default=0)
     met.add_argument("--acc-method", type=float, help="recovery: method accuracy")
@@ -386,8 +385,6 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"metrics recovery needs {', '.join(missing)}")
         elif not args.in_dir or not args.arm:
             parser.error(f"metrics {args.what} needs --in and --arm")
-        if args.exact and args.repeats is not None:
-            parser.error("--exact and --repeats are mutually exclusive")
     if args.command == "analyze":
         if args.what == "pcr" and (not args.arm or not args.probe):
             parser.error("analyze pcr needs --arm and --probe")

@@ -216,37 +216,40 @@ def pass_at_k_exact(records: Sequence[EvalRecord], k: int) -> MetricResult:
     return MetricResult(value=float(np.mean(values)), k=k, estimator="exact")
 
 
-def _subset_keys(seed: int, problem_index: int, repeats: int, n: int) -> np.ndarray:
-    # Per-problem substream: results do not depend on evaluation order.
-    rng = np.random.default_rng([seed, problem_index])
-    return rng.random((repeats, n))
+def _resampled(records: Sequence[EvalRecord], k: int, repeats: int, seed: int, hit) -> MetricResult:
+    """Mean of ``hit(record, chosen)`` over uniform size-k subsets.
 
-
-def pass_at_k_resampled(
-    records: Sequence[EvalRecord], k: int, repeats: int = 10, seed: int = 0
-) -> MetricResult:
-    """Monte Carlo pass@k: uniform size-k subsets per problem, per repeat.
-
-    The subset for repeat r is the k smallest of n uniform keys, drawn from
-    a per-problem substream keyed by (seed, problem index). The value is
-    the grand mean over (repeat, problem) indicators; stderr is the standard
-    error of the per-repeat means.
+    ``chosen`` holds one row of k pool indices per repeat: the k smallest of
+    n uniform keys, drawn from a per-problem substream keyed by (seed,
+    problem index), so results do not depend on evaluation order. ``hit``
+    returns one bool per row. The value is the grand mean over (repeat,
+    problem) indicators; stderr is the standard error of the per-repeat
+    means.
     """
     _check_k(records, k)
     if repeats < 1:
         raise InvalidKError(f"repeats must be >= 1, got {repeats}")
     hits = np.zeros((repeats, len(records)), dtype=bool)
     for j, record in enumerate(records):
-        keys = _subset_keys(seed, j, repeats, record.n)
-        chosen = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        correct = np.asarray(record.correct, dtype=bool)
-        hits[:, j] = correct[chosen].any(axis=1)
+        keys = np.random.default_rng([seed, j]).random((repeats, record.n))
+        hits[:, j] = hit(record, np.argpartition(keys, k - 1, axis=1)[:, :k])
     value = int(hits.sum()) / (repeats * len(records))
     stderr = None
     if repeats > 1:
-        per_repeat = hits.mean(axis=1)
-        stderr = float(per_repeat.std(ddof=1) / np.sqrt(repeats))
+        stderr = float(hits.mean(axis=1).std(ddof=1) / np.sqrt(repeats))
     return MetricResult(value=value, k=k, estimator="resampled", repeats=repeats, stderr=stderr)
+
+
+def pass_at_k_resampled(
+    records: Sequence[EvalRecord], k: int, repeats: int = 10, seed: int = 0
+) -> MetricResult:
+    """Monte Carlo pass@k: whether a uniform size-k subset per problem, per
+    repeat, holds a correct prediction."""
+
+    def hit(record, chosen):
+        return np.asarray(record.correct, dtype=bool)[chosen].any(axis=1)
+
+    return _resampled(records, k, repeats, seed, hit)
 
 
 def _modal_answer(predictions: Sequence[str], subset: Sequence[int]) -> str:
@@ -277,23 +280,12 @@ def majority_at_k(
     extracted answer (ties to the earliest first occurrence in pool order),
     and scores it against the ground truth.
     """
-    _check_k(records, k)
-    if repeats < 1:
-        raise InvalidKError(f"repeats must be >= 1, got {repeats}")
-    hits = np.zeros((repeats, len(records)), dtype=bool)
-    for j, record in enumerate(records):
-        keys = _subset_keys(seed, j, repeats, record.n)
-        order = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        for r in range(repeats):
-            subset = sorted(int(i) for i in order[r])
-            winner = _modal_answer(record.predictions, subset)
-            hits[r, j] = match_answer(winner, record.ground_truth)
-    value = int(hits.sum()) / (repeats * len(records))
-    stderr = None
-    if repeats > 1:
-        per_repeat = hits.mean(axis=1)
-        stderr = float(per_repeat.std(ddof=1) / np.sqrt(repeats))
-    return MetricResult(value=value, k=k, estimator="resampled", repeats=repeats, stderr=stderr)
+
+    def hit(record, chosen):
+        winners = (_modal_answer(record.predictions, sorted(row.tolist())) for row in chosen)
+        return [match_answer(winner, record.ground_truth) for winner in winners]
+
+    return _resampled(records, k, repeats, seed, hit)
 
 
 def recovery_rate(acc_method: float, acc_base: float, acc_rl: float) -> float:

@@ -17,14 +17,9 @@ float64 bytes, which are bit-exact. The client reads the payload of every
 ``logits`` header, so the stream stays in frame even for a reply it
 drops. An ``extend`` the server cannot resolve earns an error and poisons
 the connection's session: every later ``extend`` with ``keep > 0`` fails
-until one with ``keep == 0`` arrives. The client speaks only this version
-and refuses a hello naming any other.
-
-The server also answers a version 1 ``score`` frame, which carries the
-whole prefix, with ``dense`` numbers that round-trip through ``repr``:
-
-    {"type": "score", "id": 7, "tokens": [0, 3, 1]}
-    {"type": "logits", "id": 7, "dense": [-1.2, ...]}
+until one with ``keep == 0`` arrives. Any other request type earns an
+error. Client and server speak only this version, and the client refuses
+a hello naming any other.
 
 The client multiplexes one connection across threads: sends are
 serialized, responses are matched to waiters by id. Every transport (a TCP
@@ -42,6 +37,7 @@ import selectors
 import shlex
 import socket
 import subprocess
+import sys
 import threading
 import time
 from collections.abc import Sequence
@@ -86,8 +82,11 @@ class RemoteTimeoutError(ProtocolError):
     """No response arrived within the endpoint's timeout."""
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _encode_frame(frame: dict) -> bytes:
-    return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODER.encode(frame) + "\n").encode("utf-8")
 
 
 class _Channel:
@@ -443,19 +442,13 @@ def _error_frame(frame_id, message: str) -> tuple[dict, bytes]:
     return {"type": "error", "id": frame_id, "message": message}, b""
 
 
-def _is_id_list(tokens) -> bool:
-    # JSON true and false parse to bool, a subclass of int: not ids.
-    return isinstance(tokens, list) and all(type(t) is int for t in tokens)
-
-
 class StubSession:
     """The server side of one connection, answering with a local scorer.
 
-    A ``score`` frame is answered from its own tokens with ``dense``
-    numbers. An ``extend`` frame grows the session's prefix, so each id is
-    checked once, and is answered with the logits' float64 bytes; one that
-    cannot be resolved poisons the prefix (``None``) until an ``extend``
-    with ``keep == 0`` starts it afresh.
+    An ``extend`` frame grows the session's prefix, so each id is checked
+    once, and is answered with the logits' float64 bytes; one that cannot
+    be resolved poisons the prefix (``None``) until an ``extend`` with
+    ``keep == 0`` starts it afresh.
     """
 
     def __init__(self, scorer: Scorer):
@@ -477,28 +470,19 @@ class StubSession:
         if type(frame_id) is not int:
             frame_id = None
         kind = frame.get("type")
-        if kind == "extend":
-            try:
-                prefix = self._extend(frame_id, frame.get("keep"), frame.get("tokens"))
-            except ValueError as exc:
-                self.prefix = None
-                return _error_frame(frame_id, f"{exc} (session reset: the next extend needs keep 0)")
-        elif kind == "score":
-            if frame_id is None:
-                return _error_frame(None, "score frame needs an integer id")
-            prefix = frame.get("tokens")
-            if not _is_id_list(prefix):
-                return _error_frame(frame_id, "tokens must be a list of integers")
-        else:
+        if kind != "extend":
             return _error_frame(frame_id, f"unsupported frame type {kind!r}")
+        try:
+            prefix = self._extend(frame_id, frame.get("keep"), frame.get("tokens"))
+        except ValueError as exc:
+            self.prefix = None
+            return _error_frame(frame_id, f"{exc} (session reset: the next extend needs keep 0)")
         try:
             logits = np.asarray(self.scorer.score(prefix), dtype=np.float64)
             if logits.shape != (self.scorer.vocab.size,) or not np.isfinite(logits).all():
                 raise ValueError(f"scorer returned unusable logits of shape {logits.shape}")
         except Exception as exc:
             return _error_frame(frame_id, str(exc))
-        if kind == "score":
-            return {"type": "logits", "id": frame_id, "dense": [float(x) for x in logits]}, b""
         payload = logits.astype("<f8", copy=False).tobytes()
         return {"type": "logits", "id": frame_id, "nbytes": len(payload)}, payload
 
@@ -509,7 +493,8 @@ class StubSession:
             raise ValueError("extend frame needs an integer id")
         if type(keep) is not int or keep < 0:
             raise ValueError(f"keep must be a non-negative integer, got {keep!r}")
-        if not _is_id_list(tokens):
+        # JSON true and false parse to bool, a subclass of int: not ids.
+        if not isinstance(tokens, list) or any(type(t) is not int for t in tokens):
             raise ValueError("tokens must be a list of integers")
         held = self.prefix
         if held is None:
@@ -657,20 +642,15 @@ class StubServer:
         self.stop()
 
 
-def serve_stdio(scorer: Scorer, stdin=None, stdout=None) -> None:
+def serve_stdio(scorer: Scorer) -> None:
     """Serve one protocol session over stdio (for subprocess transports)."""
-    import sys
-
-    stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
-
-    read = stdin.read1 if hasattr(stdin, "read1") else stdin.read
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
 
     def send(data: bytes) -> None:
         stdout.write(data)
         stdout.flush()
 
-    channel = _Channel(send, lambda timeout: read(65536), lambda: None, "stdin closed")
+    channel = _Channel(send, lambda timeout: stdin.read1(65536), lambda: None, "stdin closed")
     _serve_channel(scorer, channel, reorder_window=1)
 
 

@@ -476,11 +476,10 @@ def render_tokens(
     token_ids: Sequence[int],
     vocab: Vocabulary,
     mode: str = "whitespace",
-    skip_special: bool = True,
 ) -> str:
-    """Surface form of ``token_ids``; specials are dropped by default."""
+    """Surface form of ``token_ids``, with specials dropped."""
     specials = {vocab.eos} | ({vocab.bos} if vocab.bos is not None else set())
-    kept = [int(t) for t in token_ids if not (skip_special and int(t) in specials)]
+    kept = [int(t) for t in token_ids if int(t) not in specials]
     for t in kept:
         if not 0 <= t < vocab.size:
             raise CorpusIngestionError(f"token id {t} outside vocabulary of size {vocab.size}")

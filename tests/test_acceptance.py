@@ -399,24 +399,21 @@ def test_criterion_7_wire_protocol_is_transparent():
                     failures.append(f"request {index}: remote logits differ from local")
         # Malformed frames must come back as error frames and never corrupt
         # later answers on the same connection.
-        sock = socket.create_connection((server.host, server.port), timeout=10)
-        try:
-            reader = sock.makefile("rb")
+        with socket.create_connection((server.host, server.port), timeout=10) as sock, \
+                sock.makefile("rb") as reader:
             reader.readline()  # server hello
             for bad in (b"not json at all\n", b'{"type":"mystery"}\n', b'{"type":"score"}\n'):
                 sock.sendall(bad)
                 frame = json.loads(reader.readline())
                 if frame.get("type") != "error":
                     failures.append(f"malformed frame {bad!r} produced {frame}")
-            sock.sendall(b'{"type":"score","id":7,"tokens":[0,1]}\n')
+            sock.sendall(b'{"type":"extend","id":7,"keep":0,"tokens":[0,1]}\n')
             frame = json.loads(reader.readline())
             local = scorer.score([0, 1])
-            if frame.get("type") != "logits" or frame.get("id") != 7:
+            if frame != {"type": "logits", "id": 7, "nbytes": local.nbytes}:
                 failures.append(f"post-error frame wrong: {frame}")
-            elif np.array(frame["dense"], dtype=np.float64).tobytes() != local.tobytes():
+            elif reader.read(frame["nbytes"]) != local.tobytes():
                 failures.append("post-error logits differ from local scoring")
-        finally:
-            sock.close()
     _report(
         7,
         "1000 pipelined remote scores are bitwise-identical to local scoring "

@@ -371,7 +371,7 @@ class TestMetrics:
         code, stdout, _ = run_cli(
             capsys,
             "metrics", "pass-at-k", "--in", str(world / "campaign"),
-            "--arm", "guided", "-k", "1", "--exact",
+            "--arm", "guided", "-k", "1",
         )
         assert code == 0
         payload = json.loads(stdout)
@@ -424,16 +424,6 @@ class TestMetrics:
     def test_pool_metrics_require_in_and_arm(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["metrics", "pass-at-k", "-k", "1"])
-        assert excinfo.value.code == 2
-
-    def test_exact_and_repeats_conflict(self, world, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "metrics", "pass-at-k", "--in", str(world / "campaign"),
-                    "--arm", "guided", "--exact", "--repeats", "10",
-                ]
-            )
         assert excinfo.value.code == 2
 
     def test_k_above_pool_size_fails(self, world, capsys):

@@ -47,50 +47,69 @@ def demo_scorer():
     return train_ngram(docs, order=2, vocab=vocab, smoothing_k=0.5, name="demo")
 
 
+def extend(request_id, keep, tokens):
+    return {"type": "extend", "id": request_id, "keep": keep, "tokens": tokens}
+
+
 class TestStubServerStep:
     def test_score_round_trip(self):
         scorer = demo_scorer()
-        frame = {"type": "score", "id": 7, "tokens": [0, 1]}
-        response, payload = StubSession(scorer).step(frame)
-        assert response["type"] == "logits"
-        assert response["id"] == 7
-        assert payload == b""
-        np.testing.assert_array_equal(np.array(response["dense"]), scorer.score([0, 1]))
+        response, payload = StubSession(scorer).step(extend(7, 0, [0, 1]))
+        assert response == {"type": "logits", "id": 7, "nbytes": 8 * scorer.vocab.size}
+        assert payload == scorer.score([0, 1]).tobytes()
 
     def test_constant_scorer_any_prefix(self):
         vocab = build_vocab([["a"]])
         scorer = ConstantScorer(vocab, [1.0, 2.0, 0.0])
-        response, payload = StubSession(scorer).step({"type": "score", "id": 1, "tokens": [0, 0]})
-        assert response["dense"] == [1.0, 2.0, 0.0]
-        assert payload == b""
+        response, payload = StubSession(scorer).step(extend(1, 0, [0, 0]))
+        assert response == {"type": "logits", "id": 1, "nbytes": 24}
+        assert np.frombuffer(payload, dtype="<f8").tolist() == [1.0, 2.0, 0.0]
 
     def test_token_out_of_range_yields_error_frame(self):
-        response, _ = StubSession(demo_scorer()).step({"type": "score", "id": 3, "tokens": [99]})
+        response, payload = StubSession(demo_scorer()).step(extend(3, 0, [99]))
         assert response["type"] == "error"
         assert response["id"] == 3
         assert "99" in response["message"]
+        assert payload == b""
 
     def test_missing_id_yields_error_frame(self):
-        response, _ = StubSession(demo_scorer()).step({"type": "score", "tokens": [0]})
+        response, payload = StubSession(demo_scorer()).step({"type": "extend", "keep": 0, "tokens": [0]})
         assert response["type"] == "error"
         assert response["id"] is None
+        assert payload == b""
 
     def test_wrong_type_yields_error_frame(self):
-        response, _ = StubSession(demo_scorer()).step({"type": "shutdown", "id": 4})
-        assert response["type"] == "error"
+        response = StubSession(demo_scorer()).step({"type": "shutdown", "id": 4})
+        assert response == ({"type": "error", "id": 4, "message": "unsupported frame type 'shutdown'"}, b"")
+
+    def test_v1_score_frame_is_unsupported(self):
+        # Protocol 3 has no whole-prefix request; the v1 frame is refused.
+        session = StubSession(demo_scorer())
+        response = session.step({"type": "score", "id": 4, "tokens": [0]})
+        assert response == ({"type": "error", "id": 4, "message": "unsupported frame type 'score'"}, b"")
+        assert session.step(extend(5, 0, [0]))[0]["type"] == "logits"
 
     def test_never_raises(self):
-        for frame in ({}, {"type": "score"}, {"type": "score", "id": "x", "tokens": "y"}):
+        frames = (
+            {},
+            [],
+            {"type": "extend"},
+            {"type": "extend", "id": "x", "keep": "y", "tokens": "z"},
+            extend(1, 0, [[0]]),
+            extend(1, 0, [{"a": 1}]),
+        )
+        for frame in frames:
             response, payload = StubSession(demo_scorer()).step(frame)
             assert response["type"] == "error"
             assert payload == b""
 
     def test_boolean_ids_rejected(self):
         # JSON true/false parse to bool, which equals 1/0 and is an int subclass.
-        response = StubSession(demo_scorer()).step({"type": "score", "id": True, "tokens": [True, False]})
-        assert response == ({"type": "error", "id": None, "message": "score frame needs an integer id"}, b"")
-        response = StubSession(demo_scorer()).step({"type": "score", "id": 1, "tokens": [0, True]})
-        assert response == ({"type": "error", "id": 1, "message": "tokens must be a list of integers"}, b"")
+        reset = " (session reset: the next extend needs keep 0)"
+        response = StubSession(demo_scorer()).step(extend(True, 0, [True, False]))
+        assert response == ({"type": "error", "id": None, "message": "extend frame needs an integer id" + reset}, b"")
+        response = StubSession(demo_scorer()).step(extend(1, 0, [0, True]))
+        assert response == ({"type": "error", "id": 1, "message": "tokens must be a list of integers" + reset}, b"")
 
 
 class TestTcpTransport:
@@ -160,21 +179,18 @@ class TestTcpTransport:
     def test_malformed_frame_gets_error_not_logits(self):
         scorer = demo_scorer()
         with StubServer(scorer) as server:
-            sock = socket.create_connection((server.host, server.port), timeout=5)
-            try:
-                reader = sock.makefile("rb")
+            with socket.create_connection((server.host, server.port), timeout=5) as sock, \
+                    sock.makefile("rb") as reader:
                 reader.readline()  # hello
                 sock.sendall(b"this is not json\n")
                 frame = json.loads(reader.readline())
                 assert frame["type"] == "error"
                 assert frame["id"] is None
                 # connection stays usable afterwards
-                sock.sendall(b'{"type":"score","id":1,"tokens":[0]}\n')
+                sock.sendall(b'{"type":"extend","id":1,"keep":0,"tokens":[0]}\n')
                 frame = json.loads(reader.readline())
-                assert frame["type"] == "logits"
-                assert frame["id"] == 1
-            finally:
-                sock.close()
+                assert frame == {"type": "logits", "id": 1, "nbytes": 8 * scorer.vocab.size}
+                assert reader.read(frame["nbytes"]) == scorer.score([0]).tobytes()
 
     def test_vocab_size_mismatch_rejected_by_wrapper(self):
         scorer = demo_scorer()
@@ -708,10 +724,6 @@ class TestF64Codec:
             client.score_tokens([])
 
 
-def extend(request_id, keep, tokens):
-    return {"type": "extend", "id": request_id, "keep": keep, "tokens": tokens}
-
-
 class TestExtendSession:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -726,9 +738,8 @@ class TestExtendSession:
             model = model[:keep] + tokens
             response, payload = session.step(extend(request_id, keep, tokens))
             assert list(session.prefix) == model
-            full, _ = StubSession(scorer).step({"type": "score", "id": request_id, "tokens": model})
             assert response == {"type": "logits", "id": request_id, "nbytes": 8 * size}
-            assert payload == np.array(full["dense"]).tobytes()
+            assert payload == scorer.score(model).tobytes()
 
     @pytest.mark.parametrize(
         "bad, message",
