@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--mode", choices=("greedy", "sample"), default="sample")
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--prompt-file", required=True)
-    dec.add_argument("--instrument", default="", help="comma-separated flags: kl,delta")
+    dec.add_argument("--instrument", default="", help="comma-separated instrument flags (kl: per-step base-vs-combined divergence)")
     dec.add_argument("--answer-style", choices=("boxed", "last_number"))
     dec.add_argument("--out")
     dec.set_defaults(handler=_cmd_decode)

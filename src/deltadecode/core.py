@@ -312,7 +312,7 @@ def sample_token(probs, rng: np.random.Generator) -> int:
 
 
 # The private steps. None writes into its inputs (``decode`` reads the base
-# row again for its instruments): in-place arithmetic only touches arrays
+# row again for the kl instrument): in-place arithmetic only touches arrays
 # the step allocated itself.
 
 

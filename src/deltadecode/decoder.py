@@ -53,7 +53,7 @@ __all__ = [
 # divergence stays finite when nucleus filtering empties part of the support.
 KL_FLOOR = 1e-12
 
-INSTRUMENT_FLAGS = ("kl", "delta")
+INSTRUMENT_FLAGS = ("kl",)
 
 
 class DecodeError(RuntimeError):
@@ -71,8 +71,6 @@ class StepRecord:
     token: int
     chosen_logprob: float
     kl_base_vs_combined: float | None = None
-    delta_l2: float | None = None
-    delta_dot_base: float | None = None
 
 
 @dataclass(frozen=True)
@@ -192,10 +190,9 @@ def decode(
 
     With an expert pair attached, each step scores all three models and
     decodes from ``base + delta_scale * (expert - expert_base)``; without
-    one it decodes the base alone. Instrument flags: ``"kl"`` records the
-    per-step divergence between the unfiltered base distribution and the
-    final (post-nucleus) distribution; ``"delta"`` records the L2 norm of
-    the expert-minus-base delta and its dot product with the base logits.
+    one it decodes the base alone. The one instrument flag, ``"kl"``,
+    records the per-step divergence between the unfiltered base
+    distribution and the final (post-nucleus) distribution.
     """
     if (expert is None) != (expert_base is None):
         raise InvalidConfigError("expert and expert_base must be supplied together")
@@ -218,7 +215,6 @@ def decode(
         raise EmptyInputError("prompt must contain at least one token")
 
     want_kl = "kl" in flags
-    want_delta = "delta" in flags and expert is not None
     rng = np.random.default_rng(config.seed) if config.mode == "sample" else None
     eos = base.vocab.eos
 
@@ -245,20 +241,12 @@ def decode(
         if want_kl:
             base_probs = _softmax(base_logits, config.temperature)
             kl = kl_divergence(base_probs, dist)
-        delta_l2 = None
-        delta_dot = None
-        if want_delta:
-            delta = expert_logits - expert_base_logits
-            delta_l2 = float(np.linalg.norm(delta))
-            delta_dot = float(delta @ base_logits)
 
         steps.append(
             StepRecord(
                 token=token,
                 chosen_logprob=float(np.log(dist[token])),
                 kl_base_vs_combined=kl,
-                delta_l2=delta_l2,
-                delta_dot_base=delta_dot,
             )
         )
         context.append(token)

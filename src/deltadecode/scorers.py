@@ -8,6 +8,7 @@ desk-scale stand-in for a real language model.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
@@ -204,26 +205,20 @@ class NGramModel(Scorer):
             raise InvalidConfigError(f"smoothing_k must be finite and > 0, got {smoothing_k!r}")
         self.smoothing_k = k = float(smoothing_k)
         size = vocab.size
-        self._rows, lengths, ids, counts = _flat_counts(counts, self.order - 1, size)
+        self._rows, lengths, self._ids, self._counts = _flat_counts(counts, self.order - 1, size)
         # Row i holds _ids[bounds[i]:bounds[i + 1]]; the last row, for
         # contexts never seen, is empty.
         self._bounds = list(accumulate(lengths, initial=0))
         self._bounds.append(self._bounds[-1])
         self._unseen = len(self._rows)
-        too_big = "n-gram counts must sum to less than 2**53"
-        try:
-            weights = np.array(counts, dtype=np.float64)
-        except OverflowError:  # a count past the float range
-            raise InvalidConfigError(too_big) from None
+        weights = self._counts.astype(np.float64)
         running = np.concatenate(([0.0], weights.cumsum()))
         if running[-1] >= 2.0**53:
-            raise InvalidConfigError(too_big)
+            raise InvalidConfigError("n-gram counts must sum to less than 2**53")
         # Below 2**53 every running sum is exact in float64, so every total
         # is, as in the dense formula.
         ends = running[self._bounds]
         denominators = k * size + (ends[1:] - ends[:-1])
-        self._ids = np.array(ids, dtype=np.int64)
-        self._counts = np.array(counts, dtype=np.int64)
         self._logits = np.log((weights + k) / denominators[:-1].repeat(lengths))
         self._fill = np.log(k / denominators)
 
@@ -272,10 +267,11 @@ def _flat_counts(counts, width: int, size: int):
 
     Returns a dict from each context (a tuple of ints) to its row index,
     the number of counted ids per row, and the counted ids of every row
-    back to back with their counts, as lists. Each check is one pass over
-    flat lists (the distinct types, the minimum and maximum, one dict per
-    row for repeats); only a failure walks the rows, to name the context
-    and token at fault.
+    back to back with their counts, as int64 arrays. The types are checked
+    as one set over a flat list, since converting to int64 would accept
+    ``True``, ``1.5`` or ``"3"``; the ranges and repeats are checked on one
+    int64 conversion of every id and count. Only a failure walks the rows,
+    to name the context and token at fault.
     """
     try:
         items = list(counts.items() if isinstance(counts, Mapping) else counts)
@@ -290,15 +286,22 @@ def _flat_counts(counts, width: int, size: int):
         raise InvalidConfigError(
             "counts must map each context to a row of (token, count) pairs"
         ) from None
-    ids, values = flat[0::2], flat[1::2]
-    all_ids = context_ids + ids
-    if not (
-        shapes_ok
-        and all(map(_is_int_type, set(map(type, context_ids + flat))))
-        and (not all_ids or (0 <= min(all_ids) and max(all_ids) < size))
-        and (not values or min(values) >= 0)
-        and sum(map(len, map(dict, rows))) == len(pairs)  # no row counts a token twice
-    ):
+    ok = shapes_ok and all(map(_is_int_type, set(map(type, chain(flat, context_ids)))))
+    if ok:
+        contexts = _int64(context_ids)
+        ids, values = _int64(flat).reshape(-1, 2).T.copy()
+        slots = np.arange(0, len(rows) * size, size, dtype=np.int64).repeat(lengths)
+        slots += ids  # row * size + id
+        slots.sort()
+        # Seen as uint64 a negative id is at least 2**63, so one max checks
+        # both ends; ``initial=0`` lets an empty array pass.
+        ok = (
+            contexts.view(np.uint64).max(initial=0) < size
+            and ids.view(np.uint64).max(initial=0) < size
+            and values.min(initial=0) >= 0
+            and (slots[1:] != slots[:-1]).all()  # no row counts a token twice
+        )
+    if not ok:
         raise InvalidConfigError(_first_bad_entry(keys, rows, width, size))
     # Plain ints, in groups of ``width``.
     keys = list(zip(*[iter(map(int, context_ids))] * width)) if width else [()] * len(keys)
@@ -307,6 +310,20 @@ def _flat_counts(counts, width: int, size: int):
         ctx = next(key for key, n in Counter(keys).items() if n > 1)
         raise InvalidConfigError(f"context {ctx} is listed twice")
     return index, lengths, ids, values
+
+
+def _int64(values: list) -> np.ndarray:
+    """Python or NumPy ints as an int64 array.
+
+    An int past the int64 range is clamped to the nearest end, which keeps
+    every verdict the checks draw from it: its sign, whether it lies in the
+    vocabulary, and whether the counts total at least 2**53.
+    """
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        low, high = -(2**63), 2**63 - 1
+        return np.array([min(max(int(v), low), high) for v in values], dtype=np.int64)
 
 
 def _first_bad_entry(keys, rows, width: int, size: int) -> str:
@@ -524,29 +541,59 @@ def save_scorer(scorer: Scorer, path) -> None:
 
 
 def load_scorer(path) -> Scorer:
-    """Load a scorer saved by :func:`save_scorer`."""
-    with open(path, "rb") as fh:
-        payload = json.loads(fh.read().decode("utf-8"))
+    """Load a scorer saved by :func:`save_scorer`.
+
+    A file that is not JSON, not a JSON object, or lacks a key its kind
+    needs raises :class:`InvalidConfigError` naming the path. The cyclic
+    garbage collector is paused for the load: a JSON payload holds no
+    reference cycles, yet the collector would rescan its lists (hundreds of
+    thousands at V=32768) at every collection they survive.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_scorer(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_scorer(path) -> Scorer:
+    try:
+        with open(path, "rb") as fh:
+            payload = json.loads(fh.read().decode("utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise InvalidConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InvalidConfigError(
+            f"expected a JSON object in {path}, got {type(payload).__name__}"
+        )
     kind = payload.get("kind")
     if kind not in ("ngram", "constant", "bigram_matrix", "table"):
         raise InvalidConfigError(f"unknown scorer kind {kind!r} in {path}")
-    vocab = Vocabulary.from_dict(payload["vocab"])
+
+    def field(key):
+        if key not in payload:
+            raise InvalidConfigError(f"missing key {key!r} in {path}")
+        return payload[key]
+
+    vocab = Vocabulary.from_dict(field("vocab"))
     name = payload.get("name", "")
     tokenizer = payload.get("tokenizer", "whitespace")
     if kind == "ngram":
         return NGramModel(
             vocab,
-            payload["order"],
-            payload["counts"],
-            payload["smoothing_k"],
+            field("order"),
+            field("counts"),
+            field("smoothing_k"),
             name=name,
             tokenizer=tokenizer,
         )
     if kind == "constant":
-        return ConstantScorer(vocab, payload["logits"], name=name, tokenizer=tokenizer)
+        return ConstantScorer(vocab, field("logits"), name=name, tokenizer=tokenizer)
     if kind == "bigram_matrix":
-        return BigramMatrixScorer(vocab, payload["matrix"], name=name, tokenizer=tokenizer)
-    table = {tuple(key): row for key, row in payload["entries"]}
+        return BigramMatrixScorer(vocab, field("matrix"), name=name, tokenizer=tokenizer)
+    table = {tuple(key): row for key, row in field("entries")}
     return TableScorer(
         vocab, table, default=payload.get("default"), name=name, tokenizer=tokenizer
     )

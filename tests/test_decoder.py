@@ -366,25 +366,16 @@ class TestKlInstrumentation:
         )
         assert all(s.kl_base_vs_combined is None for s in t.generated)
 
-    def test_delta_instrument_records_geometry(self):
-        base, expert, expert_base = fixture_scorers()
-        t = decode(
-            base,
-            expert,
-            expert_base,
-            prompt=[V5.bos],
-            config=DecodeConfig(mode="greedy", max_tokens=4),
-            instrument=("delta",),
-        )
-        first = t.generated[0]
-        delta = EXPERT_M[V5.bos] - EXPERT_BASE_M[V5.bos]
-        assert first.delta_l2 == pytest.approx(np.linalg.norm(delta), abs=1e-12)
-        assert first.delta_dot_base == pytest.approx(float(delta @ BASE_M[V5.bos]), abs=1e-12)
-
     def test_unknown_instrument_rejected(self):
         base, _, _ = fixture_scorers()
         with pytest.raises(InvalidConfigError):
             decode(base, prompt=[V5.bos], config=DecodeConfig(), instrument=("flops",))
+
+    def test_delta_flag_is_unknown(self):
+        # Its two per-step values were never written to any artifact.
+        base, expert, expert_base = fixture_scorers()
+        with pytest.raises(InvalidConfigError, match=r"unknown instrument flags: \['delta'\]"):
+            decode(base, expert, expert_base, prompt=[V5.bos], config=DecodeConfig(), instrument=("delta",))
 
 
 class TestReplayAgainst:

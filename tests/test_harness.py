@@ -350,6 +350,7 @@ class TestArmSpec:
             (7, "arm 'a': instrument must be a list of flags, got int"),
             (["kl", "entropy"], "arm 'a': unknown instrument flag 'entropy'"),
             (["k", "l"], "arm 'a': unknown instrument flag 'k'"),
+            (["delta"], "arm 'a': unknown instrument flag 'delta'"),
         ],
     )
     def test_bad_instrument_rejected_at_load(self, instrument, message):
@@ -357,8 +358,8 @@ class TestArmSpec:
             ArmSpec.from_dict({"label": "a", "base": "m.json", "instrument": instrument})
 
     def test_instrument_flags_accepted(self):
-        arm = ArmSpec.from_dict({"label": "a", "base": "m.json", "instrument": ["delta", "kl"]})
-        assert arm.instrument == ("delta", "kl")
+        arm = ArmSpec.from_dict({"label": "a", "base": "m.json", "instrument": ["kl"]})
+        assert arm.instrument == ("kl",)
 
 
 class TestRunManifest:

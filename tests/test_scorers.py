@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltadecode import scorers as scorers_module
 from deltadecode.core import InvalidConfigError, Vocabulary
 from deltadecode.scorers import (
     BigramMatrixScorer,
@@ -496,3 +498,175 @@ class TestNGramFileRoundTrip:
         for name, model in models.items():
             save_scorer(model, tmp_path / f"{name}.json")
         self._check_files([tmp_path / f"{name}.json" for name in models], tmp_path)
+
+
+class TestLoadScorerFileErrors:
+    """A malformed scorer file is refused by name, with its path."""
+
+    def _ngram_payload(self):
+        model = NGramModel(ABC, 2, {(0,): {1: 2}})
+        return {
+            "kind": "ngram",
+            "name": "m",
+            "tokenizer": "whitespace",
+            "vocab": ABC.to_dict(),
+            "order": 2,
+            "smoothing_k": 1.0,
+            "counts": [[list(ctx), sorted(row.items())] for ctx, row in model.counts.items()],
+        }
+
+    def test_top_level_list(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([self._ngram_payload()]))
+        message = f"expected a JSON object in {path}, got list"
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            load_scorer(path)
+
+    @pytest.mark.parametrize("key", ["vocab", "counts", "order", "smoothing_k"])
+    def test_missing_key(self, tmp_path, key):
+        payload = self._ngram_payload()
+        del payload[key]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError, match=re.escape(f"missing key '{key}' in {path}")):
+            load_scorer(path)
+
+    @pytest.mark.parametrize("data", [b'{"kind": "ngram",', b"", b'{"kind": "ngram"} x', b"\xff{}"])
+    def test_invalid_json(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(InvalidConfigError, match=re.escape(f"invalid JSON in {path}: ")):
+            load_scorer(path)
+
+
+class TestLoadScorerCollector:
+    """``load_scorer`` pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture
+    def model_path(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_scorer(train_ngram([[0, 1, 2, 0]], 2, ABC), path)
+        return path
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_restored(self, collector, model_path):
+        load_scorer(model_path)
+        assert gc.isenabled() is collector
+
+    def test_state_restored_when_load_raises(self, collector, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "ngram"}')
+        with pytest.raises(InvalidConfigError, match="missing key 'vocab'"):
+            load_scorer(path)
+        assert gc.isenabled() is collector
+
+    def test_paused_while_building(self, collector, model_path, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return NGramModel(*args, **kwargs)
+
+        monkeypatch.setattr(scorers_module, "NGramModel", spy)
+        load_scorer(model_path)
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+
+@st.composite
+def count_tables(draw, counted=False):
+    """A valid table in the layout ``save_scorer`` writes, and its vocabulary.
+
+    Ids are Python or NumPy ints. With ``counted``, the first row counts
+    at least one token.
+    """
+    size = draw(st.integers(1, 12))
+    width = draw(st.integers(0, 2))
+    ids = st.integers(0, size - 1)
+    ids = ids | ids.map(np.int64) | ids.map(np.int32)
+    contexts = draw(
+        st.lists(
+            st.tuples(*[ids] * width),
+            min_size=int(counted),
+            max_size=6,
+            unique_by=lambda c: tuple(map(int, c)),
+        )
+    )
+    rows = [
+        draw(st.dictionaries(ids, st.integers(0, 50), min_size=int(counted and not i), max_size=size))
+        for i in range(len(contexts))
+    ]
+    table = [[list(c), [[t, n] for t, n in row.items()]] for c, row in zip(contexts, rows)]
+    return _vocab(size), width, table
+
+
+class TestNGramLoadProperties:
+    """Random tables load to the dense formula; one fault is named as before."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=count_tables(), k=st.sampled_from([0.5, 1.0, 3.0]))
+    def test_valid_tables_load_to_dense_formula(self, table, k, tmp_path_factory):
+        vocab, width, pairs = table
+        counts = {tuple(map(int, c)): {int(t): int(n) for t, n in row} for c, row in pairs}
+        built = NGramModel(vocab, width + 1, pairs, smoothing_k=k)
+        path = tmp_path_factory.mktemp("table") / "m.json"
+        save_scorer(built, path)
+        data = path.read_bytes()
+        loaded = load_scorer(path)
+        assert loaded.counts == built.counts == counts
+        prefixes = [list(c) for c in counts] + [[], [vocab.size - 1] * (width + 1)]
+        for model in (built, loaded):
+            for prefix in prefixes:
+                want = dense_reference(counts, width + 1, k, vocab, prefix)
+                assert model.score(prefix).tobytes() == want.tobytes()
+        save_scorer(loaded, path)
+        assert path.read_bytes() == data
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=count_tables(counted=True), data=st.data())
+    def test_single_fault_gives_the_row_walk_message(self, table, data):
+        """The message is ``_first_bad_entry``'s, or the context or total one."""
+        vocab, width, pairs = table
+        size = vocab.size
+        outside = st.integers(size, 2**70) | st.integers(-(2**70), -1)
+        not_int = st.sampled_from([True, False, np.True_, 1.5, 2.0, "3", None])
+        faults = ["pair_length", "id_type", "count_type", "negative", "id_range", "twice"]
+        faults += ["huge_count", "context_twice"] + ["context_type", "context_range"] * bool(width)
+        fault = data.draw(st.sampled_from(faults))
+        ctx, row = data.draw(st.sampled_from([p for p in pairs if p[1] or fault.startswith("context")]))
+        j = data.draw(st.integers(0, max(len(row) - 1, 0)))
+        expected = None
+        if fault == "context_twice":
+            pairs.append([list(ctx), []])
+            expected = f"context {tuple(map(int, ctx))} is listed twice"
+        elif fault == "context_type":
+            ctx[data.draw(st.integers(0, width - 1))] = data.draw(not_int)
+        elif fault == "context_range":
+            ctx[data.draw(st.integers(0, width - 1))] = data.draw(outside)
+        elif fault == "pair_length":
+            row[j] = data.draw(st.sampled_from([row[j][:1], row[j] + [1], []]))
+        elif fault == "id_type":
+            row[j][0] = data.draw(not_int)
+        elif fault == "count_type":
+            row[j][1] = data.draw(not_int)
+        elif fault == "negative":
+            row[j][1] = data.draw(st.integers(-(2**70), -1))
+        elif fault == "id_range":
+            row[j][0] = data.draw(outside)
+        elif fault == "twice":
+            row.insert(data.draw(st.integers(0, len(row))), [row[j][0], 1])
+        elif fault == "huge_count":
+            row[j][1] = data.draw(st.integers(2**63, 2**70) | st.just(10**400))
+            expected = "n-gram counts must sum to less than 2**53"
+        if expected is None:
+            keys, rows = [c for c, _ in pairs], [r for _, r in pairs]
+            expected = scorers_module._first_bad_entry(keys, rows, width, size)
+        with pytest.raises(InvalidConfigError) as info:
+            NGramModel(vocab, width + 1, pairs)
+        assert str(info.value) == expected

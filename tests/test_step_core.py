@@ -88,11 +88,7 @@ def ref_decode(base, expert, expert_base, prompt, config, instrument):
         kl = None
         if "kl" in instrument:
             kl = kl_divergence(ref_softmax(b, config.temperature), dist)
-        delta_l2 = delta_dot = None
-        if "delta" in instrument and expert is not None:
-            delta = e - eb
-            delta_l2, delta_dot = float(np.linalg.norm(delta)), float(delta @ b)
-        rows.append((token, float(np.log(dist[token])), kl, delta_l2, delta_dot))
+        rows.append((token, float(np.log(dist[token])), kl))
         context.append(token)
         if token == base.vocab.eos:
             break
@@ -300,7 +296,7 @@ def decode_setups(draw):
         mode=draw(st.sampled_from(["greedy", "sample"])),
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
     )
-    instrument = tuple(draw(st.sets(st.sampled_from(["kl", "delta"]))))
+    instrument = draw(st.sampled_from([(), ("kl",)]))
     prompt = [int(rng.integers(0, n))]
     scorers = (base, expert, expert_base) if guided else (base, None, None)
     return scorers, prompt, config, instrument
@@ -317,8 +313,7 @@ class TestDecodeMatchesReference:
         scorers, prompt, config, instrument = setup
         trajectory = decode(*scorers, prompt=prompt, config=config, instrument=instrument)
         got = [
-            (s.token, s.chosen_logprob, s.kl_base_vs_combined, s.delta_l2, s.delta_dot_base)
-            for s in trajectory.generated
+            (s.token, s.chosen_logprob, s.kl_base_vs_combined) for s in trajectory.generated
         ]
         expected = ref_decode(*scorers, prompt, config, instrument)
         assert [r[0] for r in got] == [r[0] for r in expected]
@@ -357,7 +352,7 @@ class TestValidatesOncePerRow:
         return [BigramMatrixScorer(vocab, m, name=r) for m, r in zip(mats, "abc")]
 
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
-    @pytest.mark.parametrize("instrument", [(), ("kl", "delta")])
+    @pytest.mark.parametrize("instrument", [(), ("kl",)])
     def test_guided_validates_three_rows_per_token(self, counts, mode, instrument):
         config = DecodeConfig(max_tokens=40, mode=mode, top_p=0.9)
         t = decode(*self.scorers(), prompt=[1], config=config, instrument=instrument)
