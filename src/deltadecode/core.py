@@ -2,10 +2,11 @@
 
 Everything downstream (scorers, decoder, harness) is built on four pure
 operations over dense float64 vectors: logit combination, temperature
-softmax, nucleus filtering, and categorical sampling. All of them either
-return a fresh array or raise; none mutate their inputs. Each public
-function checks its arguments and then runs a private step that checks
-nothing; ``decode`` calls the private steps on rows it validated once.
+softmax, nucleus filtering, and categorical sampling. The public ones
+either return a fresh array or raise; none mutate their inputs. Each
+public function checks its arguments and then runs a private step that
+checks nothing; ``decode`` calls the private steps on rows it validated
+once, writing the combine and softmax into one buffer it reuses.
 """
 
 from __future__ import annotations
@@ -102,7 +103,23 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        return cls(surface=tuple(data["surface"]), eos=data["eos"], bos=data.get("bos"))
+        """Inverse of :meth:`to_dict`; a malformed entry raises
+        :class:`InvalidConfigError` naming it."""
+        if not isinstance(data, dict):
+            raise InvalidConfigError(f"vocab must be a JSON object, got {type(data).__name__}")
+        for key in ("surface", "eos"):
+            if key not in data:
+                raise InvalidConfigError(f"vocab is missing key {key!r}")
+        surface = data["surface"]
+        if not isinstance(surface, list) or not all(type(s) is str for s in surface):
+            raise InvalidConfigError("vocab 'surface' must be a list of str")
+        eos, bos = data["eos"], data.get("bos")
+        for key, value in (("eos", eos), ("bos", bos)):
+            # type() and not isinstance(): True is an int, yet no token id.
+            if type(value) is not int and (key == "eos" or value is not None):
+                got = type(value).__name__
+                raise InvalidConfigError(f"vocab {key!r} must be an int, got {got}")
+        return cls(surface=tuple(surface), eos=eos, bos=bos)
 
 
 class TokenPrefix(Sequence):
@@ -224,13 +241,20 @@ def check_fields(cls, data, error: type[Exception], what: str) -> None:
 
 def as_logits(scores, vocab_size: int | None = None) -> np.ndarray:
     """Validate and return ``scores`` as a 1-D finite float64 array."""
+    arr = _as_row(scores, vocab_size)
+    if not np.isfinite(arr).all():
+        raise InvalidLogitsError("logits contain non-finite values")
+    return arr
+
+
+def _as_row(scores, vocab_size: int | None = None) -> np.ndarray:
+    """``scores`` as a non-empty 1-D float64 array of ``vocab_size`` entries,
+    with its values unchecked."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidLogitsError(f"logits must be a non-empty 1-D vector, got shape {arr.shape}")
     if vocab_size is not None and arr.size != vocab_size:
         raise VocabularyMismatchError(f"expected {vocab_size} logits, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise InvalidLogitsError("logits contain non-finite values")
     return arr
 
 
@@ -271,7 +295,9 @@ def combine_logits(base, expert, expert_base, scale: float) -> np.ndarray:
         )
     if scale < 0:
         raise InvalidConfigError(f"delta scale must be >= 0, got {scale}")
-    return _combine(b, e, eb, scale)
+    if scale == 0.0:
+        return b.copy()
+    return _combine(b, e, eb, scale, np.empty(b.size))
 
 
 def softmax_with_temperature(logits, temperature: float) -> np.ndarray:
@@ -296,7 +322,7 @@ def nucleus_filter(probs, top_p: float) -> np.ndarray:
     if not 0 < top_p <= 1:
         raise InvalidConfigError(f"top_p must be in (0, 1], got {top_p}")
     arr = as_distribution(probs, require_normalized=True)
-    return _nucleus(arr, top_p)[0]
+    return _nucleus(arr, 1.0, top_p)[0]
 
 
 def argmax_token(scores) -> int:
@@ -312,14 +338,19 @@ def sample_token(probs, rng: np.random.Generator) -> int:
 
 
 # The private steps. None writes into its inputs (``decode`` reads the base
-# row again for the kl instrument): in-place arithmetic only touches arrays
-# the step allocated itself.
+# row again for the kl instrument): a step that takes ``out`` writes only
+# there, and every other one writes only into arrays it allocated itself.
 
 
-def _combine(b: np.ndarray, e: np.ndarray, eb: np.ndarray, scale: float) -> np.ndarray:
-    if scale == 0.0:
-        return b.copy()
-    out = e - eb
+def _combine(
+    b: np.ndarray, e: np.ndarray, eb: np.ndarray, scale: float, out: np.ndarray
+) -> np.ndarray:
+    """``b + scale * (e - eb)`` for a finite ``scale > 0``, written into ``out``.
+
+    A NaN or +-inf in any row makes the result non-finite (inf - inf is
+    NaN, and NaN propagates), so the one check here covers all three rows.
+    """
+    np.subtract(e, eb, out=out)
     if scale != 1.0:  # x * 1.0 == x exactly, so skipping it keeps the bits
         out *= scale
     out += b
@@ -328,48 +359,73 @@ def _combine(b: np.ndarray, e: np.ndarray, eb: np.ndarray, scale: float) -> np.n
     return out
 
 
-def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    scaled = logits if temperature == 1.0 else logits / temperature  # x / 1.0 == x
-    probs = scaled - scaled.max()
-    np.exp(probs, out=probs)
-    total = probs.sum()
+def _weights(logits: np.ndarray, temperature: float, out: np.ndarray) -> tuple[np.ndarray, float]:
+    """``exp(logits / temperature - max)`` written into ``out``, and its sum.
+
+    The sum is at least 1: the max entry adds exp(0). ``out`` may be
+    ``logits`` itself.
+    """
+    if temperature == 1.0:  # x / 1.0 == x
+        np.subtract(logits, logits.max(), out=out)
+    else:
+        np.divide(logits, temperature, out=out)
+        out -= out.max()
+    np.exp(out, out=out)
+    total = float(out.sum())
     # Finite logits over a tiny temperature can overflow to +-inf, and
     # inf - inf is NaN; the normaliser is the one place that shows it.
     if not math.isfinite(total):
         raise InvalidDistributionError(
             f"softmax at temperature {temperature} overflowed to non-finite values"
         )
+    return out, total
+
+
+def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
+    probs, total = _weights(logits, temperature, np.empty(logits.size))
     probs /= total
     return probs
 
 
-def _nucleus(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The nucleus of ``probs`` and the ascending ids outside which it is zero.
+def _nucleus(weights: np.ndarray, total: float, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nucleus of ``weights / total`` and the ascending ids outside which it is zero.
 
-    Only ids with mass >= ``(1 - top_p) / V`` are candidates. The others
-    hold less than ``1 - top_p`` together, so the candidates are a prefix
-    of the full ranking and usually reach ``top_p`` on their own: then
-    only they are sorted, and only the kept ids are returned. When every
-    id is a candidate, or rounding keeps the candidates short of
-    ``top_p``, every id is ranked and returned.
+    ``weights`` are unnormalised; ``total`` is their sum, at least 1 (or
+    exactly 1 for a distribution). Only ids with mass >= ``(1 - top_p) / V``
+    are in the head. The others hold less than ``1 - top_p`` together, so
+    the head is a prefix of the full ranking and usually reaches ``top_p``
+    on its own: then only it is divided and sorted, and only the kept ids
+    are returned. Candidates for the head are read off the weights with a
+    margin, then filtered by the same quotient a full divide gives. When
+    every id is a candidate, or rounding keeps the head short of
+    ``top_p``, every id is divided, ranked and returned.
     """
-    size = probs.size
+    size = weights.size
     if top_p == 1.0:
-        return probs.copy(), np.arange(size)
-    head = np.flatnonzero(probs >= (1.0 - top_p) / size)
+        return weights / total, np.arange(size)
+    threshold = (1.0 - top_p) / size
+    head = np.flatnonzero(weights >= threshold * total * (1.0 - 1e-9))
     if head.size < size:
-        order = head[np.argsort(-probs[head], kind="stable")]
-        cut = int(np.searchsorted(np.cumsum(probs[order]), top_p, side="left"))
-        if cut < order.size:
-            kept = np.sort(order[: cut + 1])
+        probs = weights[head] / total
+        rank = np.argsort(-probs, kind="stable")
+        ranked = probs[rank]
+        # The margin can admit candidates whose quotient falls short of
+        # the threshold; they rank last, after the n that make the head.
+        n = rank.size
+        if n and ranked[-1] < threshold:
+            n = int(np.count_nonzero(ranked >= threshold))
+        cut = int(np.searchsorted(np.cumsum(ranked[:n]), top_p, side="left"))
+        if cut < n:
+            keep = np.sort(rank[: cut + 1])
+            kept, values = head[keep], probs[keep]
             # The normaliser stays a sum over all V entries: a pairwise
             # sum's bits depend on the array's length, not only on its
             # non-zero values. Only the kept entries need dividing.
-            values = probs[kept]
             out = np.zeros(size)
             out[kept] = values
             out[kept] = values / out.sum()
             return out, kept
+    probs = weights / total
     order = np.argsort(-probs, kind="stable")
     # Rounding can leave the total just under top_p; then cut == V and the
     # slice keeps every id.

@@ -17,13 +17,16 @@ from .core import (
     DecodeConfig,
     EmptyInputError,
     InvalidConfigError,
+    InvalidLogitsError,
     TokenPrefix,
     VocabularyMismatchError,
+    _as_row,
     _combine,
     _greedy,
     _nucleus,
     _sample,
     _softmax,
+    _weights,
     as_logits,
 )
 
@@ -164,16 +167,45 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, floor: float = KL_FLOOR) -> floa
     return max(float(np.sum(ps * (np.log(ps) - np.log(qs)))), 0.0)
 
 
-def _checked_score(scorer: Scorer, role: str, prefix, step: int, size: int) -> np.ndarray:
-    label = role if scorer.name in ("", role) else f"{role} ({scorer.name})"
+def _label(scorer: Scorer, role: str) -> str:
+    return role if scorer.name in ("", role) else f"{role} ({scorer.name})"
+
+
+def _checked_score(
+    scorer: Scorer, role: str, prefix, step: int, size: int, finite: bool
+) -> np.ndarray:
+    """The scorer's row for ``prefix``, checked for shape and size, and for
+    finite values when ``finite`` is true."""
     try:
         raw = scorer.score(prefix)
     except Exception as exc:
-        raise DecodeError(f"scorer {label!r} failed at step {step}: {exc}") from exc
+        raise DecodeError(f"scorer {_label(scorer, role)!r} failed at step {step}: {exc}") from exc
     try:
-        return as_logits(raw, size)
+        return as_logits(raw, size) if finite else _as_row(raw, size)
     except Exception as exc:
-        raise DecodeError(f"scorer {label!r} returned bad logits at step {step}: {exc}") from exc
+        raise _bad_logits(scorer, role, step, exc) from exc
+
+
+def _bad_logits(scorer: Scorer, role: str, step: int, exc: Exception) -> DecodeError:
+    return DecodeError(f"scorer {_label(scorer, role)!r} returned bad logits at step {step}: {exc}")
+
+
+def _checked_combine(scorers, rows, step: int, scale: float, out: np.ndarray) -> np.ndarray:
+    """The combined row of base, expert and expert_base, written into ``out``.
+
+    Only the combined row is checked for finite values: with ``scale > 0``,
+    any NaN or +-inf in the three rows makes it non-finite. When it is, the
+    first non-finite row is named, else the combine itself overflowed.
+    """
+    try:
+        return _combine(*rows, scale, out)
+    except InvalidLogitsError:
+        for scorer, role, row in zip(scorers, ("base", "expert", "expert_base"), rows):
+            try:
+                as_logits(row)
+            except InvalidLogitsError as exc:
+                raise _bad_logits(scorer, role, step, exc) from exc
+        raise
 
 
 def decode(
@@ -217,21 +249,31 @@ def decode(
     want_kl = "kl" in flags
     rng = np.random.default_rng(config.seed) if config.mode == "sample" else None
     eos = base.vocab.eos
+    # With delta_scale > 0 only the combined row is checked for finite
+    # values; otherwise each row is, and the base row is decoded as it is.
+    guided = expert is not None and config.delta_scale > 0
+    finite = not guided
+    scorers = (base, expert, expert_base)
+    # The combine, the temperature divide and exp run in place in this one
+    # buffer; no scorer row is written.
+    work = np.empty(size)
 
     steps: list[StepRecord] = []
     stop_reason = "max_tokens"
-    # Each scorer row is validated once, in _checked_score; the config was
-    # validated when it was built. The step core below checks neither again.
+    # The config was validated when it was built, and each row is validated
+    # once per step here; the step core below checks neither again.
     for step in range(config.max_tokens):
-        base_logits = _checked_score(base, "base", context, step, size)
+        logits = base_logits = _checked_score(base, "base", context, step, size, finite)
         if expert is not None:
-            expert_logits = _checked_score(expert, "expert", context, step, size)
-            expert_base_logits = _checked_score(expert_base, "expert_base", context, step, size)
-            logits = _combine(base_logits, expert_logits, expert_base_logits, config.delta_scale)
-        else:
-            logits = base_logits
-        probs = _softmax(logits, config.temperature)
-        dist, kept = _nucleus(probs, config.top_p)
+            rows = (
+                base_logits,
+                _checked_score(expert, "expert", context, step, size, finite),
+                _checked_score(expert_base, "expert_base", context, step, size, finite),
+            )
+            if guided:
+                logits = _checked_combine(scorers, rows, step, config.delta_scale, work)
+        weights, total = _weights(logits, config.temperature, work)
+        dist, kept = _nucleus(weights, total, config.top_p)
         if rng is None:
             token = _greedy(dist, kept)
         else:

@@ -543,8 +543,9 @@ def save_scorer(scorer: Scorer, path) -> None:
 def load_scorer(path) -> Scorer:
     """Load a scorer saved by :func:`save_scorer`.
 
-    A file that is not JSON, not a JSON object, or lacks a key its kind
-    needs raises :class:`InvalidConfigError` naming the path. The cyclic
+    A file that is not JSON, not a JSON object, lacks a key its kind
+    needs, or holds a malformed vocabulary raises
+    :class:`InvalidConfigError` naming the path. The cyclic
     garbage collector is paused for the load: a JSON payload holds no
     reference cycles, yet the collector would rescan its lists (hundreds of
     thousands at V=32768) at every collection they survive.
@@ -577,7 +578,10 @@ def _load_scorer(path) -> Scorer:
             raise InvalidConfigError(f"missing key {key!r} in {path}")
         return payload[key]
 
-    vocab = Vocabulary.from_dict(field("vocab"))
+    try:
+        vocab = Vocabulary.from_dict(field("vocab"))
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{exc} in {path}") from None
     name = payload.get("name", "")
     tokenizer = payload.get("tokenizer", "whitespace")
     if kind == "ngram":

@@ -531,6 +531,40 @@ class TestLoadScorerFileErrors:
         with pytest.raises(InvalidConfigError, match=re.escape(f"missing key '{key}' in {path}")):
             load_scorer(path)
 
+    @pytest.mark.parametrize(
+        "vocab, message",
+        [
+            ({}, "vocab is missing key 'surface'"),
+            ([1], "vocab must be a JSON object, got list"),
+            ("abc", "vocab must be a JSON object, got str"),
+            ({"surface": ["a", "b"]}, "vocab is missing key 'eos'"),
+            ({"surface": "ab", "eos": 0}, "vocab 'surface' must be a list of str"),
+            ({"surface": ["a", 1], "eos": 0}, "vocab 'surface' must be a list of str"),
+            ({"surface": ["a", "b"], "eos": "0"}, "vocab 'eos' must be an int, got str"),
+            ({"surface": ["a", "b"], "eos": 1.0}, "vocab 'eos' must be an int, got float"),
+            ({"surface": ["a", "b"], "eos": True}, "vocab 'eos' must be an int, got bool"),
+            ({"surface": ["a", "b"], "eos": 0, "bos": False}, "vocab 'bos' must be an int, got bool"),
+            ({"surface": ["a", "b"], "eos": 0, "bos": "1"}, "vocab 'bos' must be an int, got str"),
+            ({"surface": ["a", "b"], "eos": 2}, "eos id 2 out of range for size 2"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["ngram", "constant"])
+    def test_bad_vocab(self, tmp_path, vocab, message, kind):
+        payload = self._ngram_payload()
+        if kind == "constant":
+            payload = {"kind": "constant", "logits": [0.0, 0.0]}
+        payload["vocab"] = vocab
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(f'{message} in {path}')}$"):
+            load_scorer(path)
+
+    def test_null_bos_accepted(self, tmp_path):
+        path = tmp_path / "m.json"
+        vocab = {"surface": ["a", "b"], "eos": 1, "bos": None}
+        path.write_text(json.dumps({"kind": "constant", "vocab": vocab, "logits": [0.0, 1.0]}))
+        assert load_scorer(path).vocab == Vocabulary(("a", "b"), eos=1)
+
     @pytest.mark.parametrize("data", [b'{"kind": "ngram",', b"", b'{"kind": "ngram"} x', b"\xff{}"])
     def test_invalid_json(self, tmp_path, data):
         path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ every property here compares bytes, not values within a tolerance.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,15 +19,18 @@ from deltadecode.core import (
     DecodeConfig,
     InvalidConfigError,
     InvalidDistributionError,
+    InvalidLogitsError,
     _greedy,
     _nucleus,
     _sample,
+    _softmax,
+    _weights,
     nucleus_filter,
     sample_token,
     softmax_with_temperature,
 )
-from deltadecode.decoder import decode, kl_divergence
-from deltadecode.scorers import BigramMatrixScorer, build_vocab
+from deltadecode.decoder import DecodeError, decode, kl_divergence
+from deltadecode.scorers import BigramMatrixScorer, Scorer, build_vocab
 
 JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -186,6 +190,9 @@ EXAMPLES = [
     (np.array([0.5, 0.5 - 5e-7]), 1.0 - 1e-7),
     # Zeros inside the kept set once the fallback keeps everything.
     (np.array([0.0, 0.5 - 5e-7, 0.0, 0.5]), 1.0 - 1e-7),
+    # Id 1 sits a hair under the threshold 0.125: the margin makes it a
+    # candidate, and the exact quotient then drops it from the head.
+    (np.array([0.6, 0.125 * (1 - 1e-12), 0.0, 0.4 - 0.125 * (1 - 1e-12)]), 0.5),
     # A subnormal tail that rounding hides from the sum.
     (np.array([1.0, 2.2e-309]), JUST_BELOW_ONE),
     # The fallback keeps a trailing zero and the kept mass sums below 1, so
@@ -218,7 +225,7 @@ class TestNucleusMatchesReference:
     @with_examples()
     def test_kept_ids_hold_all_the_mass(self, case):
         dist, top_p = case
-        out, kept = _nucleus(dist, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p)
         assert np.all(np.diff(kept) > 0)
         rest = np.ones(dist.size, dtype=bool)
         rest[kept] = False
@@ -229,10 +236,72 @@ class TestNucleusMatchesReference:
     def test_inputs_are_not_written(self, case):
         dist, top_p = case
         before = dist.tobytes()
-        _nucleus(dist, top_p)
+        _nucleus(dist, 1.0, top_p)
         nucleus_filter(dist, top_p)
         sample_token(dist, np.random.default_rng(0))
         assert dist.tobytes() == before
+
+
+@st.composite
+def logit_rows(draw, max_size=4000):
+    """Peaked, flat or tied logit rows of 1 to ``max_size`` entries."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["peaked", "flat", "tied"]))
+    if shape == "peaked":
+        logits = rng.normal(size=n) - draw(st.floats(min_value=0, max_value=40))
+        k = min(n, draw(st.integers(min_value=1, max_value=8)))
+        logits[rng.choice(n, size=k, replace=False)] = rng.normal(size=k) * 3
+    elif shape == "flat":
+        logits = rng.normal(size=n) * draw(st.sampled_from([0.0, 1e-12, 0.05]))
+    else:
+        logits = rng.integers(-3, 2, size=n).astype(np.float64)
+    return logits
+
+
+def wide_peaked_row(n=32768, seed=3):
+    """A decode-wide row: a few ids far above a low tail."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=n) - 20.0
+    logits[rng.choice(n, size=8, replace=False)] = rng.normal(size=8) * 3
+    return logits
+
+
+class TestWeightsMatchReference:
+    """``_weights`` then ``_nucleus`` on the unnormalised weights give the
+    bytes of the full-vector softmax then nucleus."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        logits=logit_rows(),
+        temperature=st.sampled_from([0.7, 1.0, 1.3]),
+        top_p=top_ps,
+    )
+    @example(logits=wide_peaked_row(), temperature=1.0, top_p=0.95)
+    @example(logits=wide_peaked_row(), temperature=0.7, top_p=1.0 - 1e-12)
+    @example(logits=np.zeros(32768), temperature=1.3, top_p=0.9)
+    @example(logits=np.array([0.0, -745.2]), temperature=1.0, top_p=JUST_BELOW_ONE)
+    def test_bytes(self, logits, temperature, top_p):
+        before = logits.tobytes()
+        weights, total = _weights(logits, temperature, np.empty(logits.size))
+        assert total >= 1.0
+        out, kept = _nucleus(weights, total, top_p)
+        expected = ref_nucleus(ref_softmax(logits, temperature), top_p)
+        assert out.tobytes() == expected.tobytes()
+        assert logits.tobytes() == before
+        rest = np.ones(logits.size, dtype=bool)
+        rest[kept] = False
+        assert not out[rest].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(logits=logit_rows(max_size=500), temperature=st.sampled_from([0.7, 1.0, 1.3]))
+    def test_in_place(self, logits, temperature):
+        weights, total = _weights(logits, temperature, np.empty(logits.size))
+        work = logits.copy()
+        in_place, same_total = _weights(work, temperature, work)
+        assert in_place is work
+        assert (in_place.tobytes(), same_total) == (weights.tobytes(), total)
+        assert _softmax(logits, temperature).tobytes() == ref_softmax(logits, temperature).tobytes()
 
 
 class TestChoiceMatchesReference:
@@ -242,7 +311,7 @@ class TestChoiceMatchesReference:
     def test_sample_over_kept_ids(self, case, seed):
         dist, top_p = case
         filtered = ref_nucleus(dist, top_p)
-        out, kept = _nucleus(dist, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p)
         draws = [np.random.default_rng(seed) for _ in range(3)]
         expected = ref_sample(filtered, draws[0])
         assert _sample(out, kept, draws[1]) == expected
@@ -258,7 +327,7 @@ class TestChoiceMatchesReference:
         # Draws near 1 land past a cumsum that rounds short of 1 and take
         # the highest-id fallback.
         dist, top_p = case
-        out, kept = _nucleus(dist, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p)
         expected = ref_sample(ref_nucleus(dist, top_p), FixedDraw(u))
         assert _sample(out, kept, FixedDraw(u)) == expected
         assert sample_token(dist, FixedDraw(u)) == ref_sample(dist, FixedDraw(u))
@@ -268,13 +337,14 @@ class TestChoiceMatchesReference:
     @with_examples()
     def test_greedy_over_kept_ids(self, case):
         dist, top_p = case
-        out, kept = _nucleus(dist, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p)
         assert _greedy(out, kept) == int(np.argmax(ref_nucleus(dist, top_p)))
 
 
 @st.composite
-def decode_setups(draw):
-    """Peaked random bigram scorers and a config to decode them under."""
+def decode_setups(draw, delta_scale=None):
+    """Peaked random bigram scorers and a config to decode them under; with
+    ``delta_scale`` given, guided by that scale."""
     vocab = build_vocab([[f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=120)))]])
     n = vocab.size
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -287,9 +357,11 @@ def decode_setups(draw):
         return m
 
     base, expert, expert_base = (BigramMatrixScorer(vocab, matrix(), name=r) for r in "abc")
-    guided = draw(st.booleans())
+    guided = delta_scale is not None or draw(st.booleans())
+    if delta_scale is None:
+        delta_scale = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
     config = DecodeConfig(
-        delta_scale=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        delta_scale=delta_scale,
         temperature=draw(st.sampled_from([1.0, 0.7, 1.3])),
         top_p=draw(top_ps),
         max_tokens=draw(st.integers(min_value=1, max_value=24)),
@@ -306,20 +378,30 @@ def float_bits(x):
     return None if x is None else np.float64(x).tobytes()
 
 
+def assert_decode_matches_reference(setup):
+    scorers, prompt, config, instrument = setup
+    trajectory = decode(*scorers, prompt=prompt, config=config, instrument=instrument)
+    got = [(s.token, s.chosen_logprob, s.kl_base_vs_combined) for s in trajectory.generated]
+    expected = ref_decode(*scorers, prompt, config, instrument)
+    assert [r[0] for r in got] == [r[0] for r in expected]
+    assert [[float_bits(x) for x in r[1:]] for r in got] == [
+        [float_bits(x) for x in r[1:]] for r in expected
+    ]
+
+
 class TestDecodeMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(setup=decode_setups())
     def test_tokens_logprobs_and_instruments(self, setup):
-        scorers, prompt, config, instrument = setup
-        trajectory = decode(*scorers, prompt=prompt, config=config, instrument=instrument)
-        got = [
-            (s.token, s.chosen_logprob, s.kl_base_vs_combined) for s in trajectory.generated
-        ]
-        expected = ref_decode(*scorers, prompt, config, instrument)
-        assert [r[0] for r in got] == [r[0] for r in expected]
-        assert [[float_bits(x) for x in r[1:]] for r in got] == [
-            [float_bits(x) for x in r[1:]] for r in expected
-        ]
+        assert_decode_matches_reference(setup)
+
+    # One work buffer serves every step of a decode: no step may read what
+    # an earlier one left in it.
+    @pytest.mark.parametrize("delta_scale", [0.0, 0.5, 1.0, 2.0])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_scale_guided(self, delta_scale, data):
+        assert_decode_matches_reference(data.draw(decode_setups(delta_scale)))
 
 
 class TestValidatesOncePerRow:
@@ -354,8 +436,18 @@ class TestValidatesOncePerRow:
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
     @pytest.mark.parametrize("instrument", [(), ("kl",)])
     def test_guided_validates_three_rows_per_token(self, counts, mode, instrument):
+        # With delta_scale > 0 the three rows are checked for shape and
+        # size alone, and for finite values through the one check of the
+        # combined row: as_logits runs only when that check fails.
         config = DecodeConfig(max_tokens=40, mode=mode, top_p=0.9)
         t = decode(*self.scorers(), prompt=[1], config=config, instrument=instrument)
+        assert len(t.generated) == 40
+        assert counts == {"as_logits": 0, "as_distribution": 0}
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_zero_scale_validates_each_row(self, counts, mode):
+        config = DecodeConfig(delta_scale=0.0, max_tokens=40, mode=mode, top_p=0.9)
+        t = decode(*self.scorers(), prompt=[1], config=config)
         assert len(t.generated) == 40
         assert counts == {"as_logits": 3 * 40, "as_distribution": 0}
 
@@ -398,3 +490,126 @@ class TestSoftmaxOverflow:
     def test_public_softmax_rejects_temperature(self, temperature):
         with pytest.raises(InvalidConfigError, match="temperature"):
             softmax_with_temperature([1.0, 2.0], temperature)
+
+
+class RowScorer(Scorer):
+    """Row ``prefix[-1]`` of a read-only matrix, a read-only view each call.
+
+    From step ``bad_at`` on (one-token prompts), entry 0 of the row is
+    ``bad`` instead, still in a read-only array.
+    """
+
+    kind = "rows"
+
+    def __init__(self, vocab, matrix, name, bad=None, bad_at=0):
+        super().__init__(vocab, name=name)
+        self.matrix = np.array(matrix, dtype=np.float64)
+        self.matrix.setflags(write=False)
+        self.bad = bad
+        self.bad_at = bad_at
+
+    def score(self, prefix):
+        row = self.matrix[prefix[-1]]
+        if self.bad is None or len(prefix) - 1 < self.bad_at:
+            return row
+        out = row.copy()
+        out[0] = self.bad
+        out.setflags(write=False)
+        return out
+
+
+ROLES = ("base", "expert", "expert_base")
+
+
+def row_scorers(bad=None, bad_at=2):
+    """Three read-only bigram scorers named by role; ``bad`` maps a role to
+    the value its row carries from step ``bad_at`` on."""
+    vocab = build_vocab([[f"t{i}" for i in range(12)]])
+    rng = np.random.default_rng(11)
+    mats = rng.normal(size=(3, vocab.size, vocab.size))
+    mats[:, :, vocab.eos] = -50.0  # eos never wins: every decode runs to max_tokens
+    bad = bad or {}
+    return [
+        RowScorer(vocab, m, name=role, bad=bad.get(role), bad_at=bad_at)
+        for m, role in zip(mats, ROLES)
+    ]
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+class TestBadRows:
+    """A guided step reports a non-finite scorer row by name and step,
+    whichever row carries it and whatever it is."""
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"base": math.nan}, "base"),
+            ({"expert": math.inf}, "expert"),
+            ({"expert_base": -math.inf}, "expert_base"),
+            # inf - inf is NaN in the difference; expert is checked first.
+            ({"expert": math.inf, "expert_base": math.inf}, "expert"),
+            ({"expert": -math.inf, "expert_base": -math.inf}, "expert"),
+            ({"base": math.inf, "expert_base": math.nan}, "base"),
+        ],
+        ids=["nan-base", "inf-expert", "neg-inf-expert-base", "inf-minus-inf", "neg-inf-both", "base-first"],
+    )
+    @pytest.mark.parametrize("delta_scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_guided_names_row_and_step(self, bad, named, delta_scale, mode):
+        config = DecodeConfig(delta_scale=delta_scale, max_tokens=6, mode=mode, top_p=0.9)
+        message = f"scorer '{named}' returned bad logits at step 2: logits contain non-finite values"
+        with pytest.raises(DecodeError, match=re.escape(message)):
+            decode(*row_scorers(bad), prompt=[1], config=config)
+
+    @pytest.mark.parametrize("role", ["expert", "expert_base"])
+    def test_zero_scale_still_names_row(self, role):
+        config = DecodeConfig(delta_scale=0.0, max_tokens=6)
+        message = f"scorer '{role}' returned bad logits at step 2: logits contain non-finite values"
+        with pytest.raises(DecodeError, match=re.escape(message)):
+            decode(*row_scorers({role: math.nan}), prompt=[1], config=config)
+
+    def test_base_only_names_row(self):
+        message = "scorer 'base' returned bad logits at step 2: logits contain non-finite values"
+        with pytest.raises(DecodeError, match=re.escape(message)):
+            decode(row_scorers({"base": -math.inf})[0], prompt=[1], config=DecodeConfig(max_tokens=6))
+
+    @pytest.mark.parametrize(
+        "big", [{"expert": 1.7e308, "expert_base": -1.7e308}, {"base": 1.7e308, "expert": 1.7e308}]
+    )
+    def test_finite_rows_that_overflow(self, big):
+        config = DecodeConfig(delta_scale=1.0, max_tokens=6)
+        with pytest.raises(InvalidLogitsError, match="combined logits overflowed"):
+            decode(*row_scorers(big), prompt=[1], config=config)
+
+
+class TestReadOnlyRows:
+    """Scorer rows may be read-only views; decode writes into none of them."""
+
+    @pytest.mark.parametrize(
+        "guided, changes, instrument",
+        [
+            (False, {}, ()),
+            (True, {"delta_scale": 0.0}, ()),
+            (True, {}, ()),
+            (True, {"delta_scale": 2.0, "temperature": 0.7}, ()),
+            (False, {"temperature": 1.3}, ()),
+            (True, {}, ("kl",)),
+            (False, {"top_p": 1.0}, ("kl",)),
+        ],
+        ids=["base-only", "zero-scale", "guided", "temperature", "base-temperature", "kl", "base-kl"],
+    )
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_rows_unchanged(self, guided, changes, instrument, mode):
+        scorers = row_scorers()
+        before = [s.matrix.tobytes() for s in scorers]
+        config = DecodeConfig(max_tokens=30, mode=mode, top_p=0.9, seed=3).replace(**changes)
+        used = scorers if guided else scorers[:1]
+        t = decode(*used, prompt=[1], config=config, instrument=instrument)
+        assert len(t.generated) == 30
+        assert [s.matrix.tobytes() for s in scorers] == before
+        expected = ref_decode(*(used if guided else (used[0], None, None)), [1], config, instrument)
+        assert [(s.token, float_bits(s.chosen_logprob)) for s in t.generated] == [
+            (r[0], float_bits(r[1])) for r in expected
+        ]
