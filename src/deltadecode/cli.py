@@ -178,8 +178,7 @@ def _cmd_analyze(args) -> int:
         labels = [args.arm] if args.arm else [arm.label for arm in manifest.arms]
         payload = {}
         for label in labels:
-            arm = next(a for a in manifest.arms if a.label == label)
-            scorer_path = args.scorer or arm.base
+            scorer_path = args.scorer or manifest.arm(label).base
             vocab = load_scorer(scorer_path).vocab
             trajectories = load_campaign_trajectories(args.in_dir, label)
             payload[label] = token_frequency(trajectories, token_sets, vocab)

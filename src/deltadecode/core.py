@@ -258,24 +258,18 @@ def _as_row(scores, vocab_size: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_distribution(
-    probs, vocab_size: int | None = None, require_normalized: bool = False
-) -> np.ndarray:
-    """Validate ``probs`` as a non-negative finite vector with positive mass."""
+def as_distribution(probs) -> np.ndarray:
+    """Validate ``probs`` as a non-negative finite vector of mass 1."""
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidDistributionError(
             f"distribution must be a non-empty 1-D vector, got shape {arr.shape}"
         )
-    if vocab_size is not None and arr.size != vocab_size:
-        raise VocabularyMismatchError(f"expected {vocab_size} probabilities, got {arr.size}")
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise InvalidDistributionError("distribution entries must be finite and non-negative")
     total = arr.sum()
-    if total <= 0:
-        raise InvalidDistributionError("distribution has no probability mass")
     # Loose bound: callers normalize, this only catches raw logits and the like.
-    if require_normalized and abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > 1e-6:
         raise InvalidDistributionError(f"distribution mass is {total}, expected 1")
     return arr
 
@@ -321,7 +315,7 @@ def nucleus_filter(probs, top_p: float) -> np.ndarray:
     """
     if not 0 < top_p <= 1:
         raise InvalidConfigError(f"top_p must be in (0, 1], got {top_p}")
-    arr = as_distribution(probs, require_normalized=True)
+    arr = as_distribution(probs)
     return _nucleus(arr, 1.0, top_p)[0]
 
 
@@ -333,7 +327,7 @@ def argmax_token(scores) -> int:
 
 def sample_token(probs, rng: np.random.Generator) -> int:
     """Draw one token from ``probs``, consuming exactly one uniform draw."""
-    arr = as_distribution(probs, require_normalized=True)
+    arr = as_distribution(probs)
     return _sample(arr, np.arange(arr.size), rng)
 
 

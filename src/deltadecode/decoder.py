@@ -155,15 +155,15 @@ class Trajectory:
         )
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, floor: float = KL_FLOOR) -> float:
-    """KL(p || q) in nats, flooring q at ``floor`` inside the log.
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) in nats, flooring q at ``KL_FLOOR`` inside the log.
 
     The floor keeps zeroed (filtered) entries finite; the result is clamped
     at 0 to absorb the tiny negative residue the floor can introduce.
     """
     mask = p > 0
     ps = p[mask]
-    qs = np.maximum(q[mask], floor)
+    qs = np.maximum(q[mask], KL_FLOOR)
     return max(float(np.sum(ps * (np.log(ps) - np.log(qs)))), 0.0)
 
 
@@ -216,7 +216,6 @@ def decode(
     prompt: Sequence[int],
     config: DecodeConfig,
     instrument: Sequence[str] = (),
-    labels: dict[str, str] | None = None,
 ) -> Trajectory:
     """Generate a trajectory from ``prompt`` under ``config``.
 
@@ -296,11 +295,9 @@ def decode(
             stop_reason = "eos"
             break
 
-    label_map = dict(labels) if labels else {}
-    label_map.setdefault("base", base.name)
+    label_map = {"base": base.name}
     if expert is not None:
-        label_map.setdefault("expert", expert.name)
-        label_map.setdefault("expert_base", expert_base.name)
+        label_map.update(expert=expert.name, expert_base=expert_base.name)
     return Trajectory(
         prompt_tokens=tuple(context[: len(context) - len(steps)]),
         generated=tuple(steps),

@@ -132,6 +132,13 @@ class RunManifest:
             raise ManifestError(f"arm labels must be unique, got {labels}")
         object.__setattr__(self, "arms", arms)
 
+    def arm(self, label: str) -> ArmSpec:
+        """The arm labeled ``label``; raises :class:`ManifestError` naming it."""
+        for arm in self.arms:
+            if arm.label == label:
+                return arm
+        raise ManifestError(f"no arm labeled {label!r} in manifest {self.run_id!r}")
+
     def samples_for(self, arm: ArmSpec) -> int:
         return arm.samples_per_problem or self.samples_per_problem
 
@@ -188,7 +195,7 @@ def _resolve_path(spec: str | None, base: Path) -> str | None:
     return str(base / spec)
 
 
-def ingest_dataset(path, fmt: str = "qa-jsonl") -> list[dict]:
+def ingest_dataset(path) -> list[dict]:
     """Read problems from a JSONL file of prompt/answer pairs.
 
     Each line needs a prompt field (``prompt``/``question``/``input``/
@@ -197,8 +204,6 @@ def ingest_dataset(path, fmt: str = "qa-jsonl") -> list[dict]:
     line index. Malformed lines raise :class:`DatasetError` with the line
     number.
     """
-    if fmt != "qa-jsonl":
-        raise DatasetError(f"unsupported dataset format {fmt!r}")
     problems = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     index = 0
@@ -361,12 +366,12 @@ def _load_arm_scorer(spec: str, arm: ArmSpec, cache: dict) -> Scorer:
                 f"arm {arm.label!r}: remote scorer {spec!r} needs a local vocab file"
             )
         vocab = load_vocab(arm.vocab)
-        scorer = RemoteScorer(
-            connect_endpoint(spec),
-            vocab,
-            name=spec,
-            tokenizer=arm.tokenizer or "whitespace",
-        )
+        client = connect_endpoint(spec)
+        try:
+            scorer = RemoteScorer(client, vocab, name=spec, tokenizer=arm.tokenizer or "whitespace")
+        except BaseException:
+            client.close()  # a vocabulary mismatch: nothing else holds the client
+            raise
     else:
         scorer = load_scorer(spec)
     cache[spec] = scorer
@@ -422,30 +427,37 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
     summary_arms: dict[str, dict] = {}
     timings: dict[str, float] = {}
     cache: dict[str, Scorer] = {}
-    for arm in manifest.arms:
-        started = time.monotonic()
-        arm_dir = out / "arms" / arm.label
-        (arm_dir / "problems").mkdir(parents=True, exist_ok=True)
-        arm_summary = {
-            "problems": len(problems),
-            "samples_per_problem": manifest.samples_for(arm),
-            "trajectories": 0,
-            "accuracy": None,
-            "stddev_over_samples": None,
-            "degraded": False,
-        }
-        summary_arms[arm.label] = arm_summary
-        try:
-            runtime = _ArmRuntime(arm, manifest, cache)
-            records = _run_arm(runtime, manifest, problems, arm_dir)
-            save_records(records, arm_dir / "records.jsonl")
-            arm_summary["trajectories"] = sum(r.n for r in records)
-            arm_summary["accuracy"] = pass_at_k_exact(records, 1).value
-            arm_summary["stddev_over_samples"] = _stddev_over_samples(records)
-        except Exception as exc:
-            arm_summary["degraded"] = True
-            arm_summary["error"] = f"{type(exc).__name__}: {exc}"
-        timings[arm.label] = time.monotonic() - started
+    try:
+        for arm in manifest.arms:
+            started = time.monotonic()
+            arm_dir = out / "arms" / arm.label
+            (arm_dir / "problems").mkdir(parents=True, exist_ok=True)
+            arm_summary = {
+                "problems": len(problems),
+                "samples_per_problem": manifest.samples_for(arm),
+                "trajectories": 0,
+                "accuracy": None,
+                "stddev_over_samples": None,
+                "degraded": False,
+            }
+            summary_arms[arm.label] = arm_summary
+            try:
+                runtime = _ArmRuntime(arm, manifest, cache)
+                records = _run_arm(runtime, manifest, problems, arm_dir)
+                save_records(records, arm_dir / "records.jsonl")
+                arm_summary["trajectories"] = sum(r.n for r in records)
+                arm_summary["accuracy"] = pass_at_k_exact(records, 1).value
+                arm_summary["stddev_over_samples"] = _stddev_over_samples(records)
+            except Exception as exc:
+                arm_summary["degraded"] = True
+                arm_summary["error"] = f"{type(exc).__name__}: {exc}"
+            timings[arm.label] = time.monotonic() - started
+    finally:
+        # Every remote scorer this run connected, degraded arms' too, so no
+        # socket or child process outlives the campaign.
+        for scorer in cache.values():
+            if isinstance(scorer, RemoteScorer):
+                scorer.client.close()
 
     summary = {"run_id": manifest.run_id, "arms": summary_arms}
     _write_atomic(
@@ -521,10 +533,7 @@ def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:
     """
     out = Path(out_dir)
     manifest = RunManifest.load(out / "manifest.json")
-    matches = [arm for arm in manifest.arms if arm.label == arm_label]
-    if not matches:
-        raise ManifestError(f"no arm labeled {arm_label!r} in {out / 'manifest.json'}")
-    arm = matches[0]
+    arm = manifest.arm(arm_label)
     problems_dir = out / "arms" / arm_label / "problems"
     if not problems_dir.is_dir():
         raise ManifestError(f"arm {arm_label!r} has no trajectory files under {out}")
@@ -571,10 +580,7 @@ def sweep(
             raise ManifestError("sweep needs an arm with an expert pair")
         swept = candidates[0]
     else:
-        matches = [arm for arm in manifest.arms if arm.label == arm_label]
-        if not matches:
-            raise ManifestError(f"no arm labeled {arm_label!r} in manifest")
-        swept = matches[0]
+        swept = manifest.arm(arm_label)
     if not delta_scales or not temperatures:
         raise ManifestError("sweep needs at least one delta_scale and one temperature")
 

@@ -201,16 +201,23 @@ class ScorerClient:
     with their rightful callers. A request whose ``collect`` timed out is
     retired: its response, if it ever arrives, is dropped and counted in
     ``late_frames``. Each request is an ``extend`` frame relative to the
-    prefix this client sent last.
+    prefix this client sent last. Building a client reads the server's
+    hello, so ``vocab_size`` is always set.
     """
 
     def __init__(self, channel: _Channel, timeout_ms: int = DEFAULT_TIMEOUT_MS):
-        if timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be positive, got {timeout_ms}")
-        self._channel = channel
-        self._timeout = timeout_ms / 1000.0
-        self.timeout_ms = timeout_ms
-        self.vocab_size: int | None = None
+        # A client that fails its handshake is never returned, so its
+        # transport (socket or child process) is released here.
+        try:
+            if timeout_ms <= 0:
+                raise ValueError(f"timeout_ms must be positive, got {timeout_ms}")
+            self._channel = channel
+            self._timeout = timeout_ms / 1000.0
+            self.timeout_ms = timeout_ms
+            self.vocab_size = self._handshake()
+        except BaseException:
+            channel.close()
+            raise
         self._cond = threading.Condition()
         self._send_lock = threading.Lock()
         # Read and written under _send_lock: the server's session holds the
@@ -234,33 +241,21 @@ class ScorerClient:
     def connect_tcp(cls, host: str, port: int, timeout_ms: int = DEFAULT_TIMEOUT_MS):
         sock = socket.create_connection((host, port), timeout=timeout_ms / 1000.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls._open(_socket_channel(sock), timeout_ms)
+        return cls(_socket_channel(sock), timeout_ms)
 
     @classmethod
     def connect_stdio(cls, command: Sequence[str], timeout_ms: int = DEFAULT_TIMEOUT_MS):
         process = subprocess.Popen(
             list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
-        return cls._open(_pipe_channel(process), timeout_ms)
-
-    @classmethod
-    def _open(cls, channel: _Channel, timeout_ms: int) -> "ScorerClient":
-        # A client that never finished its handshake is never returned, so
-        # its transport (socket or child process) is released here.
-        try:
-            client = cls(channel, timeout_ms)
-            client.handshake()
-        except BaseException:
-            channel.close()
-            raise
-        return client
+        return cls(_pipe_channel(process), timeout_ms)
 
     @property
     def late_frames(self) -> int:
         """Responses that arrived after their request timed out, and were dropped."""
         return self._late_frames
 
-    def handshake(self) -> int:
+    def _handshake(self) -> int:
         """Consume the server hello; returns the advertised vocab size."""
         line = self._channel.recv_line(time.monotonic() + self._timeout)
         frame = self._parse_line(line)
@@ -275,7 +270,6 @@ class ScorerClient:
         vocab_size = frame.get("vocab_size")
         if type(vocab_size) is not int or vocab_size < 1:
             raise HandshakeError(f"hello carries invalid vocab_size: {vocab_size!r}")
-        self.vocab_size = vocab_size
         return vocab_size
 
     def submit(self, tokens: Sequence[int]) -> int:
@@ -284,8 +278,6 @@ class ScorerClient:
         The server checks the ids against its vocabulary; a sequence other
         than a :class:`TokenPrefix` is first checked to hold integers.
         """
-        if self.vocab_size is None:
-            raise ProtocolError("cannot submit a request before the handshake")
         prefix = tokens if isinstance(tokens, TokenPrefix) else _token_ids(tokens)
         with self._cond:
             request_id = self._next_id
@@ -514,28 +506,14 @@ def _hello_frame(scorer: Scorer) -> dict:
     return {"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": scorer.vocab.size}
 
 
-def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int) -> None:
+def _serve_channel(scorer: Scorer, channel: _Channel) -> None:
+    """Send the hello, then answer each frame as it arrives until the
+    client closes the stream."""
     channel.send(_encode_frame(_hello_frame(scorer)))
     session = StubSession(scorer)
-    pending: list[bytes] = []
-
-    def flush():
-        # Reversed delivery exercises the client's out-of-order matching.
-        for response in reversed(pending):
-            channel.send(response)
-        pending.clear()
-
     while True:
         try:
-            if pending:
-                # A held batch must not outlive a lull in requests, or the
-                # tail of a pipelined burst would never be answered.
-                line = channel.recv_line(time.monotonic() + 0.05)
-            else:
-                line = channel.recv_line(None)
-        except RemoteTimeoutError:
-            flush()
-            continue
+            line = channel.recv_line(None)
         except ProtocolError:
             break
         if not line.strip():
@@ -547,33 +525,18 @@ def _serve_channel(scorer: Scorer, channel: _Channel, reorder_window: int) -> No
             channel.send(_encode_frame(header))
             continue
         header, payload = session.step(frame)
-        response = _encode_frame(header) + payload
-        if reorder_window <= 1:
-            channel.send(response)
-        else:
-            pending.append(response)
-            if len(pending) >= reorder_window:
-                flush()
-    flush()
+        channel.send(_encode_frame(header) + payload)
 
 
 class StubServer:
     """TCP server exposing a local scorer over the wire protocol.
 
-    ``reorder_window > 1`` batches that many responses and delivers them in
-    reverse, for testing pipelined clients. ``stop`` closes the listener and
-    every open connection, and joins the threads serving them.
+    Each connection is answered in arrival order. ``stop`` closes the
+    listener and every open connection, and joins the threads serving them.
     """
 
-    def __init__(
-        self,
-        scorer: Scorer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        reorder_window: int = 1,
-    ):
+    def __init__(self, scorer: Scorer, host: str = "127.0.0.1", port: int = 0):
         self.scorer = scorer
-        self.reorder_window = reorder_window
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -612,7 +575,7 @@ class StubServer:
     def _serve_one(self, conn: socket.socket) -> None:
         channel = _socket_channel(conn)
         try:
-            _serve_channel(self.scorer, channel, self.reorder_window)
+            _serve_channel(self.scorer, channel)
         except OSError:
             pass  # stop() shut the connection down, or the peer reset it, mid-send
         finally:
@@ -651,7 +614,7 @@ def serve_stdio(scorer: Scorer) -> None:
         stdout.flush()
 
     channel = _Channel(send, lambda timeout: stdin.read1(65536), lambda: None, "stdin closed")
-    _serve_channel(scorer, channel, reorder_window=1)
+    _serve_channel(scorer, channel)
 
 
 def parse_endpoint(spec: str):

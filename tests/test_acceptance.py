@@ -378,7 +378,7 @@ def test_criterion_6_desk_scale_transfer_is_directional(tmp_path):
     )
 
 
-def test_criterion_7_wire_protocol_is_transparent():
+def test_criterion_7_wire_protocol_is_transparent(reordering_server):
     corpus = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     vocab = build_vocab([["1", "2", "3"]])
     scorer = train_ngram(corpus, 2, vocab, smoothing_k=0.5)
@@ -388,15 +388,16 @@ def test_criterion_7_wire_protocol_is_transparent():
         for _ in range(1000)
     ]
     failures = []
-    with StubServer(scorer, reorder_window=5) as server:
-        with ScorerClient.connect_tcp(server.host, server.port, timeout_ms=30_000) as client:
-            # All 1000 requests go out pipelined before any response is
-            # read, so the server's reorder window shuffles delivery.
-            ids = [client.submit(prefix) for prefix in prefixes]
-            for index, (request_id, prefix) in enumerate(zip(ids, prefixes)):
-                remote = client.collect(request_id)
-                if remote.tobytes() != scorer.score(prefix).tobytes():
-                    failures.append(f"request {index}: remote logits differ from local")
+    host, port = reordering_server(scorer, window=5, count=len(prefixes))
+    with ScorerClient.connect_tcp(host, port, timeout_ms=30_000) as client:
+        # All 1000 requests go out pipelined before any response is read,
+        # and the server answers each batch of five in reverse.
+        ids = [client.submit(prefix) for prefix in prefixes]
+        for index, (request_id, prefix) in enumerate(zip(ids, prefixes)):
+            remote = client.collect(request_id)
+            if remote.tobytes() != scorer.score(prefix).tobytes():
+                failures.append(f"request {index}: remote logits differ from local")
+    with StubServer(scorer) as server:
         # Malformed frames must come back as error frames and never corrupt
         # later answers on the same connection.
         with socket.create_connection((server.host, server.port), timeout=10) as sock, \

@@ -357,6 +357,13 @@ class TestAnalyze:
             main(["analyze", "pcr", "--in", str(world / "campaign")])
         assert excinfo.value.code == 2
 
+    def test_tokens_unknown_arm_is_named(self, world, capsys):
+        code, _, stderr = run_cli(
+            capsys, "analyze", "tokens", "--in", str(world / "campaign"), "--arm", "nosuch",
+        )
+        assert code == 1
+        assert "ManifestError: no arm labeled 'nosuch'" in stderr
+
     def test_missing_campaign_fails(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys,

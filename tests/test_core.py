@@ -275,7 +275,7 @@ class TestNucleusFilter:
 
     def test_rejects_unnormalized_when_asked(self):
         with pytest.raises(InvalidDistributionError):
-            as_distribution([0.9, 0.3], require_normalized=True)
+            as_distribution([0.9, 0.3])
 
 
 class TestArgmaxToken:

@@ -6,8 +6,12 @@ sampled decodes are cheap. Byte-identity of artifacts is the load-bearing
 property here; run_log.json (wall clock) is the only file excluded.
 """
 
+import gc
 import json
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,8 @@ from deltadecode.harness import (
     sweep,
 )
 from deltadecode.metrics import load_records
-from deltadecode.scorers import load_corpus, save_scorer, train_ngram
+from deltadecode.remote import StubServer
+from deltadecode.scorers import load_corpus, load_scorer, save_scorer, save_vocab, train_ngram
 
 GREEDY = DecodeConfig(mode="greedy", max_tokens=4, seed=7)
 SAMPLED = DecodeConfig(mode="sample", temperature=1.0, top_p=0.95, max_tokens=6, seed=7)
@@ -254,12 +259,6 @@ class TestIngestDataset:
         )
         with pytest.raises(DatasetError, match="not unique"):
             ingest_dataset(path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        path.write_text('{"prompt": "q", "answer": "a"}\n')
-        with pytest.raises(DatasetError, match="format"):
-            ingest_dataset(path, fmt="csv")
 
 
 class TestTemplates:
@@ -658,6 +657,79 @@ class TestRunCampaign:
         )
         assert summary["arms"]["remote"]["degraded"] is True
         assert "needs a local vocab" in summary["arms"]["remote"]["error"]
+
+    def test_tcp_arm_closes_its_connections(self, world, tmp_path):
+        # An unclosed socket surfaces as an unraisable ResourceWarning when
+        # it is collected, which the suite's warning filters make an error.
+        scorer = load_scorer(world / "base.json")
+        save_vocab(scorer.vocab, tmp_path / "vocab.txt")
+        with StubServer(scorer) as server:
+            arms = (
+                ArmSpec(
+                    label="remote", base=f"tcp:{server.host}:{server.port}",
+                    vocab=str(tmp_path / "vocab.txt"), config=GREEDY,
+                ),
+                # Degraded after its base connected: the expert is missing.
+                ArmSpec(
+                    label="half", base=f"tcp:localhost:{server.port}",
+                    expert=str(world / "missing.json"), expert_base=str(world / "missing.json"),
+                    vocab=str(tmp_path / "vocab.txt"), config=GREEDY,
+                ),
+            )
+            summary = run_campaign(
+                make_manifest(world, arms=arms, samples_per_problem=1), tmp_path / "out"
+            )
+            gc.collect()
+        assert summary["arms"]["remote"]["accuracy"] == 0.5
+        assert summary["arms"]["half"]["degraded"] is True
+
+    def test_remote_vocab_mismatch_degrades_and_closes(self, world, tmp_path):
+        (tmp_path / "short.txt").write_text("1\n2\n", encoding="utf-8")
+        with StubServer(load_scorer(world / "base.json")) as server:
+            arms = (
+                ArmSpec(
+                    label="remote", base=f"tcp:{server.host}:{server.port}",
+                    vocab=str(tmp_path / "short.txt"), config=GREEDY,
+                ),
+            )
+            summary = run_campaign(
+                make_manifest(world, arms=arms, samples_per_problem=1), tmp_path / "out"
+            )
+            gc.collect()
+        assert "VocabularyMismatchError" in summary["arms"]["remote"]["error"]
+
+    def test_stdio_arm_reaps_its_server(self, world, tmp_path, monkeypatch):
+        started = []
+        real_popen = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            started.append(real_popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        save_vocab(load_scorer(world / "base.json").vocab, tmp_path / "vocab.txt")
+        command = shlex.join(
+            [sys.executable, "-m", "deltadecode.cli", "serve-stub",
+             "--model", str(world / "base.json"), "--stdio"]
+        )
+        arms = (
+            ArmSpec(
+                label="remote", base=f"stdio:{command}",
+                vocab=str(tmp_path / "vocab.txt"), config=GREEDY,
+            ),
+        )
+        try:
+            summary = run_campaign(
+                make_manifest(world, arms=arms, samples_per_problem=1), tmp_path / "out"
+            )
+            assert summary["arms"]["remote"]["accuracy"] == 0.5
+            assert len(started) == 1
+            assert started[0].poll() is not None
+        finally:
+            for process in started:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
 
     def test_problem_id_sanitizing_keeps_files_distinct(self, world, tmp_path):
         # "p/1" sanitizes to "p_1", colliding with the literal id "p_1";

@@ -130,15 +130,15 @@ class TestTcpTransport:
                     remote = client.score_tokens(prefix)
                     assert local.tobytes() == remote.tobytes()
 
-    def test_pipelined_out_of_order_delivery(self):
+    def test_pipelined_out_of_order_delivery(self, reordering_server):
         scorer = demo_scorer()
-        with StubServer(scorer, reorder_window=4) as server:
-            with ScorerClient.connect_tcp(server.host, server.port) as client:
-                prefixes = [[0], [1], [2], [0, 1], [1, 2], [2, 0], [0, 0], [1, 1]]
-                ids = [client.submit(p) for p in prefixes]
-                for request_id, prefix in zip(ids, prefixes):
-                    got = client.collect(request_id)
-                    assert got.tobytes() == scorer.score(prefix).tobytes()
+        prefixes = [[0], [1], [2], [0, 1], [1, 2], [2, 0], [0, 0], [1, 1], [2, 2]]
+        host, port = reordering_server(scorer, window=4, count=len(prefixes))
+        with ScorerClient.connect_tcp(host, port) as client:
+            ids = [client.submit(p) for p in prefixes]
+            for request_id, prefix in zip(ids, prefixes):
+                got = client.collect(request_id)
+                assert got.tobytes() == scorer.score(prefix).tobytes()
 
     def test_concurrent_callers_get_their_own(self):
         scorer = demo_scorer()
@@ -151,7 +151,7 @@ class TestTcpTransport:
                 if got.tobytes() != want:
                     failures.append(prefix)
 
-        with StubServer(scorer, reorder_window=3) as server:
+        with StubServer(scorer) as server:
             with ScorerClient.connect_tcp(server.host, server.port) as client:
                 threads = [
                     threading.Thread(target=worker, args=(client, [i % 3]))
@@ -294,9 +294,7 @@ def scripted_client(stream, cuts=(), timeout_ms=5000):
     chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
     sent = []
     channel = _Channel(sent.append, lambda timeout: chunks.pop(0) if chunks else b"", lambda: None, "stream ended")
-    client = ScorerClient(channel, timeout_ms)
-    client.handshake()
-    return client, sent
+    return ScorerClient(channel, timeout_ms), sent
 
 
 def answer(requests):
@@ -660,20 +658,20 @@ class TestEndpoints:
 
 
 class TestProtocolStress:
-    def test_thousand_pipelined_requests_bijective(self):
+    def test_thousand_pipelined_requests_bijective(self, reordering_server):
         scorer = demo_scorer()
         rng = np.random.default_rng(61)
         prefixes = [
             [int(t) for t in rng.integers(0, scorer.vocab.size, size=rng.integers(1, 5))]
             for _ in range(1000)
         ]
-        with StubServer(scorer, reorder_window=7) as server:
-            with ScorerClient.connect_tcp(server.host, server.port, timeout_ms=30_000) as client:
-                ids = [client.submit(p) for p in prefixes]
-                assert len(set(ids)) == 1000
-                for request_id, prefix in zip(ids, prefixes):
-                    got = client.collect(request_id)
-                    assert got.tobytes() == scorer.score(prefix).tobytes()
+        host, port = reordering_server(scorer, window=7, count=len(prefixes))
+        with ScorerClient.connect_tcp(host, port, timeout_ms=30_000) as client:
+            ids = [client.submit(p) for p in prefixes]
+            assert len(set(ids)) == 1000
+            for request_id, prefix in zip(ids, prefixes):
+                got = client.collect(request_id)
+                assert got.tobytes() == scorer.score(prefix).tobytes()
 
 
 def trigram_scorer():

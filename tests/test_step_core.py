@@ -242,6 +242,41 @@ class TestNucleusMatchesReference:
         assert dist.tobytes() == before
 
 
+class TestNucleusHeadGuards:
+    """Weights (as ``_weights`` returns them, with their sum) on which
+    dropping either guard of the head's candidate set changes the kept id.
+    Both cases tie two quotients across a candidate boundary, so the full
+    ranking puts the lower id first."""
+
+    @staticmethod
+    def assert_matches_reference(weights, top_p):
+        total = float(weights.sum())
+        got = _nucleus(weights, total, top_p)[0]
+        assert got.tobytes() == ref_nucleus(weights / total, top_p).tobytes()
+
+    def test_margin_admits_an_id_at_the_threshold(self):
+        # All three quotients are fl(1/3), which is also the threshold, but
+        # id 0 sits one ulp under fl(threshold * total) == 1.0: only the
+        # (1 - 1e-9) margin makes it a candidate, and it ranks first.
+        weights = np.array([1.0 - 2.0**-53, 1.0, 1.0])
+        assert len(set((weights / weights.sum()).tolist())) == 1
+        self.assert_matches_reference(weights, 1e-20)
+
+    def test_quotient_filter_drops_margin_candidates(self):
+        # Ids 1 and 2 are adjacent doubles whose quotients tie just under
+        # the threshold; only id 2 clears the margin. Rounding leaves ids
+        # 3-5 short of top_p, so an unfiltered head would end at id 2,
+        # where the full ranking has id 1.
+        weights = np.array([
+            1.864091613934923e-16, 1.8640916150822953e-16, 1.8640916150822956e-16,
+            1.0, 0.7240254178024375, 0.96241372186611,
+            1.8640916142485574e-16, 1.8640916135681762e-16,
+        ])
+        quotients = weights / weights.sum()
+        assert quotients[1] == quotients[2]
+        self.assert_matches_reference(weights, 0.9999999999999994)
+
+
 @st.composite
 def logit_rows(draw, max_size=4000):
     """Peaked, flat or tied logit rows of 1 to ``max_size`` entries."""
