@@ -449,3 +449,62 @@ def _sample(dist: np.ndarray, kept: np.ndarray, rng: np.random.Generator) -> int
         # below 1); fall back to the highest-id token with support.
         return int(kept[np.flatnonzero(values)[-1]])
     return int(kept[idx])
+
+
+# The batched steps: the private steps above over an (S, V) block with one
+# row per trajectory, for ``decoder._decode_lockstep``. Each row gets the
+# bits the 1-D step gives it: max, exp and division are elementwise, and a
+# sum or cumsum along axis 1 of a C-contiguous block reduces each row as
+# the 1-D call reduces the row alone.
+
+
+def _weights_rows(
+    logits: np.ndarray, temperature: float, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`_weights`: the rows' ``exp`` written into ``out``, and their sums."""
+    if temperature == 1.0:
+        np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    else:
+        np.divide(logits, temperature, out=out)
+        out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    totals = out.sum(axis=1)
+    if not np.isfinite(totals).all():
+        raise InvalidDistributionError(
+            f"softmax at temperature {temperature} overflowed to non-finite values"
+        )
+    return out, totals
+
+
+def _nucleus_rows(weights: np.ndarray, totals: np.ndarray, top_p: float) -> np.ndarray:
+    """Row-wise :func:`_nucleus`, by its full-ranking path for every row.
+
+    The head path gives the same bits as the full ranking, so one path
+    serves the block. Every row stays length V, as ``_nucleus``'s
+    normaliser does.
+    """
+    probs = weights / totals[:, None]
+    if top_p == 1.0:
+        return probs
+    rows, size = probs.shape
+    # Flat positions of each row's ids in rank order.
+    ranks = np.argsort(-probs, axis=1, kind="stable")
+    ranks += np.arange(0, rows * size, size)[:, None]
+    ranked = probs.take(ranks)
+    # On a non-decreasing row this count is searchsorted(side="left").
+    cut = (ranked.cumsum(axis=1) < top_p).sum(axis=1)
+    ranked[np.arange(size) > cut[:, None]] = 0.0
+    out = np.empty_like(probs)
+    out.put(ranks, ranked)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def _sample_rows(dist: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Row-wise :func:`_sample` over whole rows, one draw from each row's generator."""
+    draws = np.array([rng.random() for rng in rngs])
+    # The count of cumulative values <= u is searchsorted(side="right").
+    tokens = (dist.cumsum(axis=1) <= draws[:, None]).sum(axis=1)
+    for row in np.flatnonzero(tokens == dist.shape[1]):
+        tokens[row] = np.flatnonzero(dist[row])[-1]
+    return tokens

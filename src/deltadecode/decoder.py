@@ -24,9 +24,12 @@ from .core import (
     _combine,
     _greedy,
     _nucleus,
+    _nucleus_rows,
     _sample,
+    _sample_rows,
     _softmax,
     _weights,
+    _weights_rows,
     as_logits,
 )
 
@@ -190,21 +193,47 @@ def _bad_logits(scorer: Scorer, role: str, step: int, exc: Exception) -> DecodeE
     return DecodeError(f"scorer {_label(scorer, role)!r} returned bad logits at step {step}: {exc}")
 
 
-def _checked_combine(scorers, rows, step: int, scale: float, out: np.ndarray) -> np.ndarray:
-    """The combined row of base, expert and expert_base, written into ``out``.
+def _checked_rows(
+    scorer: Scorer, role: str, prefixes, step: int, size: int, finite: bool
+) -> np.ndarray:
+    """:func:`_checked_score` over a block: the scorer's rows for
+    ``prefixes`` as one (len(prefixes), size) array."""
+    try:
+        raw = scorer._score_rows(prefixes)
+    except Exception as exc:
+        raise DecodeError(f"scorer {_label(scorer, role)!r} failed at step {step}: {exc}") from exc
+    block = np.asarray(raw, dtype=np.float64)
+    if block.shape != (len(prefixes), size):
+        exc = VocabularyMismatchError(
+            f"expected {len(prefixes)} rows of {size} logits, got shape {block.shape}"
+        )
+        raise _bad_logits(scorer, role, step, exc)
+    if finite:
+        _check_finite(scorer, role, step, block)
+    return block
 
-    Only the combined row is checked for finite values: with ``scale > 0``,
-    any NaN or +-inf in the three rows makes it non-finite. When it is, the
-    first non-finite row is named, else the combine itself overflowed.
+
+def _check_finite(scorer: Scorer, role: str, step: int, rows: np.ndarray) -> None:
+    """Raise :func:`_bad_logits` naming ``role`` if ``rows`` hold a NaN or +-inf."""
+    if not np.isfinite(rows).all():
+        exc = InvalidLogitsError("logits contain non-finite values")
+        raise _bad_logits(scorer, role, step, exc) from exc
+
+
+def _checked_combine(scorers, rows, step: int, scale: float, out: np.ndarray) -> np.ndarray:
+    """The combined row (or block of rows) of base, expert and expert_base,
+    written into ``out``.
+
+    Only the combined rows are checked for finite values: with ``scale >
+    0``, any NaN or +-inf in the three inputs makes them non-finite. When
+    they are, the first non-finite input is named, else the combine itself
+    overflowed.
     """
     try:
         return _combine(*rows, scale, out)
     except InvalidLogitsError:
         for scorer, role, row in zip(scorers, ("base", "expert", "expert_base"), rows):
-            try:
-                as_logits(row)
-            except InvalidLogitsError as exc:
-                raise _bad_logits(scorer, role, step, exc) from exc
+            _check_finite(scorer, role, step, row)
         raise
 
 
@@ -225,27 +254,8 @@ def decode(
     records the per-step divergence between the unfiltered base
     distribution and the final (post-nucleus) distribution.
     """
-    if (expert is None) != (expert_base is None):
-        raise InvalidConfigError("expert and expert_base must be supplied together")
-    flags = set(instrument)
-    unknown = flags - set(INSTRUMENT_FLAGS)
-    if unknown:
-        raise InvalidConfigError(f"unknown instrument flags: {sorted(unknown)}")
+    context, want_kl = _prepared(base, expert, expert_base, prompt, instrument)
     size = base.vocab.size
-    if expert is not None:
-        if expert.vocab.size != size or expert_base.vocab.size != size:
-            raise VocabularyMismatchError(
-                f"scorer vocab sizes disagree: base={size}, "
-                f"expert={expert.vocab.size}, expert_base={expert_base.vocab.size}"
-            )
-    try:
-        context = TokenPrefix(size, prompt)
-    except VocabularyMismatchError as exc:
-        raise DecodeError(f"prompt {exc}") from None
-    if not context:
-        raise EmptyInputError("prompt must contain at least one token")
-
-    want_kl = "kl" in flags
     rng = np.random.default_rng(config.seed) if config.mode == "sample" else None
     eos = base.vocab.eos
     # With delta_scale > 0 only the combined row is checked for finite
@@ -295,16 +305,147 @@ def decode(
             stop_reason = "eos"
             break
 
-    label_map = {"base": base.name}
-    if expert is not None:
-        label_map.update(expert=expert.name, expert_base=expert_base.name)
     return Trajectory(
         prompt_tokens=tuple(context[: len(context) - len(steps)]),
         generated=tuple(steps),
         stop_reason=stop_reason,
         config_snapshot=config,
-        scorer_labels=tuple(sorted(label_map.items())),
+        scorer_labels=_scorer_labels(base, expert, expert_base),
     )
+
+
+def _prepared(base, expert, expert_base, prompt, instrument) -> tuple[TokenPrefix, bool]:
+    """Check a decode's scorers, instrument flags and prompt; returns the
+    prompt as a prefix of the base vocabulary and whether kl is recorded."""
+    if (expert is None) != (expert_base is None):
+        raise InvalidConfigError("expert and expert_base must be supplied together")
+    flags = set(instrument)
+    unknown = flags - set(INSTRUMENT_FLAGS)
+    if unknown:
+        raise InvalidConfigError(f"unknown instrument flags: {sorted(unknown)}")
+    size = base.vocab.size
+    if expert is not None:
+        if expert.vocab.size != size or expert_base.vocab.size != size:
+            raise VocabularyMismatchError(
+                f"scorer vocab sizes disagree: base={size}, "
+                f"expert={expert.vocab.size}, expert_base={expert_base.vocab.size}"
+            )
+    try:
+        context = TokenPrefix(size, prompt)
+    except VocabularyMismatchError as exc:
+        raise DecodeError(f"prompt {exc}") from None
+    if not context:
+        raise EmptyInputError("prompt must contain at least one token")
+    return context, "kl" in flags
+
+
+def _scorer_labels(base, expert, expert_base) -> tuple[tuple[str, str], ...]:
+    label_map = {"base": base.name}
+    if expert is not None:
+        label_map.update(expert=expert.name, expert_base=expert_base.name)
+    return tuple(sorted(label_map.items()))
+
+
+def _decode_lockstep(
+    base: Scorer,
+    expert: Scorer | None = None,
+    expert_base: Scorer | None = None,
+    *,
+    prompt: Sequence[int],
+    config: DecodeConfig,
+    seeds: Sequence[int],
+    instrument: Sequence[str] = (),
+):
+    """:func:`decode` of one prompt once per seed, with the rows stepped together.
+
+    Yields ``(row, trajectory)`` as each row stops, where ``trajectory``
+    is bit for bit ``decode(..., config=config.replace(seed=seeds[row]))``.
+    Each step scores the active rows as one block through each scorer's
+    ``_score_rows`` and runs the batched step core over it; each row keeps
+    its own generator and prefix, and leaves the block at eos. The checks
+    are ``decode``'s, over blocks: a failure raises the same
+    :class:`DecodeError`, naming the role and step, after every row that
+    stopped earlier has been yielded.
+    """
+    context, want_kl = _prepared(base, expert, expert_base, prompt, instrument)
+    size = base.vocab.size
+    eos = base.vocab.eos
+    guided = expert is not None and config.delta_scale > 0
+    finite = not guided
+    scorers = (base, expert, expert_base)
+    labels = _scorer_labels(base, expert, expert_base)
+    prompt_tokens = tuple(context)
+    configs = [config.replace(seed=seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds] if config.mode == "sample" else None
+    contexts = [context.head(len(context)) for _ in seeds]
+    steps: list[list[StepRecord]] = [[] for _ in seeds]
+    # Active rows are the leading rows of the buffer, so each slice of it
+    # stays C-contiguous.
+    work = np.empty((len(seeds), size))
+
+    def finished(row: int, stop_reason: str) -> tuple[int, Trajectory]:
+        return row, Trajectory(
+            prompt_tokens=prompt_tokens,
+            generated=tuple(steps[row]),
+            stop_reason=stop_reason,
+            config_snapshot=configs[row],
+            scorer_labels=labels,
+        )
+
+    active = list(range(len(seeds)))
+    for step in range(config.max_tokens):
+        if not active:
+            return
+        prefixes = [contexts[row] for row in active]
+        out = work[: len(active)]
+        logits = base_logits = _checked_rows(base, "base", prefixes, step, size, finite)
+        if expert is not None:
+            rows = (
+                base_logits,
+                _checked_rows(expert, "expert", prefixes, step, size, finite),
+                _checked_rows(expert_base, "expert_base", prefixes, step, size, finite),
+            )
+            if guided:
+                logits = _checked_combine(scorers, rows, step, config.delta_scale, out)
+        weights, totals = _weights_rows(logits, config.temperature, out)
+        dist = _nucleus_rows(weights, totals, config.top_p)
+        if rngs is None:
+            tokens = dist.argmax(axis=1)
+        else:
+            tokens = _sample_rows(dist, [rngs[row] for row in active])
+        logprobs = np.log(dist[np.arange(len(active)), tokens])
+        kls = _kl_rows(base_logits, dist, config.temperature) if want_kl else [None] * len(active)
+
+        still = []
+        for row, token, logprob, kl in zip(active, tokens.tolist(), logprobs.tolist(), kls):
+            steps[row].append(StepRecord(token=token, chosen_logprob=logprob, kl_base_vs_combined=kl))
+            contexts[row].append(token)
+            if token == eos:
+                yield finished(row, "eos")
+            else:
+                still.append(row)
+        active = still
+    for row in active:
+        yield finished(row, "max_tokens")
+
+
+def _kl_rows(base_logits: np.ndarray, dist: np.ndarray, temperature: float) -> list[float]:
+    """Per row, :func:`kl_divergence` of the base softmax and ``dist``.
+
+    A row whose base softmax is positive everywhere sums its V terms in
+    the block. A row with an exact zero takes ``kl_divergence`` itself:
+    a pairwise sum over the masked entries groups them differently from
+    a sum over all V with zeros in their place.
+    """
+    weights, totals = _weights_rows(base_logits, temperature, np.empty(base_logits.shape))
+    probs = weights / totals[:, None]
+    full = (probs > 0).all(axis=1)
+    p, q = (probs, dist) if full.all() else (probs[full], dist[full])
+    sums = iter((p * (np.log(p) - np.log(np.maximum(q, KL_FLOOR)))).sum(axis=1).tolist())
+    return [
+        max(next(sums), 0.0) if whole else kl_divergence(probs[row], dist[row])
+        for row, whole in enumerate(full.tolist())
+    ]
 
 
 def replay_against(trajectory: Trajectory, probe: Scorer) -> list[tuple[int, int]]:

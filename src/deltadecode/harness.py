@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DecodeConfig, InvalidConfigError, check_fields
-from .decoder import INSTRUMENT_FLAGS, Trajectory, decode
+from .decoder import INSTRUMENT_FLAGS, Trajectory, _decode_lockstep, decode
 from .metrics import EvalRecord, extract_answer, pass_at_k_exact, save_records
 from .remote import RemoteScorer, connect_endpoint
 from .scorers import Scorer, encode_text, load_scorer, load_vocab, render_tokens
@@ -44,6 +44,20 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
+
+# A problem's missing samples are decoded in lockstep, as one (S x V) block
+# per step, when at least two are missing and the vocabulary has at most
+# this many ids; otherwise each is one ``decode`` call. Lockstep time over
+# per-cell time, measured on a shared 2-vCPU x86_64 VM pinned to one core
+# with a trigram base and bigram pair trained on random text (guided, kl
+# on, 16 tokens per row; add-0.5 rows are near flat, add-1e-6 rows peaked):
+# at V=16, 0.57x for one row, 0.94x for two, 1.44x for three and 3.7x for
+# twenty; at twenty rows, 2.5-3.0x at V=256, 1.2-1.8x at V=1024, 0.97-1.34x
+# at V=2048 and 0.90x at V=4096; at four rows, 1.0-1.4x at V=1024 and
+# 0.87-1.09x at V=2048. The block sorts every id of every row, while
+# ``decode`` sorts only the nucleus candidates. 512 is half the lowest
+# measured crossover.
+_LOCKSTEP_MAX_VOCAB = 512
 
 
 class ManifestError(ValueError):
@@ -358,9 +372,14 @@ class _ArmRuntime:
 
 
 def _load_arm_scorer(spec: str, arm: ArmSpec, cache: dict) -> Scorer:
-    if spec in cache:
-        return cache[spec]
-    if spec.startswith(("tcp:", "stdio:")):
+    remote = spec.startswith(("tcp:", "stdio:"))
+    # A remote scorer is built from the endpoint and the arm's vocab file
+    # and tokenizer, so an arm naming the endpoint with another vocab gets
+    # its own connection and its own vocabulary-size check.
+    key = (spec, arm.vocab, arm.tokenizer) if remote else spec
+    if key in cache:
+        return cache[key]
+    if remote:
         if arm.vocab is None:
             raise ManifestError(
                 f"arm {arm.label!r}: remote scorer {spec!r} needs a local vocab file"
@@ -374,7 +393,7 @@ def _load_arm_scorer(spec: str, arm: ArmSpec, cache: dict) -> Scorer:
             raise
     else:
         scorer = load_scorer(spec)
-    cache[spec] = scorer
+    cache[key] = scorer
     return scorer
 
 
@@ -483,36 +502,24 @@ def _run_arm(
     for problem in problems:
         filename = _problem_filename(problem["problem_id"], taken)
         path = arm_dir / "problems" / f"{filename}.jsonl"
-        existing = _read_existing_lines(path, samples, arm.config)
+        lines = _read_existing_lines(path, samples, arm.config)
+        missing = [i for i in range(samples) if i not in lines]
         prompt = runtime.encode_prompt(problem["input"])
-        lines = []
+        seeds = [derive_seed(arm.config.seed, problem["problem_id"], i) for i in missing]
         try:
-            for sample_index in range(samples):
-                line = existing.get(sample_index)
-                if line is None:
-                    seed = derive_seed(arm.config.seed, problem["problem_id"], sample_index)
-                    trajectory = decode(
-                        runtime.base,
-                        runtime.expert,
-                        runtime.expert_base,
-                        prompt=prompt,
-                        config=arm.config.replace(seed=seed),
-                        instrument=arm.instrument,
-                    )
-                    text = runtime.render(trajectory.tokens)
-                    answer = extract_answer(text, manifest.answer_style)
-                    line = _trajectory_line(sample_index, trajectory, answer)
-                lines.append(line)
+            for index, trajectory in _decoded_cells(runtime, prompt, missing, seeds):
+                answer = extract_answer(runtime.render(trajectory.tokens), manifest.answer_style)
+                lines[index] = _trajectory_line(index, trajectory, answer)
         except Exception:
             # Keep whatever finished so a later rerun only fills the gaps.
             if lines:
-                _write_atomic(path, "".join(line + "\n" for line in lines))
+                _write_atomic(path, "".join(lines[i] + "\n" for i in sorted(lines)))
             raise
-        content = "".join(line + "\n" for line in lines)
+        content = "".join(lines[i] + "\n" for i in range(samples))
         if not path.is_file() or path.read_text(encoding="utf-8") != content:
             _write_atomic(path, content)
         predictions = tuple(
-            json.loads(line).get("extracted_answer") or "" for line in lines
+            json.loads(lines[i]).get("extracted_answer") or "" for i in range(samples)
         )
         records.append(
             EvalRecord(
@@ -522,6 +529,21 @@ def _run_arm(
             )
         )
     return records
+
+
+def _decoded_cells(runtime: _ArmRuntime, prompt: list[int], indexes: list[int], seeds: list[int]):
+    """``(sample index, trajectory)`` for each missing sample, as each finishes."""
+    config, instrument = runtime.arm.config, runtime.arm.instrument
+    scorers = (runtime.base, runtime.expert, runtime.expert_base)
+    if len(indexes) > 1 and runtime.base.vocab.size <= _LOCKSTEP_MAX_VOCAB:
+        rows = _decode_lockstep(
+            *scorers, prompt=prompt, config=config, seeds=seeds, instrument=instrument
+        )
+        return ((indexes[row], trajectory) for row, trajectory in rows)
+    return (
+        (i, decode(*scorers, prompt=prompt, config=config.replace(seed=s), instrument=instrument))
+        for i, s in zip(indexes, seeds)
+    )
 
 
 def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:

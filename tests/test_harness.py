@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deltadecode import harness
 from deltadecode.core import DecodeConfig, InvalidConfigError
+from deltadecode.decoder import decode
 from deltadecode.harness import (
     ArmSpec,
     DatasetError,
@@ -35,7 +37,15 @@ from deltadecode.harness import (
 )
 from deltadecode.metrics import load_records
 from deltadecode.remote import StubServer
-from deltadecode.scorers import load_corpus, load_scorer, save_scorer, save_vocab, train_ngram
+from deltadecode.scorers import (
+    Scorer,
+    encode_text,
+    load_corpus,
+    load_scorer,
+    save_scorer,
+    save_vocab,
+    train_ngram,
+)
 
 GREEDY = DecodeConfig(mode="greedy", max_tokens=4, seed=7)
 SAMPLED = DecodeConfig(mode="sample", temperature=1.0, top_p=0.95, max_tokens=6, seed=7)
@@ -698,6 +708,30 @@ class TestRunCampaign:
             gc.collect()
         assert "VocabularyMismatchError" in summary["arms"]["remote"]["error"]
 
+    def test_arms_sharing_an_endpoint_keep_their_vocab_check(self, world, tmp_path):
+        # Arm b names the endpoint arm a connected with a 4-id vocab file:
+        # it gets its own connection and fails its size check, and arm a's
+        # connection, which b must not reuse, is closed at the end too.
+        scorer = load_scorer(world / "base.json")
+        save_vocab(scorer.vocab, tmp_path / "vocab.txt")
+        (tmp_path / "short.txt").write_text("1\n2\n", encoding="utf-8")
+        with StubServer(scorer) as server:
+            endpoint = f"tcp:{server.host}:{server.port}"
+            arms = (
+                ArmSpec(label="a", base=endpoint, vocab=str(tmp_path / "vocab.txt"), config=GREEDY),
+                ArmSpec(label="b", base=endpoint, vocab=str(tmp_path / "short.txt"), config=GREEDY),
+            )
+            summary = run_campaign(
+                make_manifest(world, arms=arms, samples_per_problem=1), tmp_path / "out"
+            )
+            gc.collect()
+        assert summary["arms"]["a"]["degraded"] is False
+        assert summary["arms"]["a"]["accuracy"] == 0.5
+        assert summary["arms"]["b"]["degraded"] is True
+        assert summary["arms"]["b"]["error"] == (
+            "VocabularyMismatchError: server vocab size 5 != local vocabulary size 4"
+        )
+
     def test_stdio_arm_reaps_its_server(self, world, tmp_path, monkeypatch):
         started = []
         real_popen = subprocess.Popen
@@ -753,6 +787,162 @@ class TestRunCampaign:
         assert re.fullmatch(r"p_1-[0-9a-f]{8}\.jsonl", names[0])
         records = load_records(out / "arms/base/records.jsonl")
         assert [r.problem_id for r in records] == ["p/1", "p_1"]
+
+
+def guided_arm(world, label="guided", **changes):
+    fields = dict(
+        base=str(world / "base.json"),
+        expert=str(world / "expert.json"),
+        expert_base=str(world / "expert_base.json"),
+        config=SAMPLED,
+        instrument=("kl",),
+    )
+    return ArmSpec(label=label, **{**fields, **changes})
+
+
+def problem_lines(out, arm):
+    return {
+        path.name: path.read_text().splitlines()
+        for path in sorted((out / "arms" / arm / "problems").glob("*.jsonl"))
+    }
+
+
+class FailingScorer(Scorer):
+    """Delegates to ``inner`` and raises on its ``fail_at``-th ``score``
+    call; the default ``_score_rows`` loops ``score``, so the failure lands
+    partway through a block."""
+
+    kind = "failing"
+
+    def __init__(self, inner, fail_at):
+        super().__init__(inner.vocab, inner.name)
+        self.inner, self.calls, self.fail_at = inner, 0, fail_at
+
+    def score(self, prefix):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("scorer lost")
+        return self.inner.score(prefix)
+
+
+class TestLockstepCampaign:
+    """A problem's missing samples decode in lockstep at this V=5 vocabulary;
+    every line must be the line a per-cell ``decode`` of its cell gives."""
+
+    SAMPLES = 8
+
+    def manifest(self, world, *arms):
+        return make_manifest(world, arms=arms or (guided_arm(world),), samples_per_problem=self.SAMPLES)
+
+    def test_every_line_is_its_cell_decode(self, world, tmp_path):
+        out = tmp_path / "out"
+        manifest = self.manifest(world)
+        run_campaign(manifest, out)
+        arm = manifest.arms[0]
+        scorers = [load_scorer(getattr(arm, role)) for role in ("base", "expert", "expert_base")]
+        problems = ingest_dataset(manifest.dataset)
+        files = problem_lines(out, "guided")
+        assert sorted(files) == ["0.jsonl", "1.jsonl"]
+        for problem in problems:
+            lines = files[f"{problem['problem_id']}.jsonl"]
+            assert len(lines) == self.SAMPLES
+            prompt = encode_text(problem["input"], scorers[0].vocab)
+            for index, line in enumerate(lines):
+                seed = derive_seed(arm.config.seed, problem["problem_id"], index)
+                trajectory = decode(
+                    *scorers, prompt=prompt, config=arm.config.replace(seed=seed), instrument=("kl",)
+                )
+                row = json.loads(line)
+                assert row.pop("sample_index") == index
+                row.pop("extracted_answer")
+                assert row == trajectory.to_dict()
+
+    def test_lockstep_and_per_cell_trees_agree(self, world, tmp_path, monkeypatch):
+        manifest = self.manifest(world)
+        run_campaign(manifest, tmp_path / "lockstep")
+        calls = []
+        monkeypatch.setattr(harness, "_LOCKSTEP_MAX_VOCAB", 4)
+        monkeypatch.setattr(harness, "decode", lambda *a, **k: calls.append(1) or decode(*a, **k))
+        run_campaign(manifest, tmp_path / "per-cell")
+        assert len(calls) == 2 * self.SAMPLES
+        assert walk_bytes(tmp_path / "lockstep") == walk_bytes(tmp_path / "per-cell")
+
+    def test_resume_decodes_only_the_scattered_gaps(self, world, tmp_path, monkeypatch):
+        manifest = self.manifest(world)
+        run_campaign(manifest, tmp_path / "fresh")
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        victim = out / "arms/guided/problems/1.jsonl"
+        dropped = [1, 4, 5, 7]
+        victim.write_text(
+            "".join(
+                line + "\n"
+                for line in victim.read_text().splitlines()
+                if json.loads(line)["sample_index"] not in dropped
+            )
+        )
+        seeds = []
+        lockstep = harness._decode_lockstep
+
+        def spy(*args, **kwargs):
+            seeds.append(list(kwargs["seeds"]))
+            return lockstep(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_decode_lockstep", spy)
+        run_campaign(manifest, out)
+        assert seeds == [[derive_seed(SAMPLED.seed, "1", i) for i in dropped]]
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+
+    def test_remote_rows_share_one_session(self, world, tmp_path, monkeypatch):
+        server_scorer = load_scorer(world / "base.json")
+        save_vocab(server_scorer.vocab, tmp_path / "vocab.txt")
+        scored = []
+        score = server_scorer.score
+        server_scorer.score = lambda prefix: scored.append(tuple(prefix)) or score(prefix)
+        connects = []
+        connect = harness.connect_endpoint
+        monkeypatch.setattr(harness, "connect_endpoint", lambda spec: connects.append(spec) or connect(spec))
+        with StubServer(server_scorer) as server:
+            remote = guided_arm(
+                world, "remote", base=f"tcp:{server.host}:{server.port}", vocab=str(tmp_path / "vocab.txt")
+            )
+            summary = run_campaign(self.manifest(world, guided_arm(world), remote), tmp_path / "out")
+            gc.collect()
+        assert summary["arms"]["remote"]["degraded"] is False
+        assert len(connects) == 1
+        # Step 0 of problem 0 scores every row's prompt before any row's
+        # next prefix: the rows take turns on the one session.
+        prompt = tuple(encode_text("1 2", server_scorer.vocab))
+        assert scored[: self.SAMPLES] == [prompt] * self.SAMPLES
+        assert problem_lines(tmp_path / "out", "remote") == problem_lines(tmp_path / "out", "guided")
+
+    def test_failure_keeps_finished_lines_and_reruns_to_the_healthy_tree(
+        self, world, tmp_path, monkeypatch
+    ):
+        manifest = self.manifest(world)
+        healthy = tmp_path / "healthy"
+        run_campaign(manifest, healthy)
+        healthy_lines = problem_lines(healthy, "guided")
+        # Problem 0's eight rows take expert calls 1-8 at step 0, and the
+        # rows still going take the next ones; call 20 falls inside a later
+        # step's block, after some rows have stopped.
+        load = harness.load_scorer
+        monkeypatch.setattr(
+            harness,
+            "load_scorer",
+            lambda path: FailingScorer(load(path), 20) if path.endswith("/expert.json") else load(path),
+        )
+        out = tmp_path / "out"
+        summary = run_campaign(manifest, out)
+        monkeypatch.undo()
+        assert summary["arms"]["guided"]["degraded"] is True
+        error = summary["arms"]["guided"]["error"]
+        assert re.fullmatch(r"DecodeError: scorer 'expert \(ngram\)' failed at step \d+: scorer lost", error)
+        left = problem_lines(out, "guided")
+        assert list(left) == ["0.jsonl"] and 0 < len(left["0.jsonl"]) < self.SAMPLES
+        assert set(left["0.jsonl"]) <= set(healthy_lines["0.jsonl"])
+        run_campaign(manifest, out)
+        assert walk_bytes(out) == walk_bytes(healthy)
 
 
 class TestLoadCampaignTrajectories:

@@ -428,17 +428,21 @@ def ngram_cases(draw):
 
 
 class TestNGramScoreBitwise:
-    """``score`` returns the dense formula's bytes, in a fresh array each call."""
+    """``score`` returns the dense formula's bytes, in a fresh array each
+    call, and ``_score_rows`` returns them as the rows of one block."""
 
     def _check(self, vocab, order, k, counts, prefixes):
         model = NGramModel(vocab, order, counts, smoothing_k=k)
-        for prefix in prefixes:
+        wanted = [dense_reference(counts, order, k, vocab, prefix) for prefix in prefixes]
+        for prefix, want in zip(prefixes, wanted):
             out = model.score(prefix)
-            want = dense_reference(counts, order, k, vocab, prefix)
             assert out.dtype == np.float64 and out.base is None
             assert out.tobytes() == want.tobytes()
             out[:] = 7.0
             assert model.score(prefix).tobytes() == want.tobytes()
+        block = model._score_rows(prefixes)
+        assert block.dtype == np.float64 and block.shape == (len(prefixes), vocab.size)
+        assert block.tobytes() == np.stack(wanted).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(ngram_cases())

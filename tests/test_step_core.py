@@ -22,7 +22,9 @@ from deltadecode.core import (
     InvalidLogitsError,
     _greedy,
     _nucleus,
+    _nucleus_rows,
     _sample,
+    _sample_rows,
     _softmax,
     _weights,
     nucleus_filter,
@@ -648,3 +650,226 @@ class TestReadOnlyRows:
         assert [(s.token, float_bits(s.chosen_logprob)) for s in t.generated] == [
             (r[0], float_bits(r[1])) for r in expected
         ]
+
+
+# -- lockstep: one prompt, many seeds, stepped as one block ----------------
+
+
+class TestBatchedStepsMatchOneRow:
+    """A one-row block through ``_nucleus_rows`` and ``_sample_rows`` gives
+    the bytes and ids ``_nucleus`` and ``_sample`` give the row, at every
+    boundary: a cumsum equal to top_p, a draw equal to a cumsum, and a
+    draw past a cumsum that rounds short of 1."""
+
+    # The cumsum of the first ``kept`` ranked ids is exactly top_p.
+    BOUNDARIES = [
+        (np.array([0.5, 0.25, 0.25]), 0.5, 1),
+        (np.array([0.25, 0.25, 0.5]), 0.75, 2),
+    ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=cases)
+    @with_examples()
+    def test_nucleus(self, case):
+        dist, top_p = case
+        got = _nucleus_rows(dist[None, :], np.ones(1), top_p)
+        assert got[0].tobytes() == _nucleus(dist, 1.0, top_p)[0].tobytes()
+
+    @pytest.mark.parametrize("dist, top_p, kept", BOUNDARIES)
+    def test_nucleus_at_top_p(self, dist, top_p, kept):
+        got = _nucleus_rows(dist[None, :], np.ones(1), top_p)[0]
+        assert got.tobytes() == _nucleus(dist, 1.0, top_p)[0].tobytes()
+        assert np.count_nonzero(got) == kept
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=cases, u=st.floats(min_value=0.0, max_value=JUST_BELOW_ONE))
+    @with_examples(u=JUST_BELOW_ONE)
+    def test_sample(self, case, u):
+        dist, top_p = case
+        out, kept = _nucleus(dist, 1.0, top_p)
+        assert _sample_rows(out[None, :], [FixedDraw(u)])[0] == _sample(out, kept, FixedDraw(u))
+
+    @pytest.mark.parametrize(
+        "dist, u, token",
+        [
+            # u equal to a cumulative value passes it (searchsorted right).
+            (np.array([0.25, 0.25, 0.5]), 0.25, 1),
+            (np.array([0.25, 0.25, 0.5]), 0.5, 2),
+            # Past a cumsum short of 1: the highest supported id, not the last id.
+            (np.array([0.5, 0.5 - 1e-9, 0.0]), JUST_BELOW_ONE, 1),
+        ],
+    )
+    def test_sample_at_a_cumulative_value(self, dist, u, token):
+        kept = np.arange(dist.size)
+        assert _sample(dist, kept, FixedDraw(u)) == token
+        assert _sample_rows(dist[None, :], [FixedDraw(u)])[0] == token
+
+
+@st.composite
+def lockstep_setups(draw):
+    """Bigram scorers over a small vocabulary whose rows have ties, one-hot
+    peaks, random values, or random values with exact zeros in their
+    softmax; a config, seeds for up to a dozen rows, and kl on or off."""
+    vocab = build_vocab([[f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=30)))]])
+    n = vocab.size
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def matrix():
+        shape = draw(st.sampled_from(["normal", "tied", "one-hot", "zeros"]))
+        if shape == "normal":
+            return rng.normal(size=(n, n)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+        if shape == "zeros":  # exact zeros among the softmax entries
+            m = rng.normal(size=(n, n))
+            m[rng.random(size=(n, n)) < 0.5] = -800.0
+            return m
+        if shape == "tied":
+            return rng.integers(-3, 2, size=(n, n)).astype(np.float64)
+        m = np.zeros((n, n))
+        m[np.arange(n), rng.integers(0, n, size=n)] = draw(st.sampled_from([1.0, 30.0, 800.0]))
+        return m
+
+    base, expert, expert_base = (BigramMatrixScorer(vocab, matrix(), name=r) for r in "abc")
+    guided = draw(st.booleans())
+    config = DecodeConfig(
+        delta_scale=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        temperature=draw(st.sampled_from([1.0, 0.7, 1.3])),
+        top_p=draw(top_ps),
+        max_tokens=draw(st.integers(min_value=1, max_value=12)),
+        mode=draw(st.sampled_from(["greedy", "sample"])),
+    )
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=12))
+    instrument = draw(st.sampled_from([(), ("kl",)]))
+    scorers = (base, expert, expert_base) if guided else (base, None, None)
+    return scorers, [int(rng.integers(0, n))], config, seeds, instrument
+
+
+def step_bits(trajectory):
+    return trajectory.stop_reason, [
+        (s.token, float_bits(s.chosen_logprob), float_bits(s.kl_base_vs_combined))
+        for s in trajectory.generated
+    ]
+
+
+def assert_lockstep_matches_decode(scorers, prompt, config, seeds, instrument):
+    rows = list(
+        decoder._decode_lockstep(
+            *scorers, prompt=prompt, config=config, seeds=seeds, instrument=instrument
+        )
+    )
+    assert sorted(row for row, _ in rows) == list(range(len(seeds)))
+    for row, trajectory in rows:
+        expected = decode(
+            *scorers, prompt=prompt, config=config.replace(seed=seeds[row]), instrument=instrument
+        )
+        assert step_bits(trajectory) == step_bits(expected)
+        assert trajectory == expected
+
+
+class TestLockstepMatchesDecode:
+    """``_decode_lockstep`` gives each seed's row the bytes ``decode`` gives
+    that seed: tokens, logprob and kl bits, and the stop reason."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(setup=lockstep_setups())
+    def test_each_row_is_its_decode(self, setup):
+        assert_lockstep_matches_decode(*setup)
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_kl_with_exact_zeros_in_the_base_softmax(self, mode):
+        # Every odd id's base logit is 800 below the rest, so its softmax
+        # entry is an exact 0 and kl sums only the even ids' terms; summing
+        # all V terms with zeros in between groups them differently, and
+        # changes the bits at this size.
+        vocab = build_vocab([[f"t{i}" for i in range(38)]])
+        n = vocab.size
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(n, n))
+        m[:, 1::2] = -800.0
+        base = BigramMatrixScorer(vocab, m, name="a")
+        assert (_softmax(base.score([0]), 1.0)[1::2] == 0).all()
+        pair = [BigramMatrixScorer(vocab, rng.normal(size=(n, n)), name=r) for r in "bc"]
+        config = DecodeConfig(top_p=0.9, max_tokens=10, mode=mode)
+        for scorers in ((base, None, None), (base, *pair)):
+            assert_lockstep_matches_decode(scorers, [0], config, list(range(9)), ("kl",))
+
+    def test_rows_leave_the_block_at_eos(self):
+        vocab = build_vocab([["a", "b"]])
+        m = np.zeros((vocab.size, vocab.size))
+        m[:, vocab.eos] = 0.5  # every step may stop, so rows stop apart
+        scorer = BigramMatrixScorer(vocab, m)
+        config = DecodeConfig(top_p=1.0, max_tokens=20)
+        rows = list(decoder._decode_lockstep(scorer, prompt=[0], config=config, seeds=range(12)))
+        lengths = [len(t.generated) for _, t in rows]
+        assert lengths == sorted(lengths) and len(set(lengths)) > 2
+        assert_lockstep_matches_decode((scorer, None, None), [0], config, list(range(12)), ())
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+class TestLockstepChecks:
+    """A block is checked as ``decode`` checks each row, with its messages."""
+
+    @staticmethod
+    def assert_same_error(scorers, config, error=DecodeError):
+        with pytest.raises(error) as expected:
+            decode(*scorers, prompt=[1], config=config)
+        with pytest.raises(error) as got:
+            list(decoder._decode_lockstep(*scorers, prompt=[1], config=config, seeds=[5, 6, 7]))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "bad", [{"base": math.nan}, {"expert": math.inf}, {"expert_base": -math.inf},
+                {"expert": math.inf, "expert_base": math.inf}, {"base": math.inf, "expert_base": math.nan}],
+    )
+    @pytest.mark.parametrize("delta_scale", [0.0, 1.0, 2.0])
+    def test_bad_row_named_by_role_and_step(self, bad, delta_scale):
+        config = DecodeConfig(delta_scale=delta_scale, max_tokens=6, top_p=0.9)
+        self.assert_same_error(row_scorers(bad), config)
+
+    def test_base_only_block_is_checked(self):
+        config = DecodeConfig(max_tokens=6)
+        self.assert_same_error(row_scorers({"base": -math.inf})[:1], config)
+
+    @pytest.mark.parametrize(
+        "big", [{"expert": 1.7e308, "expert_base": -1.7e308}, {"base": 1.7e308, "expert": 1.7e308}]
+    )
+    def test_finite_rows_that_overflow(self, big):
+        config = DecodeConfig(delta_scale=1.0, max_tokens=6)
+        self.assert_same_error(row_scorers(big), config, InvalidLogitsError)
+
+    def test_softmax_overflow(self):
+        config = DecodeConfig(temperature=1e-310, max_tokens=3)
+        self.assert_same_error(row_scorers(), config, InvalidDistributionError)
+
+    def test_scorer_exception_named(self):
+        class Failing(RowScorer):
+            def score(self, prefix):
+                if len(prefix) > 3:
+                    raise RuntimeError("lost the model")
+                return super().score(prefix)
+
+        scorers = row_scorers()
+        failing = Failing(scorers[1].vocab, scorers[1].matrix, name="expert")
+        config = DecodeConfig(max_tokens=6)
+        self.assert_same_error([scorers[0], failing, scorers[2]], config)
+
+    def test_wrong_block_shape_named(self):
+        class Short(RowScorer):
+            def _score_rows(self, prefixes):
+                return super()._score_rows(prefixes)[:, 1:]
+
+        scorers = row_scorers()
+        short = Short(scorers[0].vocab, scorers[0].matrix, name="base")
+        message = "scorer 'base' returned bad logits at step 0: expected 3 rows of 14 logits"
+        with pytest.raises(DecodeError, match=re.escape(message)):
+            list(decoder._decode_lockstep(short, prompt=[1], config=DecodeConfig(), seeds=[1, 2, 3]))
+
+    def test_rows_unchanged(self):
+        scorers = row_scorers()
+        before = [s.matrix.tobytes() for s in scorers]
+        config = DecodeConfig(max_tokens=30, top_p=0.9)
+        for used in (scorers, scorers[:1]):
+            rows = list(decoder._decode_lockstep(*used, prompt=[1], config=config, seeds=range(4), instrument=("kl",)))
+            assert len(rows) == 4
+        assert [s.matrix.tobytes() for s in scorers] == before
