@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import EmptyInputError, TokenPrefix, Vocabulary, VocabularyMismatchError, as_logits
-from .decoder import InsufficientTrajectoryError, Trajectory, replay_against
+from .decoder import InsufficientTrajectoryError, Trajectory, _check_replayable, _replay
 from .scorers import Scorer
 
 __all__ = [
@@ -55,19 +55,22 @@ def pcr(trajectories: Sequence[Trajectory], probe: Scorer) -> PcrReport:
 
     For each trajectory with generated tokens t_1..t_n, the probe greedily
     re-predicts t_2..t_n from the true prefixes; the trajectory's value is
-    matches / (n - 1). Any trajectory with fewer than two generated tokens
-    is an error naming its index.
+    matches / (n - 1). Any trajectory with fewer than two generated tokens,
+    or with an id outside the probe's vocabulary, is an error naming its
+    index. All trajectories are replayed in one batched call
+    (:func:`~deltadecode.decoder._replay`).
     """
     if len(trajectories) == 0:
         raise EmptyInputError("pcr needs at least one trajectory")
-    values = []
     for index, trajectory in enumerate(trajectories):
         try:
-            pairs = replay_against(trajectory, probe)
+            _check_replayable(trajectory)
         except InsufficientTrajectoryError as exc:
             raise InsufficientTrajectoryError(f"trajectory {index}: {exc}") from exc
-        matches = sum(1 for predicted, actual in pairs if predicted == actual)
-        values.append(matches / len(pairs))
+    values = [
+        sum(predicted == actual for predicted, actual in pairs) / len(pairs)
+        for pairs in _replay(trajectories, probe, numbered=True)
+    ]
     return PcrReport(
         per_trajectory=tuple(values),
         mean=float(np.mean(values)),

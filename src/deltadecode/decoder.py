@@ -457,17 +457,54 @@ def replay_against(trajectory: Trajectory, probe: Scorer) -> list[tuple[int, int
     :class:`VocabularyMismatchError` naming its position in prompt plus
     generated tokens.
     """
-    generated = trajectory.tokens
-    n = len(generated)
+    _check_replayable(trajectory)
+    return _replay([trajectory], probe)[0]
+
+
+def _check_replayable(trajectory: Trajectory) -> None:
+    n = len(trajectory.generated)
     if n < 2:
         raise InsufficientTrajectoryError(
             f"replay needs at least 2 generated tokens, trajectory has {n}"
         )
+
+
+# Heads per Scorer._greedy_rows call, so a replay's batches do not grow
+# with the number of trajectories.
+_REPLAY_BATCH = 1024
+
+
+def _replay(
+    trajectories: Sequence[Trajectory], probe: Scorer, *, numbered: bool = False
+) -> list[list[tuple[int, int]]]:
+    """:func:`replay_against` of each trajectory, as one batched replay.
+
+    Every teacher-forced prefix is known up front, so the probe is asked
+    for the greedy ids of all of them through ``_greedy_rows``, in batches
+    of ``_REPLAY_BATCH`` heads that may span trajectories. Each
+    trajectory's ids are checked once; an id outside the probe's
+    vocabulary raises :class:`VocabularyMismatchError` naming its
+    position, prefixed with ``trajectory {index}: `` when ``numbered``.
+    """
     size = probe.vocab.size
-    context = TokenPrefix(size, trajectory.prompt_tokens + generated[:1])
-    pairs: list[tuple[int, int]] = []
-    for token in generated[1:]:
-        predicted = int(np.argmax(as_logits(probe.score(context), size)))
-        context.append(token)
-        pairs.append((predicted, token))
-    return pairs
+    predicted: list[int] = []
+    heads: list[tuple[TokenPrefix, int]] = []
+    for index, trajectory in enumerate(trajectories):
+        prompt, generated = trajectory.prompt_tokens, trajectory.tokens
+        try:
+            context = TokenPrefix(size, prompt + generated)
+        except VocabularyMismatchError as exc:
+            if numbered:
+                raise VocabularyMismatchError(f"trajectory {index}: {exc}") from None
+            raise
+        heads.extend((context, n) for n in range(len(prompt) + 1, len(context)))
+        while len(heads) >= _REPLAY_BATCH:
+            predicted += probe._greedy_rows(heads[:_REPLAY_BATCH])
+            del heads[:_REPLAY_BATCH]
+    predicted += probe._greedy_rows(heads)
+    out, taken = [], 0
+    for trajectory in trajectories:
+        actual = trajectory.tokens[1:]
+        out.append(list(zip(predicted[taken : taken + len(actual)], actual)))
+        taken += len(actual)
+    return out

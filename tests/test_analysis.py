@@ -11,7 +11,7 @@ from deltadecode.analysis import (
     pcr,
     token_frequency,
 )
-from deltadecode.core import DecodeConfig, EmptyInputError
+from deltadecode.core import DecodeConfig, EmptyInputError, VocabularyMismatchError
 from deltadecode.decoder import InsufficientTrajectoryError, Trajectory, decode
 from deltadecode.scorers import BigramMatrixScorer, ConstantScorer, build_vocab
 
@@ -68,6 +68,15 @@ class TestPcr:
         probe = ConstantScorer(vocab, np.zeros(vocab.size))
         with pytest.raises(InsufficientTrajectoryError, match="trajectory 1"):
             pcr([make_trajectory((1, 0)), make_trajectory((1,))], probe)
+
+    def test_out_of_vocabulary_id_names_index(self):
+        vocab = build_vocab([["a", "b"]])
+        probe = ConstantScorer(vocab, np.zeros(vocab.size))
+        with pytest.raises(
+            VocabularyMismatchError,
+            match=r"^trajectory 1: position 2: token id 9 outside vocabulary of size 4$",
+        ):
+            pcr([make_trajectory((1, 0)), make_trajectory((1, 9))], probe)
 
     def test_empty_list_rejected(self):
         vocab = build_vocab([["a"]])

@@ -426,5 +426,7 @@ class TestReplayAgainst:
             prompt_tokens=(0,), tokens=(1, 57), stop_reason="max_tokens",
             config_snapshot=DecodeConfig(), scorer_labels=(("base", "x"),),
         )
-        with pytest.raises(VocabularyMismatchError):
+        with pytest.raises(
+            VocabularyMismatchError, match=r"^position 2: token id 57 outside vocabulary of size 3$"
+        ):
             replay_against(t, probe)
