@@ -488,6 +488,7 @@ def _replay(
     """
     size = probe.vocab.size
     predicted: list[int] = []
+    actuals: list[tuple[int, ...]] = []
     heads: list[tuple[TokenPrefix, int]] = []
     for index, trajectory in enumerate(trajectories):
         prompt, generated = trajectory.prompt_tokens, trajectory.tokens
@@ -497,14 +498,14 @@ def _replay(
             if numbered:
                 raise VocabularyMismatchError(f"trajectory {index}: {exc}") from None
             raise
+        actuals.append(generated[1:])
         heads.extend((context, n) for n in range(len(prompt) + 1, len(context)))
         while len(heads) >= _REPLAY_BATCH:
             predicted += probe._greedy_rows(heads[:_REPLAY_BATCH])
             del heads[:_REPLAY_BATCH]
     predicted += probe._greedy_rows(heads)
     out, taken = [], 0
-    for trajectory in trajectories:
-        actual = trajectory.tokens[1:]
+    for actual in actuals:
         out.append(list(zip(predicted[taken : taken + len(actual)], actual)))
         taken += len(actual)
     return out

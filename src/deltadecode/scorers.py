@@ -55,10 +55,6 @@ EOS_TOKEN = "<eos>"
 
 TOKENIZERS = ("whitespace", "byte")
 
-# Counted entries NGramModel._greedy_rows gathers at once (a few MB of
-# temporaries), so a batch of dense rows does not grow its arrays with V.
-_GREEDY_GATHER = 1 << 16
-
 
 class CorpusIngestionError(ValueError):
     """A corpus or prompt contains a token outside the vocabulary."""
@@ -293,58 +289,32 @@ class NGramModel(Scorer):
 
         A row's counted ids hold its counted logits and every other id holds
         its fill, so the row's largest logit is the larger of its largest
-        counted logit and (when some id is uncounted) its fill. A context
-        that counts nothing has the fill everywhere and answers id 0. The
-        heads are read in blocks of at most ``_GREEDY_GATHER`` counted
-        entries (or one row, if longer), which bounds the gathered arrays
-        when rows are dense.
+        counted logit and (when some id is uncounted) its fill. Each head
+        reads only its row's counted entries; a context that counts nothing
+        has the fill everywhere and answers id 0.
         """
         need = self.order - 1
         pad = (self.vocab.pad,) * need
         get, unseen, bounds = self._rows.get, self._unseen, self._bounds
-        rows = [
-            get(tuple(prefix[n - need : n]) if n >= need else pad[n:] + tuple(prefix[:n]), unseen)
-            for prefix, n in heads
-        ]
-        starts = np.array([bounds[i] for i in rows], dtype=np.int64)
-        lengths = np.array([bounds[i + 1] for i in rows], dtype=np.int64) - starts
-        fill = self._fill[rows]
-        ends = lengths.cumsum()
-        out = np.zeros(len(rows), dtype=np.int64)
-        lo = 0
-        while lo < len(rows):
-            limit = ends[lo] - lengths[lo] + _GREEDY_GATHER
-            hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
-            out[lo:hi] = self._greedy_block(starts[lo:hi], lengths[lo:hi], fill[lo:hi])
-            lo = hi
-        return out.tolist()
-
-    def _greedy_block(self, starts, lengths, fill) -> np.ndarray:
-        """:meth:`_greedy_rows` of the rows whose counted entries start at
-        ``starts``, with ``lengths`` entries each and fill logits ``fill``."""
-        size = self.vocab.size
-        out = np.zeros(len(starts), dtype=np.int64)
-        counted = np.flatnonzero(lengths)
-        if not counted.size:
-            return out
-        lengths = lengths[counted]
-        ends = lengths.cumsum()
-        offsets = ends - lengths
-        # Entry j of counted row r is flat entry starts[r] + j.
-        flat = np.arange(ends[-1]) + (starts[counted] - offsets).repeat(lengths)
-        values, ids = self._logits[flat], self._ids[flat]
-        top = np.maximum.reduceat(values, offsets)
-        first = np.minimum.reduceat(np.where(values == top.repeat(lengths), ids, size), offsets)
-        fill = fill[counted]
-        # Rare: the fill reaches the counted maximum (a zero count, or
-        # smoothing that swamps the counts), so an uncounted id may hold it.
-        for r in np.flatnonzero((fill >= top) & (lengths < size)).tolist():
-            row = ids[offsets[r] : ends[r]]
-            seen = np.zeros(lengths[r] + 1, dtype=bool)
-            seen[row[row <= lengths[r]]] = True
-            uncounted = int(seen.argmin())  # the lowest id the row does not count
-            first[r] = uncounted if fill[r] > top[r] else min(uncounted, first[r])
-        out[counted] = first
+        logits, ids, fill, size = self._logits, self._ids, self._fill, self.vocab.size
+        out = []
+        for prefix, n in heads:
+            i = get(tuple(prefix[n - need : n]) if n >= need else pad[n:] + tuple(prefix[:n]), unseen)
+            start, stop = bounds[i], bounds[i + 1]
+            if start == stop:
+                out.append(0)
+                continue
+            values, row = logits[start:stop], ids[start:stop]
+            top = values.max()
+            first = int(row[values == top].min())
+            # Rare: the fill reaches the counted maximum (a zero count, or
+            # smoothing that swamps the counts), so an uncounted id may hold it.
+            if fill[i] >= top and stop - start < size:
+                seen = np.zeros(stop - start + 1, dtype=bool)
+                seen[row[row <= stop - start]] = True
+                uncounted = int(seen.argmin())  # the lowest id the row does not count
+                first = uncounted if fill[i] > top else min(uncounted, first)
+            out.append(first)
         return out
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltadecode import decoder, scorers
+from deltadecode import decoder
 from deltadecode.analysis import PcrReport, pcr
 from deltadecode.core import (
     DecodeConfig,
@@ -112,12 +112,11 @@ def ngram_probes(draw, max_size=64):
 
 
 @settings(max_examples=300, deadline=None)
-@given(probe=ngram_probes(), gather=st.sampled_from([1, 3, 1 << 16]))
-def test_ngram_greedy_rows_equal_dense_argmax(probe, gather):
+@given(probe=ngram_probes())
+def test_ngram_greedy_rows_equal_dense_argmax(probe):
     model, prefixes = probe
     heads = all_heads(prefixes)
-    with patch.object(scorers, "_GREEDY_GATHER", gather):
-        got = model._greedy_rows(heads)
+    got = model._greedy_rows(heads)
     assert got == dense_greedy(model, heads)
     assert all(type(token) is int for token in got)
 
@@ -144,35 +143,6 @@ def test_ngram_fill_reaching_the_counted_maximum():
     model = NGramModel(word_vocab(5), 1, {(): {0: 1, 2: 3, 1: 0}})
     model._fill[0] = model._logits.max()
     assert model._greedy_rows(heads) == dense_greedy(model, heads) == [2]
-
-
-def test_ngram_greedy_gathers_bounded_blocks_of_dense_rows(monkeypatch):
-    size, limit = 16, 40
-    rng = np.random.default_rng(7)
-    counts = {(c,): {t: int(rng.integers(0, 4)) for t in range(size)} for c in range(size)}
-    model = NGramModel(word_vocab(size), 2, counts)
-    blocks = []
-    block = NGramModel._greedy_block
-
-    def recording(self, starts, lengths, fill):
-        blocks.append((len(starts), int(lengths.sum())))
-        return block(self, starts, lengths, fill)
-
-    monkeypatch.setattr(NGramModel, "_greedy_block", recording)
-    monkeypatch.setattr(scorers, "_GREEDY_GATHER", limit)
-    prefix = TokenPrefix(size, rng.integers(0, size, 50).tolist())
-    heads = [(prefix, n) for n in range(1, 51)]
-    assert model._greedy_rows(heads) == dense_greedy(model, heads)
-    assert sum(n for n, _ in blocks) == 50
-    assert all(gathered <= limit for _, gathered in blocks)
-    assert len(blocks) == 25  # two 16-id rows per block of at most 40
-
-
-def test_ngram_row_longer_than_the_bound_is_one_block(monkeypatch):
-    model = NGramModel(word_vocab(8), 1, {(): {t: t % 3 for t in range(8)}})
-    monkeypatch.setattr(scorers, "_GREEDY_GATHER", 3)
-    heads = [(TokenPrefix(8, [1, 2]), n) for n in range(3)]
-    assert model._greedy_rows(heads) == [2, 2, 2]
 
 
 small_sizes = st.integers(min_value=2, max_value=8)
