@@ -1,12 +1,16 @@
 """Numerical primitives for delta-guided decoding.
 
 Everything downstream (scorers, decoder, harness) is built on four pure
-operations over dense float64 vectors: logit combination, temperature
-softmax, nucleus filtering, and categorical sampling. The public ones
-either return a fresh array or raise; none mutate their inputs. Each
-public function checks its arguments and then runs a private step that
-checks nothing; ``decode`` calls the private steps on rows it validated
-once, writing the combine and softmax into one buffer it reuses.
+operations over float64 vectors: logit combination, temperature softmax,
+nucleus filtering, and categorical sampling. The public ones take dense
+rows and either return a fresh array or raise; none mutate their inputs.
+Each public function checks its arguments and then runs a private step
+that checks nothing; ``decode`` calls the private steps on rows it
+validated once, writing the combine and softmax into one buffer it
+reuses. The combine and the softmax's exp are elementwise, so a guided
+``decode`` over sparse rows runs them on one lane per distinct value
+rather than on every id; the sum and the nucleus always read a dense
+row.
 """
 
 from __future__ import annotations
@@ -359,20 +363,36 @@ def _weights(logits: np.ndarray, temperature: float, out: np.ndarray) -> tuple[n
     The sum is at least 1: the max entry adds exp(0). ``out`` may be
     ``logits`` itself.
     """
+    _shifted_exp(logits, temperature, out)
+    return out, _total(out, temperature)
+
+
+def _shifted_exp(logits: np.ndarray, temperature: float, out: np.ndarray) -> np.ndarray:
+    """The unnormalised weights of :func:`_weights`, written into ``out``.
+
+    Every step is elementwise apart from the max, so a lane's bits depend
+    only on its own value and the max: ``decoder`` runs this on one lane
+    per distinct value of a row rather than on the whole row.
+    """
     if temperature == 1.0:  # x / 1.0 == x
         np.subtract(logits, logits.max(), out=out)
     else:
         np.divide(logits, temperature, out=out)
         out -= out.max()
     np.exp(out, out=out)
-    total = float(out.sum())
+    return out
+
+
+def _total(weights: np.ndarray, temperature: float) -> float:
+    """The sum of a full row of :func:`_shifted_exp` weights, checked finite."""
+    total = float(weights.sum())
     # Finite logits over a tiny temperature can overflow to +-inf, and
     # inf - inf is NaN; the normaliser is the one place that shows it.
     if not math.isfinite(total):
         raise InvalidDistributionError(
             f"softmax at temperature {temperature} overflowed to non-finite values"
         )
-    return out, total
+    return total
 
 
 def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:

@@ -535,7 +535,10 @@ def _decoded_cells(runtime: _ArmRuntime, prompt: list[int], indexes: list[int], 
     """``(sample index, trajectory)`` for each missing sample, as each finishes."""
     config, instrument = runtime.arm.config, runtime.arm.instrument
     scorers = (runtime.base, runtime.expert, runtime.expert_base)
-    if len(indexes) > 1 and runtime.base.vocab.size <= _LOCKSTEP_MAX_VOCAB:
+    # Lockstep rows would take turns on a remote scorer's one session, so
+    # each request would re-send its row's whole generated suffix.
+    remote = any(isinstance(scorer, RemoteScorer) for scorer in scorers)
+    if len(indexes) > 1 and runtime.base.vocab.size <= _LOCKSTEP_MAX_VOCAB and not remote:
         rows = _decode_lockstep(
             *scorers, prompt=prompt, config=config, seeds=seeds, instrument=instrument
         )

@@ -106,6 +106,17 @@ class Scorer(ABC):
         size = self.vocab.size
         return [int(np.argmax(as_logits(self.score(prefix.head(n)), size))) for prefix, n in heads]
 
+    def _sparse_row(self, prefix: Sequence[int]) -> tuple[float, np.ndarray, np.ndarray] | None:
+        """``score(prefix)`` as ``(fill, ids, values)``, or None.
+
+        ``ids`` are ascending and unique, ``values`` are the logits at
+        those ids, and every other id holds ``fill``: a row equal bit for
+        bit to ``score(prefix)``, for a scorer whose rows differ from a
+        constant at a few ids. The guided decoder then combines only the
+        ids some role counts. This default has no sparse form.
+        """
+        return None
+
     def _check_prefix(self, prefix: Sequence[int]) -> TokenPrefix:
         """``prefix`` with every id known to be in range for this vocabulary.
 
@@ -259,12 +270,16 @@ class NGramModel(Scorer):
         return tuple(ids)
 
     def score(self, prefix):
-        ctx = self.context_of(self._check_prefix(prefix))
-        i = self._rows.get(ctx, self._unseen)
-        start, stop = self._bounds[i], self._bounds[i + 1]
-        out = np.full(self.vocab.size, self._fill[i], dtype=np.float64)
-        out[self._ids[start:stop]] = self._logits[start:stop]
+        fill, ids, values = self._sparse_row(prefix)
+        out = np.full(self.vocab.size, fill, dtype=np.float64)
+        out[ids] = values
         return out
+
+    def _sparse_row(self, prefix):
+        """The context's table slice: its fill logit, counted ids and their logits."""
+        i = self._rows.get(self.context_of(self._check_prefix(prefix)), self._unseen)
+        start, stop = self._bounds[i], self._bounds[i + 1]
+        return self._fill[i], self._ids[start:stop], self._logits[start:stop]
 
     def _score_rows(self, prefixes):
         """:meth:`score` of each prefix: one dict lookup per row, one fill of
@@ -338,11 +353,12 @@ def _flat_counts(counts, width: int, size: int):
 
     Returns a dict from each context (a tuple of ints) to its row index,
     the number of counted ids per row, and the counted ids of every row
-    back to back with their counts, as int64 arrays. The types are checked
-    as one set over a flat list, since converting to int64 would accept
-    ``True``, ``1.5`` or ``"3"``; the ranges and repeats are checked on one
-    int64 conversion of every id and count. Only a failure walks the rows,
-    to name the context and token at fault.
+    back to back (ascending within a row) with their counts, as int64
+    arrays. The types are checked as one set over a flat list, since
+    converting to int64 would accept ``True``, ``1.5`` or ``"3"``; the
+    ranges and repeats are checked on one int64 conversion of every id
+    and count. Only a failure walks the rows, to name the context and
+    token at fault.
     """
     try:
         items = list(counts.items() if isinstance(counts, Mapping) else counts)
@@ -363,7 +379,8 @@ def _flat_counts(counts, width: int, size: int):
         ids, values = _int64(flat).reshape(-1, 2).T.copy()
         slots = np.arange(0, len(rows) * size, size, dtype=np.int64).repeat(lengths)
         slots += ids  # row * size + id
-        slots.sort()
+        order = slots.argsort()
+        slots = slots[order]
         # Seen as uint64 a negative id is at least 2**63, so one max checks
         # both ends; ``initial=0`` lets an empty array pass.
         ok = (
@@ -374,6 +391,7 @@ def _flat_counts(counts, width: int, size: int):
         )
     if not ok:
         raise InvalidConfigError(_first_bad_entry(keys, rows, width, size))
+    ids, values = ids[order], values[order]
     # Plain ints, in groups of ``width``.
     keys = list(zip(*[iter(map(int, context_ids))] * width)) if width else [()] * len(keys)
     index = dict(zip(keys, range(len(keys))))

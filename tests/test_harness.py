@@ -36,7 +36,7 @@ from deltadecode.harness import (
     sweep,
 )
 from deltadecode.metrics import load_records
-from deltadecode.remote import StubServer
+from deltadecode.remote import StubServer, StubSession
 from deltadecode.scorers import (
     Scorer,
     encode_text,
@@ -893,15 +893,27 @@ class TestLockstepCampaign:
         assert seeds == [[derive_seed(SAMPLED.seed, "1", i) for i in dropped]]
         assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
 
-    def test_remote_rows_share_one_session(self, world, tmp_path, monkeypatch):
-        server_scorer = load_scorer(world / "base.json")
-        save_vocab(server_scorer.vocab, tmp_path / "vocab.txt")
-        scored = []
-        score = server_scorer.score
-        server_scorer.score = lambda prefix: scored.append(tuple(prefix)) or score(prefix)
+    def test_remote_arm_decodes_per_cell_on_one_session(self, world, tmp_path, monkeypatch):
+        # Lockstep rows would take turns on the one session, so each request
+        # would re-send its row's generated suffix; per cell, each request
+        # after a cell's first sends the one id the last step added.
+        sent = []
+        step = StubSession.step
+        monkeypatch.setattr(
+            StubSession, "step", lambda self, frame: sent.append(len(frame["tokens"])) or step(self, frame)
+        )
+        lockstep_bases = []
+        lockstep = harness._decode_lockstep
+        monkeypatch.setattr(
+            harness,
+            "_decode_lockstep",
+            lambda base, *a, **k: lockstep_bases.append(base.kind) or lockstep(base, *a, **k),
+        )
         connects = []
         connect = harness.connect_endpoint
         monkeypatch.setattr(harness, "connect_endpoint", lambda spec: connects.append(spec) or connect(spec))
+        server_scorer = load_scorer(world / "base.json")
+        save_vocab(server_scorer.vocab, tmp_path / "vocab.txt")
         with StubServer(server_scorer) as server:
             remote = guided_arm(
                 world, "remote", base=f"tcp:{server.host}:{server.port}", vocab=str(tmp_path / "vocab.txt")
@@ -910,10 +922,12 @@ class TestLockstepCampaign:
             gc.collect()
         assert summary["arms"]["remote"]["degraded"] is False
         assert len(connects) == 1
-        # Step 0 of problem 0 scores every row's prompt before any row's
-        # next prefix: the rows take turns on the one session.
-        prompt = tuple(encode_text("1 2", server_scorer.vocab))
-        assert scored[: self.SAMPLES] == [prompt] * self.SAMPLES
+        assert lockstep_bases == ["ngram", "ngram"]  # the in-process arm's two problems
+        # Only a problem's first request sends more than one id: its
+        # two-id prompt. A later cell's first request shares the prompt
+        # with the cell before and sends none.
+        assert sorted(sent)[-3:] == [1, 2, 2]
+        assert sum(sent) <= len(sent)
         assert problem_lines(tmp_path / "out", "remote") == problem_lines(tmp_path / "out", "guided")
 
     def test_failure_keeps_finished_lines_and_reruns_to_the_healthy_tree(

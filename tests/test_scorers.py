@@ -429,7 +429,8 @@ def ngram_cases(draw):
 
 class TestNGramScoreBitwise:
     """``score`` returns the dense formula's bytes, in a fresh array each
-    call, and ``_score_rows`` returns them as the rows of one block."""
+    call, ``_sparse_row`` returns them as a fill and ascending unique ids,
+    and ``_score_rows`` returns them as the rows of one block."""
 
     def _check(self, vocab, order, k, counts, prefixes):
         model = NGramModel(vocab, order, counts, smoothing_k=k)
@@ -440,6 +441,11 @@ class TestNGramScoreBitwise:
             assert out.tobytes() == want.tobytes()
             out[:] = 7.0
             assert model.score(prefix).tobytes() == want.tobytes()
+            fill, ids, values = model._sparse_row(prefix)
+            assert ids.dtype.kind == "i" and (np.diff(ids) > 0).all()
+            row = np.full(vocab.size, fill)
+            row[ids] = values
+            assert row.tobytes() == want.tobytes()
         block = model._score_rows(prefixes)
         assert block.dtype == np.float64 and block.shape == (len(prefixes), vocab.size)
         assert block.tobytes() == np.stack(wanted).tobytes()
