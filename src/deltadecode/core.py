@@ -9,8 +9,9 @@ that checks nothing; ``decode`` calls the private steps on rows it
 validated once, writing the combine and softmax into one buffer it
 reuses. The combine and the softmax's exp are elementwise, so a guided
 ``decode`` over sparse rows runs them on one lane per distinct value
-rather than on every id; the sum and the nucleus always read a dense
-row.
+rather than on every id, and the nucleus finds its candidates on those
+lanes; the softmax's sum and the nucleus's normaliser still sum a dense
+V-length row, since a pairwise sum's bits depend on the row's length.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def nucleus_filter(probs, top_p: float) -> np.ndarray:
     if not 0 < top_p <= 1:
         raise InvalidConfigError(f"top_p must be in (0, 1], got {top_p}")
     arr = as_distribution(probs)
-    return _nucleus(arr, 1.0, top_p)[0]
+    return _nucleus(arr, 1.0, top_p, np.zeros(arr.size))[0]
 
 
 def argmax_token(scores) -> int:
@@ -401,25 +402,39 @@ def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     return probs
 
 
-def _nucleus(weights: np.ndarray, total: float, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+def _nucleus(
+    weights: np.ndarray, total: float, top_p: float, row: np.ndarray, lanes=None
+) -> tuple[np.ndarray, np.ndarray]:
     """The nucleus of ``weights / total`` and the ascending ids outside which it is zero.
 
     ``weights`` are unnormalised; ``total`` is their sum, at least 1 (or
     exactly 1 for a distribution). Only ids with mass >= ``(1 - top_p) / V``
     are in the head. The others hold less than ``1 - top_p`` together, so
     the head is a prefix of the full ranking and usually reaches ``top_p``
-    on its own: then only it is divided and sorted, and only the kept ids
-    are returned. Candidates for the head are read off the weights with a
-    margin, then filtered by the same quotient a full divide gives. When
-    every id is a candidate, or rounding keeps the head short of
-    ``top_p``, every id is divided, ranked and returned.
+    on its own: then only it is divided and ranked, its kept entries are
+    written into ``row``, a V-length row of zeros, and ``row`` is returned
+    with the kept ids; the caller zeroes ``row`` at those ids again before
+    it passes the row in once more. Candidates for the head are read off
+    the weights with a margin, then filtered by the same quotient a full
+    divide gives. ``lanes``, from a sparse step, is ``(ids, their weights,
+    fill)`` with every id outside the ascending ``ids`` holding weight
+    ``fill``: when the fill is under the margin, the candidates are read
+    off the lanes and V is never scanned. When every id is a candidate, or
+    rounding keeps the head short of ``top_p``, every id is divided and
+    ranked by value, and a fresh row is returned with every id.
     """
     size = weights.size
     if top_p == 1.0:
         return weights / total, np.arange(size)
     threshold = (1.0 - top_p) / size
-    head = np.flatnonzero(weights >= threshold * total * (1.0 - 1e-9))
-    if head.size < size:
+    floor = threshold * total * (1.0 - 1e-9)
+    if lanes is not None and lanes[2] < floor:
+        ids, lane_weights, _ = lanes
+        head = ids[lane_weights >= floor]
+    else:
+        candidates = weights >= floor
+        head = None if candidates.all() else np.flatnonzero(candidates)
+    if head is not None:
         probs = weights[head] / total
         rank = np.argsort(-probs, kind="stable")
         ranked = probs[rank]
@@ -435,20 +450,26 @@ def _nucleus(weights: np.ndarray, total: float, top_p: float) -> tuple[np.ndarra
             # The normaliser stays a sum over all V entries: a pairwise
             # sum's bits depend on the array's length, not only on its
             # non-zero values. Only the kept entries need dividing.
-            out = np.zeros(size)
-            out[kept] = values
-            out[kept] = values / out.sum()
-            return out, kept
+            row[kept] = values
+            row[kept] = values / row.sum()
+            return row, kept
     probs = weights / total
-    order = np.argsort(-probs, kind="stable")
-    # Rounding can leave the total just under top_p; then cut == V and the
-    # slice keeps every id.
-    cut = int(np.searchsorted(np.cumsum(probs[order]), top_p, side="left"))
-    kept = order[: cut + 1]
-    out = np.zeros(size)
-    out[kept] = probs[kept]
-    out /= out.sum()
-    return out, np.arange(size)
+    ascending = np.sort(probs)
+    # The stable ranking by descending probability (lowest id first on
+    # ties) holds these values in reverse order, since tied ids hold equal
+    # values, so its cumulative sums have the same bits. Rounding can leave
+    # the total just under top_p; then cut == V and every id is kept.
+    cut = int(np.searchsorted(np.cumsum(ascending[::-1]), top_p, side="left"))
+    if cut < size - 1:
+        # The ranking keeps every id above the edge value, then the lowest
+        # ids at it until rank cut; the ids at it ranked later are dropped.
+        edge = ascending[size - 1 - cut]
+        dropped_ties = size - 1 - cut - int(np.searchsorted(ascending, edge, side="left"))
+        if dropped_ties:
+            probs[np.flatnonzero(probs == edge)[-dropped_ties:]] = 0.0
+        probs[probs < edge] = 0.0
+    probs /= probs.sum()
+    return probs, np.arange(size)
 
 
 def _greedy(dist: np.ndarray, kept: np.ndarray) -> int:

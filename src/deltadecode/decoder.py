@@ -262,19 +262,21 @@ def _sparse_rows(scorers, prefix, step: int) -> list | None:
 # A guided step whose three rows all have sparse forms takes the sparse
 # step when the vocabulary has at least _SPARSE_MIN_VOCAB ids and at least
 # _SPARSE_VOCAB_PER_ID ids per id the rows count (repeats included).
-# Sparse time over dense time per step (scoring, combine and weights; the
-# nucleus is the same for both), measured on a shared 2-vCPU x86_64 VM
+# Sparse time over dense time per step (scoring, combine, weights, the
+# nucleus and the zero row's reset), measured on a shared 2-vCPU x86_64 VM
 # pinned to one core with three add-1e-6 unigram tables, k ids per role
-# (70% of them shared), scale 1 and temperature 1: the two cost the same
-# near 350 counted ids at V=4096, 760 at 8192, 1280 at 16384, 2800 at
-# 32768 and above 6100 at 65536, so about one counted id per 11-13 ids.
-# Below the crossover, at k=8, the sparse step took 0.72x the time at
-# V=4096 and 0.37x at 32768; at V=1024 and 2048 the two were within 15%
-# of each other at any count. Scale 2 and temperature 1.3 moved the
-# crossovers up by 0-40%. At 16 ids per counted id, the gated steps
-# measured 1.15x or better.
+# (70% of them shared), scale 1, temperature 1 and top_p 0.95, minimum of
+# 21 alternating rounds of 200 steps per side. At 16, 12, 9 and 7 ids per
+# counted id: V=4096 0.70-0.85, 0.88-0.93, 0.94, 1.00; V=8192 0.72-0.78,
+# 0.83-0.88, 0.88, 0.97; V=32768 0.60-0.64, 0.73-0.74, 0.92, 1.17. So
+# the two cost the same near one counted id per 7-8 ids, where they did
+# near one per 11-13 while the nucleus scanned V on both paths; at 12 ids
+# per counted id the gated steps measured 1.07x or better. Below the
+# crossover, at k=8, the sparse step took 0.77x the time at V=4096 and
+# 0.34x at 32768; at V=1024 and 2048 the two were within 15% of each
+# other at any count (measured before the nucleus read the lanes).
 _SPARSE_MIN_VOCAB = 4096
-_SPARSE_VOCAB_PER_ID = 16
+_SPARSE_VOCAB_PER_ID = 12
 
 
 def _sparse_pays(size: int, counted: int) -> bool:
@@ -285,30 +287,35 @@ def _sparse_pays(size: int, counted: int) -> bool:
 
 def _sparse_weights(scorers, rows, step: int, scale: float, temperature: float, out: np.ndarray):
     """:func:`_checked_combine` then :func:`_weights` of three sparse rows,
-    written into ``out`` as one fill and one scatter.
+    written into ``out`` as one fill and one scatter, and the lanes
+    :func:`_nucleus` reads its candidates from.
 
     Every step before the sum is elementwise but the max, so each id
     gets the bits the dense step gives it from one lane per id some role
     counts (the union U) plus one fill lane for the ids none counts. The
     fill lane takes part only when some id is uncounted, as in the dense
     row; then each lane row holds a role's fill exactly when its dense
-    row does, so the finite check names the role the dense one names.
+    row does, so the finite check names the role the dense one names. The
+    lanes are None when U is every id.
     """
     # Each row's ids are ascending, and a stable sort merges such runs.
     counted = np.sort(np.concatenate([ids for _, ids, _ in rows]), kind="stable")
-    union = counted[np.diff(counted, prepend=-1) != 0]  # ids are >= 0
+    first = np.ones(counted.size, dtype=bool)
+    np.not_equal(counted[1:], counted[:-1], out=first[1:])
+    union = counted[first]
     n = union.size
     width = n + (n < out.size)
-    lanes = np.empty((3, width))
-    for lane, (fill, ids, values) in zip(lanes, rows):
+    block = np.empty((3, width))
+    for lane, (fill, ids, values) in zip(block, rows):
         lane.fill(fill)
         lane[union.searchsorted(ids)] = values
-    weights = _checked_combine(scorers, lanes, step, scale, np.empty(width))
+    weights = _checked_combine(scorers, block, step, scale, np.empty(width))
     _shifted_exp(weights, temperature, weights)
     if width > n:
         out.fill(weights[n])
     out[union] = weights[:n]
-    return out, _total(out, temperature)
+    lanes = (union, weights[:n], weights[n]) if width > n else None
+    return out, _total(out, temperature), lanes
 
 
 def decode(
@@ -340,8 +347,10 @@ def decode(
     # The kl instrument needs the dense base row.
     sparse_ok = guided and not want_kl and _sparse_pays(size, 0)
     # The combine, the temperature divide and exp run in place in this one
-    # buffer; no scorer row is written.
+    # buffer; no scorer row is written. The nucleus's head is written into
+    # the zero row, which is zeroed again at the kept ids after each step.
     work = np.empty(size)
+    zero = np.zeros(size)
 
     steps: list[StepRecord] = []
     stop_reason = "max_tokens"
@@ -349,8 +358,9 @@ def decode(
     # once per step here; the step core below checks neither again.
     for step in range(config.max_tokens):
         sparse = _sparse_rows(scorers, context, step) if sparse_ok else None
+        lanes = None
         if sparse is not None and _sparse_pays(size, sum(ids.size for _, ids, _ in sparse)):
-            weights, total = _sparse_weights(
+            weights, total, lanes = _sparse_weights(
                 scorers, sparse, step, config.delta_scale, config.temperature, work
             )
         else:
@@ -364,7 +374,7 @@ def decode(
                 if guided:
                     logits = _checked_combine(scorers, rows, step, config.delta_scale, work)
             weights, total = _weights(logits, config.temperature, work)
-        dist, kept = _nucleus(weights, total, config.top_p)
+        dist, kept = _nucleus(weights, total, config.top_p, zero, lanes)
         if rng is None:
             token = _greedy(dist, kept)
         else:
@@ -382,6 +392,8 @@ def decode(
                 kl_base_vs_combined=kl,
             )
         )
+        if dist is zero:
+            zero[kept] = 0.0
         context.append(token)
         if token == eos:
             stop_reason = "eos"

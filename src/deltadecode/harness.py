@@ -445,6 +445,9 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
 
     summary_arms: dict[str, dict] = {}
     timings: dict[str, float] = {}
+    # Per arm, how many cells were decoded (and of those, in lockstep) and
+    # how many were reused from lines already on disk.
+    cells = {key: {} for key in ("cells_decoded", "cells_lockstep", "cells_reused")}
     cache: dict[str, Scorer] = {}
     try:
         for arm in manifest.arms:
@@ -460,9 +463,10 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
                 "degraded": False,
             }
             summary_arms[arm.label] = arm_summary
+            counts = {key: 0 for key in cells}
             try:
                 runtime = _ArmRuntime(arm, manifest, cache)
-                records = _run_arm(runtime, manifest, problems, arm_dir)
+                records = _run_arm(runtime, manifest, problems, arm_dir, counts)
                 save_records(records, arm_dir / "records.jsonl")
                 arm_summary["trajectories"] = sum(r.n for r in records)
                 arm_summary["accuracy"] = pass_at_k_exact(records, 1).value
@@ -471,6 +475,8 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
                 arm_summary["degraded"] = True
                 arm_summary["error"] = f"{type(exc).__name__}: {exc}"
             timings[arm.label] = time.monotonic() - started
+            for key, count in counts.items():
+                cells[key][arm.label] = count
     finally:
         # Every remote scorer this run connected, degraded arms' too, so no
         # socket or child process outlives the campaign.
@@ -484,7 +490,7 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
     )
     _write_atomic(
         out / "run_log.json",
-        json.dumps({"wall_clock_seconds": timings}, sort_keys=True, indent=2) + "\n",
+        json.dumps({"wall_clock_seconds": timings, **cells}, sort_keys=True, indent=2) + "\n",
     )
     return summary
 
@@ -494,7 +500,10 @@ def _run_arm(
     manifest: RunManifest,
     problems: list[dict],
     arm_dir: Path,
+    counts: dict[str, int],
 ) -> list[EvalRecord]:
+    """Decode an arm's missing cells, counting them into ``counts``, and
+    return one record per problem."""
     arm = runtime.arm
     samples = runtime.samples
     records = []
@@ -504,12 +513,16 @@ def _run_arm(
         path = arm_dir / "problems" / f"{filename}.jsonl"
         lines = _read_existing_lines(path, samples, arm.config)
         missing = [i for i in range(samples) if i not in lines]
+        counts["cells_reused"] += len(lines)
         prompt = runtime.encode_prompt(problem["input"])
         seeds = [derive_seed(arm.config.seed, problem["problem_id"], i) for i in missing]
         try:
-            for index, trajectory in _decoded_cells(runtime, prompt, missing, seeds):
+            lockstep, decoded = _decoded_cells(runtime, prompt, missing, seeds)
+            for index, trajectory in decoded:
                 answer = extract_answer(runtime.render(trajectory.tokens), manifest.answer_style)
                 lines[index] = _trajectory_line(index, trajectory, answer)
+                counts["cells_decoded"] += 1
+                counts["cells_lockstep"] += lockstep
         except Exception:
             # Keep whatever finished so a later rerun only fills the gaps.
             if lines:
@@ -532,7 +545,8 @@ def _run_arm(
 
 
 def _decoded_cells(runtime: _ArmRuntime, prompt: list[int], indexes: list[int], seeds: list[int]):
-    """``(sample index, trajectory)`` for each missing sample, as each finishes."""
+    """Whether the missing samples decode in lockstep, and ``(sample index,
+    trajectory)`` for each of them, as each finishes."""
     config, instrument = runtime.arm.config, runtime.arm.instrument
     scorers = (runtime.base, runtime.expert, runtime.expert_base)
     # Lockstep rows would take turns on a remote scorer's one session, so
@@ -542,8 +556,8 @@ def _decoded_cells(runtime: _ArmRuntime, prompt: list[int], indexes: list[int], 
         rows = _decode_lockstep(
             *scorers, prompt=prompt, config=config, seeds=seeds, instrument=instrument
         )
-        return ((indexes[row], trajectory) for row, trajectory in rows)
-    return (
+        return True, ((indexes[row], trajectory) for row, trajectory in rows)
+    return False, (
         (i, decode(*scorers, prompt=prompt, config=config.replace(seed=s), instrument=instrument))
         for i, s in zip(indexes, seeds)
     )

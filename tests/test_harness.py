@@ -494,6 +494,27 @@ class TestRunCampaign:
         log = json.loads((out / "run_log.json").read_text())
         assert set(log["wall_clock_seconds"]) == {"base", "guided"}
 
+    def test_run_log_counts_decoded_and_reused_cells(self, world, tmp_path):
+        # The base arm has one sample per problem, so each decodes alone;
+        # the guided arm's three per problem decode in lockstep (V=5).
+        out = tmp_path / "out"
+        manifest = make_manifest(world)
+        run_campaign(manifest, out)
+        before = walk_bytes(out)
+
+        def counts():
+            log = json.loads((out / "run_log.json").read_text())
+            keys = ("cells_decoded", "cells_lockstep", "cells_reused")
+            return {arm: tuple(log[key][arm] for key in keys) for arm in ("base", "guided")}
+
+        assert counts() == {"base": (2, 0, 0), "guided": (6, 6, 0)}
+        # Drop one line: its cell is the only one missing, so it decodes alone.
+        victim = out / "arms/guided/problems/0.jsonl"
+        victim.write_text("".join(line + "\n" for line in victim.read_text().splitlines()[1:]))
+        run_campaign(manifest, out)
+        assert counts() == {"base": (0, 0, 2), "guided": (1, 0, 5)}
+        assert walk_bytes(out) == before
+
     def test_greedy_arm_accuracy_is_exact(self, world, tmp_path):
         # Greedy cycle answers "3" (correct) and "1" (truth is "7").
         summary = run_campaign(make_manifest(world), tmp_path / "out")
@@ -892,6 +913,10 @@ class TestLockstepCampaign:
         run_campaign(manifest, out)
         assert seeds == [[derive_seed(SAMPLED.seed, "1", i) for i in dropped]]
         assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+        log = json.loads((out / "run_log.json").read_text())
+        assert [log[key]["guided"] for key in ("cells_decoded", "cells_lockstep", "cells_reused")] == [
+            4, 4, 2 * self.SAMPLES - 4
+        ]
 
     def test_remote_arm_decodes_per_cell_on_one_session(self, world, tmp_path, monkeypatch):
         # Lockstep rows would take turns on the one session, so each request

@@ -135,7 +135,7 @@ def guided_cases(draw, sizes, row_sizes=None):
     size = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = rng.choice(size, min(size, draw(st.integers(1, 12))), replace=False)
-    # Row lengths on both sides of the gate: up to size // 48 ids per role
+    # Row lengths on both sides of the gate: up to size // 36 ids per role
     # fit under it.
     menu = row_sizes or [0, 1, 8, size // 64, size // 48, size // 20]
     k = draw(st.sampled_from([1e-6, 1e-3, 0.5, 1.0]))
@@ -177,7 +177,7 @@ class TestSparseStepEqualsDense:
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
     def test_steps_switch_paths_at_the_gate(self, sparse_steps, mode):
         # Contexts in ``few`` count 4 ids per role, under the gate; those in
-        # ``many`` count 120 per role, 360 in all, over it (V / 16 = 256).
+        # ``many`` count 120 per role, 360 in all, over it (V / 12 = 341).
         # Both lead back into both, so a decode switches paths.
         size = GATE
         rng = np.random.default_rng(11)

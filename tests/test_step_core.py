@@ -1,7 +1,8 @@
 """The decode step core against a full-sort, full-cumsum reference.
 
 ``decode`` runs the private step core (one validation per scorer row, a
-threshold head instead of a full sort, choice over the kept ids only).
+threshold head instead of a full sort, a sort of values rather than ids
+when every id is a candidate, choice over the kept ids only).
 The reference functions below are the straightforward full-vector steps;
 every property here compares bytes, not values within a tolerance.
 """
@@ -32,7 +33,7 @@ from deltadecode.core import (
     softmax_with_temperature,
 )
 from deltadecode.decoder import DecodeError, decode, kl_divergence
-from deltadecode.scorers import BigramMatrixScorer, Scorer, build_vocab
+from deltadecode.scorers import BigramMatrixScorer, NGramModel, Scorer, build_vocab
 
 JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -227,7 +228,7 @@ class TestNucleusMatchesReference:
     @with_examples()
     def test_kept_ids_hold_all_the_mass(self, case):
         dist, top_p = case
-        out, kept = _nucleus(dist, 1.0, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p, np.zeros(dist.size))
         assert np.all(np.diff(kept) > 0)
         rest = np.ones(dist.size, dtype=bool)
         rest[kept] = False
@@ -238,7 +239,7 @@ class TestNucleusMatchesReference:
     def test_inputs_are_not_written(self, case):
         dist, top_p = case
         before = dist.tobytes()
-        _nucleus(dist, 1.0, top_p)
+        _nucleus(dist, 1.0, top_p, np.zeros(dist.size))
         nucleus_filter(dist, top_p)
         sample_token(dist, np.random.default_rng(0))
         assert dist.tobytes() == before
@@ -253,7 +254,7 @@ class TestNucleusHeadGuards:
     @staticmethod
     def assert_matches_reference(weights, top_p):
         total = float(weights.sum())
-        got = _nucleus(weights, total, top_p)[0]
+        got = _nucleus(weights, total, top_p, np.zeros(weights.size))[0]
         assert got.tobytes() == ref_nucleus(weights / total, top_p).tobytes()
 
     def test_margin_admits_an_id_at_the_threshold(self):
@@ -277,6 +278,156 @@ class TestNucleusHeadGuards:
         quotients = weights / weights.sum()
         assert quotients[1] == quotients[2]
         self.assert_matches_reference(weights, 0.9999999999999994)
+
+
+# -- the head from a sparse step's lanes ------------------------------------
+
+
+def lane_row(size, ids, lane_weights, fill):
+    """A sparse step's weights (``fill`` at every id outside the ascending
+    ``ids``), their sum, and the lanes ``decoder._sparse_weights`` gives
+    ``_nucleus`` for them: None when the ids cover the vocabulary."""
+    ids = np.asarray(ids, dtype=np.intp)
+    lane_weights = np.asarray(lane_weights, dtype=np.float64)
+    weights = np.full(size, np.float64(fill))
+    weights[ids] = lane_weights
+    lanes = (ids, lane_weights, np.float64(fill)) if ids.size < size else None
+    return weights, float(weights.sum()), lanes
+
+
+# Where the fill weight sits against the head's candidate floor
+# ``(1 - top_p) / V * total * (1 - 1e-9)``, as floor = fill * factor: the
+# fill well and just under the floor (the lanes give the candidates), at
+# it, over it by less than the margin, and well over it (the dense
+# candidates decide).
+FLOOR_OVER_FILL = [2.0, 1.0 + 1e-6, 1.0, 1.0 - 5e-10, 0.5]
+
+
+@st.composite
+def lane_cases(draw):
+    """Lanes as a sparse step leaves them, and a top_p.
+
+    The largest weight is exactly 1, as exp(0) makes it: in a lane, or in
+    the fill when no id is counted. Few distinct lane weights make ties,
+    among lanes and with the fill; U runs from empty to every id.
+    """
+    size = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ids = np.sort(rng.choice(size, draw(st.integers(min_value=0, max_value=size)), replace=False))
+    levels = rng.uniform(0.0, 1.0, draw(st.integers(min_value=1, max_value=4)))
+    lane_weights = levels[rng.integers(0, levels.size, ids.size)]
+    if ids.size:
+        lane_weights[rng.integers(ids.size)] = 1.0
+        fill = draw(st.sampled_from([float(levels[0]), 1e-300, 1e-12]) | st.floats(1e-300, 1.0))
+    else:
+        fill = 1.0
+    weights, total, lanes = lane_row(size, ids, lane_weights, fill)
+    factor = draw(st.sampled_from(FLOOR_OVER_FILL) | st.none())
+    if factor is None:
+        top_p = draw(top_ps)
+    else:
+        top_p = 1.0 - size * fill * factor / (total * (1.0 - 1e-9))
+        top_p = min(max(top_p, 1e-9), 1.0)
+    return weights, total, lanes, top_p
+
+
+class TestLaneHead:
+    """The head a sparse step finds from its lanes is the dense one."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=lane_cases())
+    # The lane head rounds short of top_p: the dense fallback decides.
+    @example(case=(*lane_row(
+        7, [0, 1, 2, 3, 5, 6],
+        [0.36058182743604117, 0.6140195186293923, 0.24319896876956437,
+         0.48626753374081727, 0.2830384365568139, 1.0],
+        3.569496770145993e-19,
+    ), JUST_BELOW_ONE))
+    # No id counted: the fill is the max and a candidate.
+    @example(case=(*lane_row(5, [], [], 1.0), 0.9))
+    # Every id counted: no lanes, so the dense candidates decide.
+    @example(case=(*lane_row(3, [0, 1, 2], [1.0, 0.5, 0.5], 0.0), 0.7))
+    def test_equals_the_dense_nucleus(self, case):
+        weights, total, lanes, top_p = case
+        row = np.zeros(weights.size)
+        dist, kept = _nucleus(weights, total, top_p, row, lanes)
+        dense, dense_kept = _nucleus(weights, total, top_p, np.zeros(weights.size))
+        assert dist.tobytes() == dense.tobytes() == ref_nucleus(weights / total, top_p).tobytes()
+        assert kept.tobytes() == dense_kept.tobytes()
+        # The row holds the nucleus at the kept ids only, so zeroing them
+        # there readies it for the next step.
+        if dist is row:
+            row[kept] = 0.0
+        assert not row.any()
+
+
+# -- the full path, ranked by value -----------------------------------------
+
+
+@st.composite
+def tied_rows(draw):
+    """A distribution of 2 to 6 distinct values over up to 2048 ids, one of
+    them maybe exactly zero, and a top_p that puts the cut inside a tied
+    run (with every id a candidate), on the last id, or past it."""
+    size = draw(st.integers(min_value=2, max_value=2048))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = rng.uniform(0.5, 1.5, draw(st.integers(min_value=2, max_value=6)))
+    if draw(st.booleans()):
+        levels[0] = 0.0
+    weights = levels[rng.integers(0, levels.size, size)]
+    weights[rng.integers(size)] = levels.max()
+    dist = weights / weights.sum()
+    cumulative = np.cumsum(np.sort(dist)[::-1])
+    where = draw(st.sampled_from(["inside", "last", "past"]))
+    if where == "inside":
+        # Every id is a candidate once top_p >= 1 - V * (least probability).
+        first = int(np.searchsorted(cumulative, 1.0 - size * dist[dist > 0].min()))
+        j = draw(st.integers(min_value=min(first, size - 1), max_value=size - 1))
+        top_p = float(cumulative[j])
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            top_p = float(np.nextafter(top_p, draw(st.sampled_from([0.0, 2.0]))))
+    elif where == "last":
+        top_p = float(np.nextafter(cumulative[-2], 2.0))
+    else:
+        dist = dist * (1.0 - 5e-7)
+        top_p = draw(st.sampled_from([1.0 - 1e-7, JUST_BELOW_ONE]))
+    return dist, min(max(top_p, 1e-9), 1.0)
+
+
+def flat_tied_row(size=1024, distinct=5, seed=7):
+    """Near-flat n-gram-like weights of a few distinct values, as
+    ``decode-long`` steps see them: every id a nucleus candidate."""
+    rng = np.random.default_rng(seed)
+    levels = np.exp(rng.uniform(-0.3, 0.0, distinct))
+    weights = levels[rng.integers(0, distinct, size)]
+    return weights / weights.sum()
+
+
+class TestValueRankedCut:
+    """The full path ranks values, not ids: the kept set is every id above
+    the edge value and the lowest ids at it, as the stable id ranking keeps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=tied_rows())
+    @example(case=(flat_tied_row(), 0.95))
+    @example(case=(np.array([0.25, 0.0, 0.25, 0.25, 0.25]), 0.5))
+    def test_equals_the_id_ranking(self, case):
+        dist, top_p = case
+        out, kept = _nucleus(dist, 1.0, top_p, np.zeros(dist.size))
+        assert out.tobytes() == ref_nucleus(dist, top_p).tobytes()
+        assert nucleus_filter(dist, top_p).tobytes() == out.tobytes()
+
+    def test_cut_inside_a_tied_run(self):
+        dist = flat_tied_row()
+        out, kept = _nucleus(dist, 1.0, 0.95, np.zeros(dist.size))
+        assert kept.size == dist.size  # the full path
+        kept_ids = np.flatnonzero(out)
+        at_edge = np.flatnonzero(dist == dist[kept_ids].min())
+        # Of the ids at the edge value, the lowest are kept and the rest dropped.
+        dropped = np.setdiff1d(at_edge, kept_ids)
+        assert dropped.size and kept_ids.size > dist.size // 2
+        assert dropped.min() > np.intersect1d(at_edge, kept_ids).max()
+        assert out.tobytes() == ref_nucleus(dist, 0.95).tobytes()
 
 
 @st.composite
@@ -322,7 +473,7 @@ class TestWeightsMatchReference:
         before = logits.tobytes()
         weights, total = _weights(logits, temperature, np.empty(logits.size))
         assert total >= 1.0
-        out, kept = _nucleus(weights, total, top_p)
+        out, kept = _nucleus(weights, total, top_p, np.zeros(weights.size))
         expected = ref_nucleus(ref_softmax(logits, temperature), top_p)
         assert out.tobytes() == expected.tobytes()
         assert logits.tobytes() == before
@@ -348,7 +499,7 @@ class TestChoiceMatchesReference:
     def test_sample_over_kept_ids(self, case, seed):
         dist, top_p = case
         filtered = ref_nucleus(dist, top_p)
-        out, kept = _nucleus(dist, 1.0, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p, np.zeros(dist.size))
         draws = [np.random.default_rng(seed) for _ in range(3)]
         expected = ref_sample(filtered, draws[0])
         assert _sample(out, kept, draws[1]) == expected
@@ -364,7 +515,7 @@ class TestChoiceMatchesReference:
         # Draws near 1 land past a cumsum that rounds short of 1 and take
         # the highest-id fallback.
         dist, top_p = case
-        out, kept = _nucleus(dist, 1.0, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p, np.zeros(dist.size))
         expected = ref_sample(ref_nucleus(dist, top_p), FixedDraw(u))
         assert _sample(out, kept, FixedDraw(u)) == expected
         assert sample_token(dist, FixedDraw(u)) == ref_sample(dist, FixedDraw(u))
@@ -374,7 +525,7 @@ class TestChoiceMatchesReference:
     @with_examples()
     def test_greedy_over_kept_ids(self, case):
         dist, top_p = case
-        out, kept = _nucleus(dist, 1.0, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p, np.zeros(dist.size))
         assert _greedy(out, kept) == int(np.argmax(ref_nucleus(dist, top_p)))
 
 
@@ -439,6 +590,56 @@ class TestDecodeMatchesReference:
     @given(data=st.data())
     def test_each_scale_guided(self, delta_scale, data):
         assert_decode_matches_reference(data.draw(decode_setups(delta_scale)))
+
+
+def alternating_triple(size):
+    """Three order-2 n-gram models over ``size`` ids that count every
+    context: even contexts a few ids many times, so the fill falls under
+    the candidate floor and the lanes give the head; odd contexts a few ids
+    once, so the fill is a candidate and the dense nucleus decides. Each
+    row counts even and odd ids, so a decode moves between the two."""
+    vocab = build_vocab([[f"t{i}" for i in range(size - 2)]])
+    rng = np.random.default_rng(5)
+    rows = {}
+    for ctx in range(size):
+        ids = rng.choice(size - 1, 4, replace=False)  # never eos
+        rows[ctx] = (ids, rng.integers(1000, 4000, 4) if ctx % 2 == 0 else np.ones(4, dtype=int))
+
+    def model(boost, name):
+        counts = {}
+        for ctx, (ids, row_counts) in rows.items():
+            row = {int(t): int(c) for t, c in zip(ids, row_counts)}
+            row[int(ids[0])] += boost * int(row_counts[0])
+            counts[(ctx,)] = row
+        return NGramModel(vocab, 2, counts, 1e-3, name=name)
+
+    return model(0, "b"), model(1, "e"), model(0, "eb")
+
+
+class TestLaneHeadInDecode:
+    """A guided decode whose steps take the lane head at some steps and
+    the dense fallback at others gives the reference's bytes: the zero row
+    the head is written into must be clean at every step."""
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    @pytest.mark.parametrize("top_p, seed", [(0.9, 1), (0.9, 2), (0.8, 3)])
+    def test_steps_alternate_and_match_the_reference(self, monkeypatch, mode, top_p, seed):
+        size = decoder._SPARSE_MIN_VOCAB
+        scorers = alternating_triple(size)
+        config = DecodeConfig(top_p=top_p, max_tokens=40, mode=mode, seed=seed)
+        lane_heads = []
+        nucleus = decoder._nucleus
+
+        def spy(weights, total, top_p, row, lanes=None):
+            dist, kept = nucleus(weights, total, top_p, row, lanes)
+            floor = (1.0 - top_p) / weights.size * total * (1.0 - 1e-9)
+            assert lanes is not None  # every step is sparse
+            lane_heads.append(bool(lanes[2] < floor and dist is row))
+            return dist, kept
+
+        monkeypatch.setattr(decoder, "_nucleus", spy)
+        assert_decode_matches_reference((scorers, [0], config, ()))
+        assert True in lane_heads and False in lane_heads
 
 
 class TestValidatesOncePerRow:
@@ -673,12 +874,12 @@ class TestBatchedStepsMatchOneRow:
     def test_nucleus(self, case):
         dist, top_p = case
         got = _nucleus_rows(dist[None, :], np.ones(1), top_p)
-        assert got[0].tobytes() == _nucleus(dist, 1.0, top_p)[0].tobytes()
+        assert got[0].tobytes() == _nucleus(dist, 1.0, top_p, np.zeros(dist.size))[0].tobytes()
 
     @pytest.mark.parametrize("dist, top_p, kept", BOUNDARIES)
     def test_nucleus_at_top_p(self, dist, top_p, kept):
         got = _nucleus_rows(dist[None, :], np.ones(1), top_p)[0]
-        assert got.tobytes() == _nucleus(dist, 1.0, top_p)[0].tobytes()
+        assert got.tobytes() == _nucleus(dist, 1.0, top_p, np.zeros(dist.size))[0].tobytes()
         assert np.count_nonzero(got) == kept
 
     @settings(max_examples=400, deadline=None)
@@ -686,7 +887,7 @@ class TestBatchedStepsMatchOneRow:
     @with_examples(u=JUST_BELOW_ONE)
     def test_sample(self, case, u):
         dist, top_p = case
-        out, kept = _nucleus(dist, 1.0, top_p)
+        out, kept = _nucleus(dist, 1.0, top_p, np.zeros(dist.size))
         assert _sample_rows(out[None, :], [FixedDraw(u)])[0] == _sample(out, kept, FixedDraw(u))
 
     @pytest.mark.parametrize(
