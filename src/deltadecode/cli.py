@@ -24,7 +24,15 @@ import threading
 from pathlib import Path
 
 from . import __version__
-from .analysis import TokenSetSpec, avg_cosine_sim, delta_series, length_stats, pcr, token_frequency
+from .analysis import (
+    TokenSetSpec,
+    UndefinedCosineError,
+    avg_cosine_sim,
+    delta_series,
+    length_stats,
+    pcr,
+    token_frequency,
+)
 from .core import DecodeConfig
 from .decoder import decode
 from .harness import (
@@ -157,10 +165,13 @@ def _cmd_analyze(args) -> int:
         expert_b = load_scorer(args.expert_b)
         expert_base_b = load_scorer(args.expert_base_b)
         values = []
-        for trajectory in trajectories:
+        for index, trajectory in enumerate(trajectories):
             series_a = delta_series(trajectory, expert_a, expert_base_a)
             series_b = delta_series(trajectory, expert_b, expert_base_b)
-            values.append(avg_cosine_sim(series_a, series_b))
+            try:
+                values.append(avg_cosine_sim(series_a, series_b))
+            except UndefinedCosineError as exc:
+                raise UndefinedCosineError(f"trajectory {index}: {exc}") from exc
         _emit(
             {
                 "mean": sum(values) / len(values) if values else None,

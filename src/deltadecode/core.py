@@ -210,13 +210,20 @@ class DecodeConfig:
             raise InvalidConfigError(f"max_tokens must be an integer >= 1, got {self.max_tokens!r}")
         if self.mode not in DECODE_MODES:
             raise InvalidConfigError(f"mode must be one of {DECODE_MODES}, got {self.mode!r}")
-        if type(self.seed) is not int:
-            raise InvalidConfigError(f"seed must be an integer, got {type(self.seed).__name__}")
+        _check_seed(self.seed)
 
     def replace(self, **changes) -> "DecodeConfig":
         current = {f.name: getattr(self, f.name) for f in fields(self)}
         current.update(changes)
         return DecodeConfig(**current)
+
+    def _with_seed(self, seed: int) -> "DecodeConfig":
+        """:meth:`replace` of the seed alone, checking only the seed: the
+        other fields were checked when this config was built."""
+        _check_seed(seed)
+        snapshot = object.__new__(DecodeConfig)
+        snapshot.__dict__.update(self.__dict__, seed=seed)
+        return snapshot
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -225,6 +232,12 @@ class DecodeConfig:
     def from_dict(cls, data: dict) -> "DecodeConfig":
         check_fields(cls, data, InvalidConfigError, "decode config")
         return cls(**data)
+
+
+def _check_seed(seed) -> None:
+    # type() and not isinstance(): True is an int, yet no seed.
+    if type(seed) is not int:
+        raise InvalidConfigError(f"seed must be an integer, got {type(seed).__name__}")
 
 
 def check_fields(cls, data, error: type[Exception], what: str) -> None:

@@ -335,8 +335,11 @@ def decode(
     records the per-step divergence between the unfiltered base
     distribution and the final (post-nucleus) distribution.
     """
-    context, want_kl = _prepared(base, expert, expert_base, prompt, instrument)
+    want_kl = _checked_scorers(base, expert, expert_base, instrument)
     size = base.vocab.size
+    # A prefix the caller passes is checked, not copied, so copy it here.
+    prompt = _prompt_prefix(size, prompt)
+    context = prompt.head(len(prompt))
     rng = np.random.default_rng(config.seed) if config.mode == "sample" else None
     eos = base.vocab.eos
     # With delta_scale > 0 only the combined row is checked for finite
@@ -400,7 +403,7 @@ def decode(
             break
 
     return Trajectory(
-        prompt_tokens=tuple(context[: len(context) - len(steps)]),
+        prompt_tokens=tuple(prompt),
         generated=tuple(steps),
         stop_reason=stop_reason,
         config_snapshot=config,
@@ -408,9 +411,8 @@ def decode(
     )
 
 
-def _prepared(base, expert, expert_base, prompt, instrument) -> tuple[TokenPrefix, bool]:
-    """Check a decode's scorers, instrument flags and prompt; returns the
-    prompt as a prefix of the base vocabulary and whether kl is recorded."""
+def _checked_scorers(base, expert, expert_base, instrument) -> bool:
+    """Check a decode's scorers and instrument flags; returns whether kl is recorded."""
     if (expert is None) != (expert_base is None):
         raise InvalidConfigError("expert and expert_base must be supplied together")
     flags = set(instrument)
@@ -424,13 +426,23 @@ def _prepared(base, expert, expert_base, prompt, instrument) -> tuple[TokenPrefi
                 f"scorer vocab sizes disagree: base={size}, "
                 f"expert={expert.vocab.size}, expert_base={expert_base.vocab.size}"
             )
-    try:
-        context = TokenPrefix(size, prompt)
-    except VocabularyMismatchError as exc:
-        raise DecodeError(f"prompt {exc}") from None
-    if not context:
+    return "kl" in flags
+
+
+def _prompt_prefix(size: int, prompt: Sequence[int]) -> TokenPrefix:
+    """``prompt`` as a non-empty prefix of a ``size``-id vocabulary.
+
+    A :class:`TokenPrefix` of that size is returned as it is, taken as
+    already checked; any other sequence is checked id by id into a new one.
+    """
+    if not (isinstance(prompt, TokenPrefix) and prompt.size == size):
+        try:
+            prompt = TokenPrefix(size, prompt)
+        except VocabularyMismatchError as exc:
+            raise DecodeError(f"prompt {exc}") from None
+    if not prompt:
         raise EmptyInputError("prompt must contain at least one token")
-    return context, "kl" in flags
+    return prompt
 
 
 def _scorer_labels(base, expert, expert_base) -> tuple[tuple[str, str], ...]:
@@ -445,15 +457,17 @@ def _decode_lockstep(
     expert: Scorer | None = None,
     expert_base: Scorer | None = None,
     *,
-    prompt: Sequence[int],
+    prompts: Sequence[Sequence[int]],
     config: DecodeConfig,
     seeds: Sequence[int],
     instrument: Sequence[str] = (),
 ):
-    """:func:`decode` of one prompt once per seed, with the rows stepped together.
+    """:func:`decode` of each (prompt, seed) row, with the rows stepped together.
 
-    Yields ``(row, trajectory)`` as each row stops, where ``trajectory``
-    is bit for bit ``decode(..., config=config.replace(seed=seeds[row]))``.
+    Row ``i`` decodes ``prompts[i]`` with ``seeds[i]``; rows may share a
+    prompt object, and each distinct one is checked once. Yields ``(row,
+    trajectory)`` as each row stops, where ``trajectory`` is bit for bit
+    ``decode(..., prompt=prompts[row], config=config.replace(seed=seeds[row]))``.
     Each step scores the active rows as one block through each scorer's
     ``_score_rows`` and runs the batched step core over it; each row keeps
     its own generator and prefix, and leaves the block at eos. The checks
@@ -461,17 +475,26 @@ def _decode_lockstep(
     :class:`DecodeError`, naming the role and step, after every row that
     stopped earlier has been yielded.
     """
-    context, want_kl = _prepared(base, expert, expert_base, prompt, instrument)
+    if len(prompts) != len(seeds):
+        raise ValueError(f"{len(prompts)} prompts for {len(seeds)} seeds")
+    want_kl = _checked_scorers(base, expert, expert_base, instrument)
     size = base.vocab.size
     eos = base.vocab.eos
     guided = expert is not None and config.delta_scale > 0
     finite = not guided
     scorers = (base, expert, expert_base)
     labels = _scorer_labels(base, expert, expert_base)
-    prompt_tokens = tuple(context)
-    configs = [config.replace(seed=seed) for seed in seeds]
+    # Keyed by identity; each entry holds its prompt, so no id is reused.
+    checked: dict[int, tuple[Sequence[int], TokenPrefix, tuple[int, ...]]] = {}
+    for prompt in prompts:
+        if id(prompt) not in checked:
+            prefix = _prompt_prefix(size, prompt)
+            checked[id(prompt)] = prompt, prefix, tuple(prefix)
+    entries = [checked[id(prompt)] for prompt in prompts]
+    prompt_tokens = [tokens for _, _, tokens in entries]
+    contexts = [prefix.head(len(prefix)) for _, prefix, _ in entries]
+    configs = [config._with_seed(seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds] if config.mode == "sample" else None
-    contexts = [context.head(len(context)) for _ in seeds]
     steps: list[list[StepRecord]] = [[] for _ in seeds]
     # Active rows are the leading rows of the buffer, so each slice of it
     # stays C-contiguous.
@@ -479,7 +502,7 @@ def _decode_lockstep(
 
     def finished(row: int, stop_reason: str) -> tuple[int, Trajectory]:
         return row, Trajectory(
-            prompt_tokens=prompt_tokens,
+            prompt_tokens=prompt_tokens[row],
             generated=tuple(steps[row]),
             stop_reason=stop_reason,
             config_snapshot=configs[row],

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DecodeConfig, InvalidConfigError, check_fields
-from .decoder import INSTRUMENT_FLAGS, Trajectory, _decode_lockstep, decode
+from .decoder import INSTRUMENT_FLAGS, Trajectory, _decode_lockstep, _prompt_prefix, decode
 from .metrics import EvalRecord, extract_answer, pass_at_k_exact, save_records
 from .remote import RemoteScorer, connect_endpoint
 from .scorers import Scorer, encode_text, load_scorer, load_vocab, render_tokens
@@ -45,19 +45,32 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 
-# A problem's missing samples are decoded in lockstep, as one (S x V) block
-# per step, when at least two are missing and the vocabulary has at most
-# this many ids; otherwise each is one ``decode`` call. Lockstep time over
-# per-cell time, measured on a shared 2-vCPU x86_64 VM pinned to one core
-# with a trigram base and bigram pair trained on random text (guided, kl
-# on, 16 tokens per row; add-0.5 rows are near flat, add-1e-6 rows peaked):
-# at V=16, 0.57x for one row, 0.94x for two, 1.44x for three and 3.7x for
-# twenty; at twenty rows, 2.5-3.0x at V=256, 1.2-1.8x at V=1024, 0.97-1.34x
-# at V=2048 and 0.90x at V=4096; at four rows, 1.0-1.4x at V=1024 and
-# 0.87-1.09x at V=2048. The block sorts every id of every row, while
-# ``decode`` sorts only the nucleus candidates. 512 is half the lowest
-# measured crossover.
+# An arm's missing cells, across its problems, are decoded in lockstep, as
+# (rows x V) blocks stepped together, when at least two are missing, the
+# vocabulary has at most this many ids and no scorer is remote; otherwise
+# each is one ``decode`` call. Lockstep time over per-cell time, measured
+# on a shared 2-vCPU x86_64 VM pinned to one core with a trigram base and
+# bigram pair trained on random text (guided, kl on, 16 tokens per row;
+# add-0.5 rows are near flat, add-1e-6 rows peaked): at V=16, 0.57x for
+# one row, 0.94x for two, 1.44x for three and 3.7x for twenty; at twenty
+# rows, 2.5-3.0x at V=256, 1.2-1.8x at V=1024, 0.97-1.34x at V=2048 and
+# 0.90x at V=4096; at four rows, 1.0-1.4x at V=1024 and 0.87-1.09x at
+# V=2048. The block sorts every id of every row, while ``decode`` sorts
+# only the nucleus candidates. 512 is half the lowest measured crossover.
 _LOCKSTEP_MAX_VOCAB = 512
+
+# A lockstep block holds at most this many rows x (V + max_tokens)
+# entries, as a row's step arrays grow with V and its step records with its
+# length (31 rows at V=512 and 16 tokens, 682 at V=16 and 8), but never
+# fewer rows than a problem has samples. So a block is no larger than this
+# bound or one problem's block, and an arm takes no more blocks than it has
+# problems with missing cells; its cells split into blocks of as even a
+# size as the bound allows. Time per cell against block rows, on the VM of
+# the table above (guided, kl on, 16 tokens per row, 256 cells over four
+# prompts, median of 16 alternating rounds): at V=256 and V=512, 32, 64 and
+# 128 rows are within 10% of each other; 16 rows took up to 1.3x and, at
+# V=512, 256 rows 1.1-1.2x the time of 64.
+_LOCKSTEP_BLOCK_ENTRIES = 1 << 14
 
 
 class ManifestError(ValueError):
@@ -325,8 +338,37 @@ def _stable_hash(text: str) -> int:
 
 
 def derive_seed(arm_seed: int, problem_id: str, sample_index: int) -> int:
-    """Deterministic per-sample seed from (arm seed, problem id, sample)."""
-    entropy = [arm_seed & _SEED_MASK, _stable_hash(problem_id), sample_index]
+    """Deterministic per-sample seed from (arm seed, problem id, sample).
+
+    It is the first uint64 state word of ``np.random.SeedSequence([arm_seed
+    mod 2**64, the id's stable hash, sample_index])``.
+    """
+    return _cell_seed(_problem_words(arm_seed, problem_id), sample_index)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian uint32 words ``SeedSequence`` reads the int
+    ``value >= 0`` as: one word for 0."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _problem_words(arm_seed: int, problem_id: str) -> list[int]:
+    """The entropy words every seed of one (arm seed, problem id) starts with."""
+    return _uint32_words(arm_seed & _SEED_MASK) + _uint32_words(_stable_hash(problem_id))
+
+
+def _cell_seed(problem_words: list[int], sample_index: int) -> int:
+    """:func:`derive_seed` from its problem's words. A list entropy is
+    converted to these words one element at a time; a uint32 array is
+    taken as it is."""
+    entropy = np.array(problem_words + _uint32_words(sample_index), dtype=np.uint32)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -406,12 +448,18 @@ def _trajectory_line(sample_index: int, trajectory: Trajectory, answer: str | No
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _read_existing_lines(path: Path, samples: int, config: DecodeConfig) -> dict[int, str]:
-    """Salvage completed samples from a possibly torn JSONL file."""
-    existing: dict[int, str] = {}
+def _read_existing_lines(
+    path: Path, samples: int, config: DecodeConfig
+) -> tuple[str | None, dict[int, str], dict[int, object]]:
+    """Salvage completed samples from a possibly torn JSONL file: its text
+    (None when there is no file) and, per sample index, the line and its
+    extracted answer."""
+    lines: dict[int, str] = {}
+    answers: dict[int, object] = {}
     if not path.is_file():
-        return existing
-    for line in path.read_text(encoding="utf-8").splitlines():
+        return None, lines, answers
+    text = path.read_text(encoding="utf-8")
+    for line in text.splitlines():
         try:
             row = json.loads(line)
             Trajectory.from_dict(row, config)
@@ -419,8 +467,30 @@ def _read_existing_lines(path: Path, samples: int, config: DecodeConfig) -> dict
         except (TypeError, KeyError, ValueError):
             continue  # torn or foreign line: regenerate that sample
         if isinstance(index, int) and 0 <= index < samples and "extracted_answer" in row:
-            existing[index] = line
-    return existing
+            lines[index] = line
+            answers[index] = row["extracted_answer"]
+    return text, lines, answers
+
+
+@dataclass
+class _ProblemFile:
+    """One problem's JSONL file in an arm: each finished sample's extracted
+    answer, how many samples are still missing and, until the file is
+    complete and written, each finished sample's line."""
+
+    path: Path
+    lines: dict[int, str]
+    answers: dict[int, object]
+    missing: int
+
+    def write(self, text: str | None = None) -> None:
+        """Write the finished lines in sample order, unless ``text`` (the
+        file as read) holds them already; a complete file drops its lines."""
+        content = "".join(self.lines[i] + "\n" for i in sorted(self.lines))
+        if content != text:
+            _write_atomic(self.path, content)
+        if not self.missing:
+            self.lines = {}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -445,9 +515,12 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
 
     summary_arms: dict[str, dict] = {}
     timings: dict[str, float] = {}
-    # Per arm, how many cells were decoded (and of those, in lockstep) and
-    # how many were reused from lines already on disk.
-    cells = {key: {} for key in ("cells_decoded", "cells_lockstep", "cells_reused")}
+    # Per arm, how many cells were decoded (and of those, in lockstep), how
+    # many were reused from lines already on disk, how many tokens the
+    # decoded cells generated, and why the arm degraded (None if it did not).
+    cells = {
+        key: {} for key in ("cells_decoded", "cells_lockstep", "cells_reused", "tokens", "degraded")
+    }
     cache: dict[str, Scorer] = {}
     try:
         for arm in manifest.arms:
@@ -464,6 +537,7 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
             }
             summary_arms[arm.label] = arm_summary
             counts = {key: 0 for key in cells}
+            counts["degraded"] = None
             try:
                 runtime = _ArmRuntime(arm, manifest, cache)
                 records = _run_arm(runtime, manifest, problems, arm_dir, counts)
@@ -473,7 +547,7 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
                 arm_summary["stddev_over_samples"] = _stddev_over_samples(records)
             except Exception as exc:
                 arm_summary["degraded"] = True
-                arm_summary["error"] = f"{type(exc).__name__}: {exc}"
+                arm_summary["error"] = counts["degraded"] = f"{type(exc).__name__}: {exc}"
             timings[arm.label] = time.monotonic() - started
             for key, count in counts.items():
                 cells[key][arm.label] = count
@@ -500,67 +574,118 @@ def _run_arm(
     manifest: RunManifest,
     problems: list[dict],
     arm_dir: Path,
-    counts: dict[str, int],
+    counts: dict,
 ) -> list[EvalRecord]:
     """Decode an arm's missing cells, counting them into ``counts``, and
-    return one record per problem."""
+    return one record per problem.
+
+    Every problem's lines are read first. Then the missing cells of every
+    problem are decoded together, and each problem's file is written as
+    soon as its last missing cell finishes; if decoding fails, every
+    finished line is written before the error propagates. A problem whose
+    prompt cannot be encoded fails the arm once the problems before it are
+    decoded and written.
+    """
     arm = runtime.arm
     samples = runtime.samples
-    records = []
+    size = runtime.base.vocab.size
+    files: list[_ProblemFile] = []
+    # Per missing cell: its file and sample index, its prompt and its seed.
+    cells: list[tuple[_ProblemFile, int]] = []
+    prompts, seeds = [], []
     taken: dict[str, str] = {}
+    failure = None
     for problem in problems:
         filename = _problem_filename(problem["problem_id"], taken)
         path = arm_dir / "problems" / f"{filename}.jsonl"
-        lines = _read_existing_lines(path, samples, arm.config)
+        text, lines, answers = _read_existing_lines(path, samples, arm.config)
         missing = [i for i in range(samples) if i not in lines]
         counts["cells_reused"] += len(lines)
-        prompt = runtime.encode_prompt(problem["input"])
-        seeds = [derive_seed(arm.config.seed, problem["problem_id"], i) for i in missing]
         try:
-            lockstep, decoded = _decoded_cells(runtime, prompt, missing, seeds)
-            for index, trajectory in decoded:
-                answer = extract_answer(runtime.render(trajectory.tokens), manifest.answer_style)
-                lines[index] = _trajectory_line(index, trajectory, answer)
-                counts["cells_decoded"] += 1
-                counts["cells_lockstep"] += lockstep
-        except Exception:
-            # Keep whatever finished so a later rerun only fills the gaps.
-            if lines:
-                _write_atomic(path, "".join(lines[i] + "\n" for i in sorted(lines)))
-            raise
-        content = "".join(lines[i] + "\n" for i in range(samples))
-        if not path.is_file() or path.read_text(encoding="utf-8") != content:
-            _write_atomic(path, content)
-        predictions = tuple(
-            json.loads(lines[i]).get("extracted_answer") or "" for i in range(samples)
+            prompt = runtime.encode_prompt(problem["input"])
+            if missing:
+                prompt = _prompt_prefix(size, prompt)
+        except Exception as exc:
+            failure = exc
+            break
+        file = _ProblemFile(path, lines, answers, len(missing))
+        files.append(file)
+        if not missing:
+            file.write(text)
+        words = _problem_words(arm.config.seed, problem["problem_id"])
+        for index in missing:
+            cells.append((file, index))
+            prompts.append(prompt)
+            seeds.append(_cell_seed(words, index))
+    try:
+        lockstep, decoded = _decoded_cells(runtime, prompts, seeds)
+        for position, trajectory in decoded:
+            file, index = cells[position]
+            answer = extract_answer(runtime.render(trajectory.tokens), manifest.answer_style)
+            file.lines[index] = _trajectory_line(index, trajectory, answer)
+            file.answers[index] = answer
+            file.missing -= 1
+            if not file.missing:
+                file.write()
+            counts["cells_decoded"] += 1
+            counts["cells_lockstep"] += lockstep
+            counts["tokens"] += len(trajectory.generated)
+    except Exception:
+        # Keep whatever finished so a later rerun only fills the gaps.
+        for file in files:
+            if file.missing and file.lines:
+                file.write()
+        raise
+    if failure is not None:
+        raise failure
+    return [
+        EvalRecord(
+            problem_id=problem["problem_id"],
+            ground_truth=problem["ground_truth"],
+            predictions=tuple(file.answers[i] or "" for i in range(samples)),
         )
-        records.append(
-            EvalRecord(
-                problem_id=problem["problem_id"],
-                ground_truth=problem["ground_truth"],
-                predictions=predictions,
-            )
-        )
-    return records
+        for problem, file in zip(problems, files)
+    ]
 
 
-def _decoded_cells(runtime: _ArmRuntime, prompt: list[int], indexes: list[int], seeds: list[int]):
-    """Whether the missing samples decode in lockstep, and ``(sample index,
-    trajectory)`` for each of them, as each finishes."""
+def _decoded_cells(runtime: _ArmRuntime, prompts: list, seeds: list[int]):
+    """Whether the cells decode in lockstep, and ``(position, trajectory)``
+    for each (prompt, seed) cell, as each finishes."""
     config, instrument = runtime.arm.config, runtime.arm.instrument
     scorers = (runtime.base, runtime.expert, runtime.expert_base)
+    size = runtime.base.vocab.size
     # Lockstep rows would take turns on a remote scorer's one session, so
     # each request would re-send its row's whole generated suffix.
     remote = any(isinstance(scorer, RemoteScorer) for scorer in scorers)
-    if len(indexes) > 1 and runtime.base.vocab.size <= _LOCKSTEP_MAX_VOCAB and not remote:
-        rows = _decode_lockstep(
-            *scorers, prompt=prompt, config=config, seeds=seeds, instrument=instrument
-        )
-        return True, ((indexes[row], trajectory) for row, trajectory in rows)
+    if len(seeds) > 1 and size <= _LOCKSTEP_MAX_VOCAB and not remote:
+        rows = max(_LOCKSTEP_BLOCK_ENTRIES // (size + config.max_tokens), runtime.samples)
+        return True, _lockstep_blocks(scorers, prompts, seeds, config, instrument, rows)
     return False, (
-        (i, decode(*scorers, prompt=prompt, config=config.replace(seed=s), instrument=instrument))
-        for i, s in zip(indexes, seeds)
+        (
+            position,
+            decode(*scorers, prompt=prompt, config=config._with_seed(seed), instrument=instrument),
+        )
+        for position, (prompt, seed) in enumerate(zip(prompts, seeds))
     )
+
+
+def _lockstep_blocks(scorers, prompts, seeds, config, instrument, rows: int):
+    """``(position, trajectory)`` from ``_decode_lockstep`` over consecutive
+    blocks of the cells, each of at most ``rows`` rows and all of about one
+    size."""
+    blocks = -(-len(seeds) // rows)
+    width = -(-len(seeds) // blocks)
+    for start in range(0, len(seeds), width):
+        stop = start + width
+        rows = _decode_lockstep(
+            *scorers,
+            prompts=prompts[start:stop],
+            config=config,
+            seeds=seeds[start:stop],
+            instrument=instrument,
+        )
+        for row, trajectory in rows:
+            yield start + row, trajectory
 
 
 def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:

@@ -100,17 +100,27 @@ def match_answer(prediction: str | None, truth: str) -> bool:
     collapsed on internal whitespace; strings that both parse as rationals
     compare numerically with tolerance 1e-9.
     """
+    return _matches(prediction, _truth_key(truth))
+
+
+def _truth_key(truth: str) -> tuple[str, Fraction | None]:
+    """A ground truth's canonical form and its rational value, if it has one."""
+    canonical = _canonical(truth)
+    return canonical, _as_rational(canonical)
+
+
+def _matches(prediction: str | None, truth_key: tuple[str, Fraction | None]) -> bool:
+    """:func:`match_answer` against a truth's :func:`_truth_key`."""
     if prediction is None:
         return False
     a = _canonical(prediction)
-    b = _canonical(truth)
+    b, rb = truth_key
     if a == b:
         return True
+    if rb is None:
+        return False
     ra = _as_rational(a)
-    rb = _as_rational(b)
-    if ra is not None and rb is not None:
-        return abs(ra - rb) <= _MATCH_TOLERANCE
-    return False
+    return ra is not None and abs(ra - rb) <= _MATCH_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -127,9 +137,8 @@ class EvalRecord:
         if len(preds) == 0:
             raise EmptyInputError(f"record {self.problem_id!r} has an empty prediction pool")
         object.__setattr__(self, "predictions", preds)
-        object.__setattr__(
-            self, "correct", tuple(match_answer(p, self.ground_truth) for p in preds)
-        )
+        truth = _truth_key(self.ground_truth)
+        object.__setattr__(self, "correct", tuple(_matches(p, truth) for p in preds))
 
     @property
     def n(self) -> int:

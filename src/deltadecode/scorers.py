@@ -275,19 +275,20 @@ class NGramModel(Scorer):
         out[ids] = values
         return out
 
+    def _row_of(self, prefix) -> int:
+        """The table row of ``prefix``'s context."""
+        return self._rows.get(self.context_of(self._check_prefix(prefix)), self._unseen)
+
     def _sparse_row(self, prefix):
         """The context's table slice: its fill logit, counted ids and their logits."""
-        i = self._rows.get(self.context_of(self._check_prefix(prefix)), self._unseen)
+        i = self._row_of(prefix)
         start, stop = self._bounds[i], self._bounds[i + 1]
         return self._fill[i], self._ids[start:stop], self._logits[start:stop]
 
     def _score_rows(self, prefixes):
         """:meth:`score` of each prefix: one dict lookup per row, one fill of
         the block, then one scatter of every row's counted logits."""
-        rows = [
-            self._rows.get(self.context_of(self._check_prefix(prefix)), self._unseen)
-            for prefix in prefixes
-        ]
+        rows = [self._row_of(prefix) for prefix in prefixes]
         bounds = self._bounds
         starts = np.array([bounds[i] for i in rows])
         lengths = np.array([bounds[i + 1] for i in rows]) - starts

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from deltadecode.analysis import UndefinedCosineError, avg_cosine_sim, delta_series
 from deltadecode.cli import main
 from deltadecode.core import DecodeConfig
-from deltadecode.harness import ArmSpec, RunManifest, run_campaign
+from deltadecode.harness import ArmSpec, RunManifest, load_campaign_trajectories, run_campaign
 from deltadecode.scorers import load_corpus, load_scorer, save_scorer, save_vocab, train_ngram
 
 
@@ -322,6 +323,47 @@ class TestAnalyze:
         payload = json.loads(stdout)
         assert payload["n"] == 2
         assert payload["per_trajectory"] == [1.0, 1.0]
+
+    def test_cosine_names_the_trajectory_with_a_zero_delta(self, tmp_path, capsys):
+        # On the transfer fixture the bigram pair agrees exactly on some
+        # contexts, so a trajectory's delta series has a zero-norm step.
+        data = Path(__file__).parent / "data"
+        base_docs, vocab = load_corpus(data / "transfer_base.txt")
+        expert_docs, _ = load_corpus(data / "transfer_expert.txt", vocab=vocab)
+        save_scorer(train_ngram(base_docs, 3, vocab, smoothing_k=0.5), tmp_path / "base.json")
+        save_scorer(train_ngram(expert_docs, 2, vocab, smoothing_k=0.5), tmp_path / "expert.json")
+        save_scorer(train_ngram(base_docs, 2, vocab, smoothing_k=0.5), tmp_path / "expert_base.json")
+        arm = ArmSpec(
+            label="guided",
+            base=str(tmp_path / "base.json"),
+            expert=str(tmp_path / "expert.json"),
+            expert_base=str(tmp_path / "expert_base.json"),
+            config=DecodeConfig(max_tokens=8, seed=1),
+        )
+        manifest = RunManifest(
+            "transfer", str(data / "transfer_problems.jsonl"), (arm,), samples_per_problem=2,
+            answer_style="last_number",
+        )
+        run_campaign(manifest, tmp_path / "campaign")
+        code, _, stderr = run_cli(
+            capsys,
+            "analyze", "cosine", "--in", str(tmp_path / "campaign"), "--arm", "guided",
+            "--expert-a", str(tmp_path / "expert.json"),
+            "--expert-base-a", str(tmp_path / "expert_base.json"),
+            "--expert-b", str(tmp_path / "expert.json"),
+            "--expert-base-b", str(tmp_path / "expert_base.json"),
+        )
+        assert code == 1
+        expert, expert_base = load_scorer(tmp_path / "expert.json"), load_scorer(tmp_path / "expert_base.json")
+        for index, trajectory in enumerate(load_campaign_trajectories(tmp_path / "campaign", "guided")):
+            series = delta_series(trajectory, expert, expert_base)
+            try:
+                avg_cosine_sim(series, series)
+            except UndefinedCosineError as exc:
+                assert stderr == f"error: UndefinedCosineError: trajectory {index}: {exc}\n"
+                break
+        else:
+            pytest.fail("no trajectory has a zero-norm delta step")
 
     def test_token_frequency_custom_sets(self, world, tmp_path, capsys):
         sets = tmp_path / "sets.json"

@@ -7,6 +7,7 @@ property here; run_log.json (wall clock) is the only file excluded.
 """
 
 import gc
+import hashlib
 import json
 import re
 import shlex
@@ -198,6 +199,29 @@ class TestDeriveSeed:
 
     def test_arm_seed_masked_to_64_bits(self):
         assert derive_seed(2**64 + 5, "p", 0) == derive_seed(5, "p", 0)
+
+    def test_equals_the_seed_sequence_of_the_entropy_list(self):
+        # The recorded formula: a SeedSequence over the Python list
+        # [arm seed mod 2**64, first 8 sha256 bytes of the id, index].
+        def reference(arm_seed, problem_id, index):
+            digest = hashlib.sha256(problem_id.encode("utf-8")).digest()[:8]
+            entropy = [arm_seed & (2**64 - 1), int.from_bytes(digest, "little"), index]
+            return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+        rng = np.random.default_rng(18)
+        arm_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**70 + 5]
+        arm_seeds += [int(v) for v in rng.integers(0, 2**63, size=4)]
+        ids = ["", "ü∑", "0", "succ-3", "some/problem id"]
+        indexes = list(range(20)) + [2**16, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1, 2**32]
+        indexes += [int(v) for v in rng.integers(0, 2**32, size=3)]
+        cases = [(a, pid, i) for a in arm_seeds for pid in ids for i in indexes]
+        assert len(cases) == 1450
+        for case in cases:
+            assert derive_seed(*case) == reference(*case), case
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seed(1, "p", -1)
 
 
 class TestIngestDataset:
@@ -495,8 +519,9 @@ class TestRunCampaign:
         assert set(log["wall_clock_seconds"]) == {"base", "guided"}
 
     def test_run_log_counts_decoded_and_reused_cells(self, world, tmp_path):
-        # The base arm has one sample per problem, so each decodes alone;
-        # the guided arm's three per problem decode in lockstep (V=5).
+        # At V=5 an arm's missing cells decode in lockstep across its
+        # problems: the base arm's two one-sample problems as one 2-row
+        # block, the guided arm's three per problem as one 6-row block.
         out = tmp_path / "out"
         manifest = make_manifest(world)
         run_campaign(manifest, out)
@@ -507,13 +532,58 @@ class TestRunCampaign:
             keys = ("cells_decoded", "cells_lockstep", "cells_reused")
             return {arm: tuple(log[key][arm] for key in keys) for arm in ("base", "guided")}
 
-        assert counts() == {"base": (2, 0, 0), "guided": (6, 6, 0)}
+        assert counts() == {"base": (2, 2, 0), "guided": (6, 6, 0)}
         # Drop one line: its cell is the only one missing, so it decodes alone.
         victim = out / "arms/guided/problems/0.jsonl"
         victim.write_text("".join(line + "\n" for line in victim.read_text().splitlines()[1:]))
         run_campaign(manifest, out)
         assert counts() == {"base": (0, 0, 2), "guided": (1, 0, 5)}
         assert walk_bytes(out) == before
+
+    def test_run_log_counts_tokens_and_degraded_reason(self, world, tmp_path):
+        arms = (
+            *make_manifest(world).arms,
+            ArmSpec(label="broken", base=str(world / "missing.json"), config=GREEDY),
+        )
+        manifest = make_manifest(world, arms=arms)
+        out = tmp_path / "out"
+        summary = run_campaign(manifest, out)
+
+        def log(key):
+            return json.loads((out / "run_log.json").read_text())[key]
+
+        def tokens(arm, name=None):
+            return sum(
+                len(json.loads(line)["tokens"])
+                for file, lines in problem_lines(out, arm).items()
+                if name in (None, file)
+                for line in lines
+            )
+
+        assert log("tokens") == {"base": tokens("base"), "guided": tokens("guided"), "broken": 0}
+        assert log("degraded") == {"base": None, "guided": None, "broken": summary["arms"]["broken"]["error"]}
+        assert "FileNotFoundError" in log("degraded")["broken"]
+        # A resume counts only the tokens of the cells it decodes again.
+        victim = out / "arms/guided/problems/1.jsonl"
+        lines = victim.read_text().splitlines()
+        victim.write_text(lines[1] + "\n")
+        run_campaign(manifest, out)
+        regenerated = [json.loads(line) for i, line in enumerate(lines) if i != 1]
+        assert log("tokens") == {
+            "base": 0, "guided": sum(len(row["tokens"]) for row in regenerated), "broken": 0
+        }
+        assert log("degraded")["guided"] is None
+
+    def test_unencodable_prompt_degrades_after_the_problems_before_it(self, world, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text((world / "data.jsonl").read_text() + '{"prompt": "9 1", "answer": "2"}\n')
+        healthy = tmp_path / "healthy"
+        run_campaign(make_manifest(world), healthy)
+        out = tmp_path / "out"
+        summary = run_campaign(make_manifest(world, dataset=str(data)), out)
+        for arm in ("base", "guided"):
+            assert summary["arms"][arm]["error"] == "CorpusIngestionError: token 1: '9' not in vocabulary"
+            assert problem_lines(out, arm) == problem_lines(healthy, arm)
 
     def test_greedy_arm_accuracy_is_exact(self, world, tmp_path):
         # Greedy cycle answers "3" (correct) and "1" (truth is "7").
@@ -847,8 +917,9 @@ class FailingScorer(Scorer):
 
 
 class TestLockstepCampaign:
-    """A problem's missing samples decode in lockstep at this V=5 vocabulary;
-    every line must be the line a per-cell ``decode`` of its cell gives."""
+    """An arm's missing samples decode in lockstep at this V=5 vocabulary,
+    in blocks whose rows come from every problem; every line must be the
+    line a per-cell ``decode`` of its cell gives."""
 
     SAMPLES = 8
 
@@ -918,6 +989,110 @@ class TestLockstepCampaign:
             4, 4, 2 * self.SAMPLES - 4
         ]
 
+    def spy_blocks(self, monkeypatch):
+        blocks = []
+        lockstep = harness._decode_lockstep
+
+        def spy(*args, **kwargs):
+            blocks.append(([list(p) for p in kwargs["prompts"]], list(kwargs["seeds"])))
+            return lockstep(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_decode_lockstep", spy)
+        return blocks
+
+    def drop(self, out, dropped):
+        for name, indexes in dropped.items():
+            victim = out / "arms/guided/problems" / name
+            victim.write_text(
+                "".join(
+                    line + "\n"
+                    for line in victim.read_text().splitlines()
+                    if json.loads(line)["sample_index"] not in indexes
+                )
+            )
+
+    def test_scattered_gaps_of_every_problem_decode_as_one_block(self, world, tmp_path, monkeypatch):
+        manifest = self.manifest(world)
+        run_campaign(manifest, tmp_path / "fresh")
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        dropped = {"0.jsonl": [0, 3, 6, 7], "1.jsonl": [1, 2, 5]}
+        self.drop(out, dropped)
+        blocks = self.spy_blocks(monkeypatch)
+        run_campaign(manifest, out)
+        assert len(blocks) == 1
+        prompts, seeds = blocks[0]
+        assert seeds == [
+            derive_seed(SAMPLED.seed, pid, i) for pid in "01" for i in dropped[f"{pid}.jsonl"]
+        ]
+        assert prompts == [[0, 1]] * 4 + [[1, 2]] * 3
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+
+    def test_a_written_file_keeps_only_its_answers(self, world, tmp_path, monkeypatch):
+        # A problem's lines are dropped once its file is complete and
+        # written, so an arm holds the lines of its unfinished problems only.
+        files, held = [], []
+
+        class Recorded(harness._ProblemFile):
+            def __init__(self, *args):
+                super().__init__(*args)
+                files.append(self)
+
+        line_of = harness._trajectory_line
+
+        def spy(*args):
+            done = [file for file in files if not file.missing]
+            held.append((len(done), sum(len(file.lines) for file in done)))
+            return line_of(*args)
+
+        monkeypatch.setattr(harness, "_ProblemFile", Recorded)
+        monkeypatch.setattr(harness, "_trajectory_line", spy)
+        manifest = self.manifest(world)
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        self.drop(out, {"0.jsonl": [2, 5]})
+        run_campaign(manifest, out)
+        assert all(lines == 0 for _, lines in held)
+        # The fresh run finishes a file before its last cell; at the
+        # resume's last cell, problem 1's file (read complete) is done too,
+        # beside the fresh run's two.
+        assert held[2 * self.SAMPLES - 1][0] == 1 and held[-1][0] == 3
+        assert len(files) == 4
+        for file in files:
+            assert file.lines == {} and sorted(file.answers) == list(range(self.SAMPLES))
+
+    @pytest.mark.parametrize(
+        "samples, fresh, dropped, resumed",
+        [
+            # At most 55 // (5 + 6) = 5 rows of V=5 and 6 tokens per block: 8
+            # cells make two blocks of four, and a resume's 6 cells two
+            # blocks of three, the second holding cells of both problems.
+            (4, [4, 4], {"0.jsonl": [0, 1, 2, 3], "1.jsonl": [1, 3]}, [3, 3]),
+            # A block never holds fewer rows than a problem has samples: 16
+            # cells make two blocks of eight, and a resume's 7 cells one.
+            (8, [8, 8], {"0.jsonl": [1, 4, 5, 7], "1.jsonl": [0, 6, 7]}, [7]),
+        ],
+    )
+    def test_blocks_split_by_the_entry_bound(
+        self, world, tmp_path, monkeypatch, samples, fresh, dropped, resumed
+    ):
+        manifest = make_manifest(world, arms=(guided_arm(world),), samples_per_problem=samples)
+        run_campaign(manifest, tmp_path / "fresh")
+        blocks = self.spy_blocks(monkeypatch)
+        monkeypatch.setattr(harness, "_LOCKSTEP_BLOCK_ENTRIES", 55)
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        assert [len(seeds) for _, seeds in blocks] == fresh
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+        blocks.clear()
+        self.drop(out, dropped)
+        run_campaign(manifest, out)
+        assert [len(seeds) for _, seeds in blocks] == resumed
+        assert [seed for _, seeds in blocks for seed in seeds] == [
+            derive_seed(SAMPLED.seed, pid, i) for pid in "01" for i in dropped[f"{pid}.jsonl"]
+        ]
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+
     def test_remote_arm_decodes_per_cell_on_one_session(self, world, tmp_path, monkeypatch):
         # Lockstep rows would take turns on the one session, so each request
         # would re-send its row's generated suffix; per cell, each request
@@ -947,7 +1122,7 @@ class TestLockstepCampaign:
             gc.collect()
         assert summary["arms"]["remote"]["degraded"] is False
         assert len(connects) == 1
-        assert lockstep_bases == ["ngram", "ngram"]  # the in-process arm's two problems
+        assert lockstep_bases == ["ngram"]  # one block for the in-process arm's two problems
         # Only a problem's first request sends more than one id: its
         # two-id prompt. A later cell's first request shares the prompt
         # with the cell before and sends none.
@@ -962,9 +1137,9 @@ class TestLockstepCampaign:
         healthy = tmp_path / "healthy"
         run_campaign(manifest, healthy)
         healthy_lines = problem_lines(healthy, "guided")
-        # Problem 0's eight rows take expert calls 1-8 at step 0, and the
-        # rows still going take the next ones; call 20 falls inside a later
-        # step's block, after some rows have stopped.
+        # The block's sixteen rows (eight per problem) take expert calls
+        # 1-16 at step 0, and the rows still going take the next ones; call
+        # 20 falls inside step 1's block, after some rows have stopped.
         load = harness.load_scorer
         monkeypatch.setattr(
             harness,
@@ -983,6 +1158,29 @@ class TestLockstepCampaign:
         run_campaign(manifest, out)
         assert walk_bytes(out) == walk_bytes(healthy)
 
+
+    def test_failure_keeps_finished_lines_of_every_problem(self, world, tmp_path, monkeypatch):
+        # Call 56 falls late enough in the one block that rows of both
+        # problems have stopped, and neither problem is complete.
+        manifest = self.manifest(world)
+        healthy = tmp_path / "healthy"
+        run_campaign(manifest, healthy)
+        load = harness.load_scorer
+        monkeypatch.setattr(
+            harness,
+            "load_scorer",
+            lambda path: FailingScorer(load(path), 56) if path.endswith("/expert.json") else load(path),
+        )
+        out = tmp_path / "out"
+        assert run_campaign(manifest, out)["arms"]["guided"]["degraded"] is True
+        monkeypatch.undo()
+        left, whole = problem_lines(out, "guided"), problem_lines(healthy, "guided")
+        assert list(left) == ["0.jsonl", "1.jsonl"]
+        for name, lines in left.items():
+            assert 0 < len(lines) < self.SAMPLES
+            assert set(lines) <= set(whole[name])
+        run_campaign(manifest, out)
+        assert walk_bytes(out) == walk_bytes(healthy)
 
 class TestLoadCampaignTrajectories:
     def test_round_trip(self, world, tmp_path):

@@ -33,7 +33,7 @@ from deltadecode.core import (
     softmax_with_temperature,
 )
 from deltadecode.decoder import DecodeError, decode, kl_divergence
-from deltadecode.scorers import BigramMatrixScorer, NGramModel, Scorer, build_vocab
+from deltadecode.scorers import BigramMatrixScorer, NGramModel, Scorer, build_vocab, train_ngram
 
 JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -910,7 +910,9 @@ class TestBatchedStepsMatchOneRow:
 def lockstep_setups(draw):
     """Bigram scorers over a small vocabulary whose rows have ties, one-hot
     peaks, random values, or random values with exact zeros in their
-    softmax; a config, seeds for up to a dozen rows, and kl on or off."""
+    softmax; a config, seeds for up to a dozen rows, each row's prompt
+    (rows share one of up to three prompts of one to four ids), and kl on
+    or off."""
     vocab = build_vocab([[f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=30)))]])
     n = vocab.size
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -941,7 +943,12 @@ def lockstep_setups(draw):
     seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=12))
     instrument = draw(st.sampled_from([(), ("kl",)]))
     scorers = (base, expert, expert_base) if guided else (base, None, None)
-    return scorers, [int(rng.integers(0, n))], config, seeds, instrument
+    pool = [
+        [int(t) for t in rng.integers(0, n, size=draw(st.integers(min_value=1, max_value=4)))]
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    prompts = [pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))] for _ in seeds]
+    return scorers, prompts, config, seeds, instrument
 
 
 def step_bits(trajectory):
@@ -951,16 +958,16 @@ def step_bits(trajectory):
     ]
 
 
-def assert_lockstep_matches_decode(scorers, prompt, config, seeds, instrument):
+def assert_lockstep_matches_decode(scorers, prompts, config, seeds, instrument):
     rows = list(
         decoder._decode_lockstep(
-            *scorers, prompt=prompt, config=config, seeds=seeds, instrument=instrument
+            *scorers, prompts=prompts, config=config, seeds=seeds, instrument=instrument
         )
     )
     assert sorted(row for row, _ in rows) == list(range(len(seeds)))
     for row, trajectory in rows:
         expected = decode(
-            *scorers, prompt=prompt, config=config.replace(seed=seeds[row]), instrument=instrument
+            *scorers, prompt=prompts[row], config=config.replace(seed=seeds[row]), instrument=instrument
         )
         assert step_bits(trajectory) == step_bits(expected)
         assert trajectory == expected
@@ -991,7 +998,7 @@ class TestLockstepMatchesDecode:
         pair = [BigramMatrixScorer(vocab, rng.normal(size=(n, n)), name=r) for r in "bc"]
         config = DecodeConfig(top_p=0.9, max_tokens=10, mode=mode)
         for scorers in ((base, None, None), (base, *pair)):
-            assert_lockstep_matches_decode(scorers, [0], config, list(range(9)), ("kl",))
+            assert_lockstep_matches_decode(scorers, [[0]] * 9, config, list(range(9)), ("kl",))
 
     def test_rows_leave_the_block_at_eos(self):
         vocab = build_vocab([["a", "b"]])
@@ -999,10 +1006,31 @@ class TestLockstepMatchesDecode:
         m[:, vocab.eos] = 0.5  # every step may stop, so rows stop apart
         scorer = BigramMatrixScorer(vocab, m)
         config = DecodeConfig(top_p=1.0, max_tokens=20)
-        rows = list(decoder._decode_lockstep(scorer, prompt=[0], config=config, seeds=range(12)))
+        rows = list(decoder._decode_lockstep(scorer, prompts=[[0]] * 12, config=config, seeds=range(12)))
         lengths = [len(t.generated) for _, t in rows]
         assert lengths == sorted(lengths) and len(set(lengths)) > 2
-        assert_lockstep_matches_decode((scorer, None, None), [0], config, list(range(12)), ())
+        assert_lockstep_matches_decode((scorer, None, None), [[0]] * 12, config, list(range(12)), ())
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_rows_of_different_prompts(self, guided):
+        # Trigram rows read two ids of context, so prompts of one to four
+        # ids score differently from the first step; every document ends
+        # in eos, so rows stop apart. Rows share prompt objects, and one
+        # prompt is repeated as an equal list of its own.
+        rng = np.random.default_rng(8)
+        vocab = build_vocab([[f"t{i}" for i in range(7)]])
+        docs = [rng.integers(0, 7, size=rng.integers(1, 6)).tolist() for _ in range(40)]
+        base = train_ngram(docs, 3, vocab, smoothing_k=0.2, name="a")
+        pair = [train_ngram(docs[i::2], 2, vocab, smoothing_k=0.2, name=r) for i, r in enumerate("bc")]
+        scorers = (base, *pair) if guided else (base, None, None)
+        pool = [[3], [1, 4], [0, 2, 5], [6, 6, 1, 2]]
+        prompts = [pool[i % 4] for i in range(14)] + [[0, 2, 5]]
+        config = DecodeConfig(top_p=0.9, max_tokens=4)
+        seeds = list(range(100, 115))
+        rows = list(decoder._decode_lockstep(*scorers, prompts=prompts, config=config, seeds=seeds))
+        assert len({len(t.generated) for _, t in rows if t.stop_reason == "eos"}) > 2
+        assert {t.stop_reason for _, t in rows} == {"eos", "max_tokens"}
+        assert_lockstep_matches_decode(scorers, prompts, config, seeds, ("kl",))
 
 
 @pytest.mark.filterwarnings(
@@ -1016,7 +1044,7 @@ class TestLockstepChecks:
         with pytest.raises(error) as expected:
             decode(*scorers, prompt=[1], config=config)
         with pytest.raises(error) as got:
-            list(decoder._decode_lockstep(*scorers, prompt=[1], config=config, seeds=[5, 6, 7]))
+            list(decoder._decode_lockstep(*scorers, prompts=[[1]] * 3, config=config, seeds=[5, 6, 7]))
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
@@ -1064,13 +1092,13 @@ class TestLockstepChecks:
         short = Short(scorers[0].vocab, scorers[0].matrix, name="base")
         message = "scorer 'base' returned bad logits at step 0: expected 3 rows of 14 logits"
         with pytest.raises(DecodeError, match=re.escape(message)):
-            list(decoder._decode_lockstep(short, prompt=[1], config=DecodeConfig(), seeds=[1, 2, 3]))
+            list(decoder._decode_lockstep(short, prompts=[[1]] * 3, config=DecodeConfig(), seeds=[1, 2, 3]))
 
     def test_rows_unchanged(self):
         scorers = row_scorers()
         before = [s.matrix.tobytes() for s in scorers]
         config = DecodeConfig(max_tokens=30, top_p=0.9)
         for used in (scorers, scorers[:1]):
-            rows = list(decoder._decode_lockstep(*used, prompt=[1], config=config, seeds=range(4), instrument=("kl",)))
+            rows = list(decoder._decode_lockstep(*used, prompts=[[1]] * 4, config=config, seeds=range(4), instrument=("kl",)))
             assert len(rows) == 4
         assert [s.matrix.tobytes() for s in scorers] == before
