@@ -182,9 +182,10 @@ def token_frequency(
     folded_surface = [s.casefold() for s in vocab.surface]
     total = 0
     counts = {name: 0 for name, _ in token_sets.categories}
+    folded_sets = {name: {t.casefold() for t in tokens} for name, tokens in token_sets.categories}
     id_sets = {
-        name: {i for i, s in enumerate(folded_surface) if s in {t.casefold() for t in tokens}}
-        for name, tokens in token_sets.categories
+        name: {i for i, s in enumerate(folded_surface) if s in folded}
+        for name, folded in folded_sets.items()
     }
     for trajectory in trajectories:
         for token in trajectory.tokens:

@@ -5,10 +5,12 @@ operations over float64 vectors: logit combination, temperature softmax,
 nucleus filtering, and categorical sampling. The public ones take dense
 rows and either return a fresh array or raise; none mutate their inputs.
 Each public function checks its arguments and then runs a private step
-that checks nothing; ``decode`` calls the private steps on rows it
-validated once, writing the combine and softmax into one buffer it
+that checks nothing. The one decode loop (``decoder._decode_lockstep``,
+of which ``decode`` is the one-row case) runs the batched private steps
+over a block while two or more rows run, and the 1-D ones on a lone row
+it validated once, writing the combine and softmax into one buffer it
 reuses. The combine and the softmax's exp are elementwise, so a guided
-``decode`` over sparse rows runs them on one lane per distinct value
+lone row over sparse rows runs them on one lane per distinct value
 rather than on every id, and the nucleus finds its candidates on those
 lanes; the softmax's sum and the nucleus's normaliser still sum a dense
 V-length row, since a pairwise sum's bits depend on the row's length.
@@ -17,9 +19,11 @@ V-length row, since a pairwise sum's bits depend on the row's length.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -97,10 +101,18 @@ class Vocabulary:
         """Id used to left-pad short contexts: bos when defined, else eos."""
         return self.eos if self.bos is None else self.bos
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """The surface -> id map, built on first use and kept; not a field,
+        so equality, repr and to_dict see only the fields. Not built up
+        front: at V=32768 it holds about 1.9 MB, which a vocabulary that
+        never encodes text would carry for nothing."""
+        return {token: i for i, token in enumerate(self.surface)}
+
     def id_of(self, token: str) -> int:
         try:
-            return self.surface.index(token)
-        except ValueError:
+            return self._index[token]
+        except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary") from None
 
     def to_dict(self) -> dict:
@@ -200,6 +212,11 @@ class DecodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("delta_scale", "temperature", "top_p"):
+            value = getattr(self, name)
+            # A bool is a Real, yet no scale, temperature or mass.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidConfigError(f"{name} must be a real number, got {type(value).__name__}")
         if not math.isfinite(self.delta_scale) or self.delta_scale < 0:
             raise InvalidConfigError(f"delta_scale must be >= 0, got {self.delta_scale}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
@@ -349,8 +366,8 @@ def sample_token(probs, rng: np.random.Generator) -> int:
     return _sample(arr, np.arange(arr.size), rng)
 
 
-# The private steps. None writes into its inputs (``decode`` reads the base
-# row again for the kl instrument): a step that takes ``out`` writes only
+# The private steps. None writes into its inputs (the decode loop reads the
+# base row again for the kl instrument): a step that takes ``out`` writes only
 # there, and every other one writes only into arrays it allocated itself.
 
 
@@ -506,7 +523,8 @@ def _sample(dist: np.ndarray, kept: np.ndarray, rng: np.random.Generator) -> int
 
 
 # The batched steps: the private steps above over an (S, V) block with one
-# row per trajectory, for ``decoder._decode_lockstep``. Each row gets the
+# row per trajectory, which ``decoder._decode_lockstep`` runs while two or
+# more rows run; a lone row takes the 1-D steps. Each row gets the
 # bits the 1-D step gives it: max, exp and division are elementwise, and a
 # sum or cumsum along axis 1 of a C-contiguous block reduces each row as
 # the 1-D call reduces the row alone.

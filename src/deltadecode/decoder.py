@@ -333,82 +333,19 @@ def decode(
     decodes from ``base + delta_scale * (expert - expert_base)``; without
     one it decodes the base alone. The one instrument flag, ``"kl"``,
     records the per-step divergence between the unfiltered base
-    distribution and the final (post-nucleus) distribution.
+    distribution and the final (post-nucleus) distribution. This is the
+    one-row case of :func:`_decode_lockstep`.
     """
-    want_kl = _checked_scorers(base, expert, expert_base, instrument)
-    size = base.vocab.size
-    # A prefix the caller passes is checked, not copied, so copy it here.
-    prompt = _prompt_prefix(size, prompt)
-    context = prompt.head(len(prompt))
-    rng = np.random.default_rng(config.seed) if config.mode == "sample" else None
-    eos = base.vocab.eos
-    # With delta_scale > 0 only the combined row is checked for finite
-    # values; otherwise each row is, and the base row is decoded as it is.
-    guided = expert is not None and config.delta_scale > 0
-    finite = not guided
-    scorers = (base, expert, expert_base)
-    # The kl instrument needs the dense base row.
-    sparse_ok = guided and not want_kl and _sparse_pays(size, 0)
-    # The combine, the temperature divide and exp run in place in this one
-    # buffer; no scorer row is written. The nucleus's head is written into
-    # the zero row, which is zeroed again at the kept ids after each step.
-    work = np.empty(size)
-    zero = np.zeros(size)
-
-    steps: list[StepRecord] = []
-    stop_reason = "max_tokens"
-    # The config was validated when it was built, and each row is validated
-    # once per step here; the step core below checks neither again.
-    for step in range(config.max_tokens):
-        sparse = _sparse_rows(scorers, context, step) if sparse_ok else None
-        lanes = None
-        if sparse is not None and _sparse_pays(size, sum(ids.size for _, ids, _ in sparse)):
-            weights, total, lanes = _sparse_weights(
-                scorers, sparse, step, config.delta_scale, config.temperature, work
-            )
-        else:
-            logits = base_logits = _checked_score(base, "base", context, step, size, finite)
-            if expert is not None:
-                rows = (
-                    base_logits,
-                    _checked_score(expert, "expert", context, step, size, finite),
-                    _checked_score(expert_base, "expert_base", context, step, size, finite),
-                )
-                if guided:
-                    logits = _checked_combine(scorers, rows, step, config.delta_scale, work)
-            weights, total = _weights(logits, config.temperature, work)
-        dist, kept = _nucleus(weights, total, config.top_p, zero, lanes)
-        if rng is None:
-            token = _greedy(dist, kept)
-        else:
-            token = _sample(dist, kept, rng)
-
-        kl = None
-        if want_kl:
-            base_probs = _softmax(base_logits, config.temperature)
-            kl = kl_divergence(base_probs, dist)
-
-        steps.append(
-            StepRecord(
-                token=token,
-                chosen_logprob=float(np.log(dist[token])),
-                kl_base_vs_combined=kl,
-            )
-        )
-        if dist is zero:
-            zero[kept] = 0.0
-        context.append(token)
-        if token == eos:
-            stop_reason = "eos"
-            break
-
-    return Trajectory(
-        prompt_tokens=tuple(prompt),
-        generated=tuple(steps),
-        stop_reason=stop_reason,
-        config_snapshot=config,
-        scorer_labels=_scorer_labels(base, expert, expert_base),
+    ((_, trajectory),) = _decode_lockstep(
+        base,
+        expert,
+        expert_base,
+        prompts=(prompt,),
+        config=config,
+        seeds=(config.seed,),
+        instrument=instrument,
     )
+    return trajectory
 
 
 def _checked_scorers(base, expert, expert_base, instrument) -> bool:
@@ -446,10 +383,11 @@ def _prompt_prefix(size: int, prompt: Sequence[int]) -> TokenPrefix:
 
 
 def _scorer_labels(base, expert, expert_base) -> tuple[tuple[str, str], ...]:
-    label_map = {"base": base.name}
+    """(role, scorer name) pairs, sorted by role."""
+    labels = (("base", base.name),)
     if expert is not None:
-        label_map.update(expert=expert.name, expert_base=expert_base.name)
-    return tuple(sorted(label_map.items()))
+        labels += (("expert", expert.name), ("expert_base", expert_base.name))
+    return labels
 
 
 def _decode_lockstep(
@@ -462,47 +400,51 @@ def _decode_lockstep(
     seeds: Sequence[int],
     instrument: Sequence[str] = (),
 ):
-    """:func:`decode` of each (prompt, seed) row, with the rows stepped together.
+    """The decode loop: each (prompt, seed) row, with the rows stepped together.
 
-    Row ``i`` decodes ``prompts[i]`` with ``seeds[i]``; rows may share a
-    prompt object, and each distinct one is checked once. Yields ``(row,
-    trajectory)`` as each row stops, where ``trajectory`` is bit for bit
-    ``decode(..., prompt=prompts[row], config=config.replace(seed=seeds[row]))``.
-    Each step scores the active rows as one block through each scorer's
-    ``_score_rows`` and runs the batched step core over it; each row keeps
-    its own generator and prefix, and leaves the block at eos. The checks
-    are ``decode``'s, over blocks: a failure raises the same
-    :class:`DecodeError`, naming the role and step, after every row that
-    stopped earlier has been yielded.
+    Row ``i`` decodes ``prompts[i]`` with ``seeds[i]``; a prompt that is
+    a :class:`TokenPrefix` of the vocabulary's size is taken as checked, so
+    rows that share one share its check. Yields ``(row, trajectory)`` as
+    each row stops. While two or more rows run, each step scores them as
+    one block through each scorer's ``_score_rows`` and runs the batched
+    step core over it. Once one row is left, it takes the 1-D step: the
+    sparse step when :func:`_sparse_pays`, else the dense rows, and the
+    nucleus's head written into one reused zero row. Both steps give a row
+    the same bits, so each trajectory is bit for bit the one
+    :func:`decode`, the one-row case, gives that row's prompt and seed.
+    Each row keeps its own generator and prefix, and leaves the block at
+    eos. A failure raises a :class:`DecodeError` naming the role and step,
+    after every row that stopped earlier has been yielded.
     """
     if len(prompts) != len(seeds):
         raise ValueError(f"{len(prompts)} prompts for {len(seeds)} seeds")
     want_kl = _checked_scorers(base, expert, expert_base, instrument)
     size = base.vocab.size
     eos = base.vocab.eos
+    # With delta_scale > 0 only the combined rows are checked for finite
+    # values; otherwise each row is, and the base rows are decoded as they are.
     guided = expert is not None and config.delta_scale > 0
     finite = not guided
     scorers = (base, expert, expert_base)
+    # The kl instrument needs the dense base row.
+    sparse_ok = guided and not want_kl and _sparse_pays(size, 0)
     labels = _scorer_labels(base, expert, expert_base)
-    # Keyed by identity; each entry holds its prompt, so no id is reused.
-    checked: dict[int, tuple[Sequence[int], TokenPrefix, tuple[int, ...]]] = {}
-    for prompt in prompts:
-        if id(prompt) not in checked:
-            prefix = _prompt_prefix(size, prompt)
-            checked[id(prompt)] = prompt, prefix, tuple(prefix)
-    entries = [checked[id(prompt)] for prompt in prompts]
-    prompt_tokens = [tokens for _, _, tokens in entries]
-    contexts = [prefix.head(len(prefix)) for _, prefix, _ in entries]
-    configs = [config._with_seed(seed) for seed in seeds]
+    prompts = [_prompt_prefix(size, prompt) for prompt in prompts]
+    contexts = [prompt.head(len(prompt)) for prompt in prompts]
+    # ``decode`` passes its config's own seed, which needs no new snapshot.
+    configs = [config if seed is config.seed else config._with_seed(seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds] if config.mode == "sample" else None
     steps: list[list[StepRecord]] = [[] for _ in seeds]
-    # Active rows are the leading rows of the buffer, so each slice of it
-    # stays C-contiguous.
+    # The combine, the temperature divide and exp run in place in this
+    # buffer; no scorer row is written. Active rows are its leading rows,
+    # so each slice of it stays C-contiguous. The 1-D step writes the
+    # nucleus's head into the zero row, and zeroes it again at the kept ids.
     work = np.empty((len(seeds), size))
+    zero = np.zeros(size)
 
     def finished(row: int, stop_reason: str) -> tuple[int, Trajectory]:
         return row, Trajectory(
-            prompt_tokens=prompt_tokens[row],
+            prompt_tokens=tuple(prompts[row]),
             generated=tuple(steps[row]),
             stop_reason=stop_reason,
             config_snapshot=configs[row],
@@ -510,7 +452,46 @@ def _decode_lockstep(
         )
 
     active = list(range(len(seeds)))
+    # The config was validated when it was built, and each row is validated
+    # once per step here; the step cores below check neither again.
     for step in range(config.max_tokens):
+        if len(active) == 1:
+            row = active[0]
+            context = contexts[row]
+            out = work[0]
+            sparse = _sparse_rows(scorers, context, step) if sparse_ok else None
+            lanes = None
+            if sparse is not None and _sparse_pays(size, sum(ids.size for _, ids, _ in sparse)):
+                weights, total, lanes = _sparse_weights(
+                    scorers, sparse, step, config.delta_scale, config.temperature, out
+                )
+            else:
+                logits = base_logits = _checked_score(base, "base", context, step, size, finite)
+                if expert is not None:
+                    rows = (
+                        base_logits,
+                        _checked_score(expert, "expert", context, step, size, finite),
+                        _checked_score(expert_base, "expert_base", context, step, size, finite),
+                    )
+                    if guided:
+                        logits = _checked_combine(scorers, rows, step, config.delta_scale, out)
+                weights, total = _weights(logits, config.temperature, out)
+            dist, kept = _nucleus(weights, total, config.top_p, zero, lanes)
+            if rngs is None:
+                token = _greedy(dist, kept)
+            else:
+                token = _sample(dist, kept, rngs[row])
+            kl = None
+            if want_kl:
+                kl = kl_divergence(_softmax(base_logits, config.temperature), dist)
+            steps[row].append(StepRecord(token, float(np.log(dist[token])), kl))
+            if dist is zero:
+                zero[kept] = 0.0
+            context.append(token)
+            if token == eos:
+                yield finished(row, "eos")
+                return
+            continue
         if not active:
             return
         prefixes = [contexts[row] for row in active]

@@ -52,7 +52,8 @@ _SEED_MASK = (1 << 64) - 1
 # on a shared 2-vCPU x86_64 VM pinned to one core with a trigram base and
 # bigram pair trained on random text (guided, kl on, 16 tokens per row;
 # add-0.5 rows are near flat, add-1e-6 rows peaked): at V=16, 0.57x for
-# one row, 0.94x for two, 1.44x for three and 3.7x for twenty; at twenty
+# one row taking the block step (a block's last row takes ``decode``'s
+# 1-D step), 0.94x for two, 1.44x for three and 3.7x for twenty; at twenty
 # rows, 2.5-3.0x at V=256, 1.2-1.8x at V=1024, 0.97-1.34x at V=2048 and
 # 0.90x at V=4096; at four rows, 1.0-1.4x at V=1024 and 0.87-1.09x at
 # V=2048. The block sorts every id of every row, while ``decode`` sorts
@@ -97,12 +98,18 @@ class ArmSpec:
     instrument: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.label or not re.fullmatch(r"[A-Za-z0-9_.-]+", self.label):
+        if not isinstance(self.label, str) or not re.fullmatch(r"[A-Za-z0-9_.-]+", self.label):
             raise ManifestError(f"arm label must be a filesystem-safe slug, got {self.label!r}")
+        for name in ("base", "expert", "expert_base", "template", "vocab", "tokenizer"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and (value is not None or name == "base"):
+                raise ManifestError(
+                    f"arm {self.label!r}: {name} must be a string, got {type(value).__name__}"
+                )
         if (self.expert is None) != (self.expert_base is None):
             raise ManifestError(f"arm {self.label!r} must set expert and expert_base together")
-        if self.samples_per_problem is not None and self.samples_per_problem < 1:
-            raise ManifestError(f"arm {self.label!r}: samples_per_problem must be >= 1")
+        if self.samples_per_problem is not None:
+            _check_count(self.samples_per_problem, f"arm {self.label!r}: samples_per_problem")
         if not isinstance(self.instrument, (list, tuple)):
             raise ManifestError(
                 f"arm {self.label!r}: instrument must be a list of flags, "
@@ -140,8 +147,7 @@ class RunManifest:
     def __post_init__(self):
         if not self.run_id:
             raise ManifestError("run_id must be non-empty")
-        if self.samples_per_problem < 1:
-            raise ManifestError("samples_per_problem must be >= 1")
+        _check_count(self.samples_per_problem, "samples_per_problem")
         if self.answer_style not in ("boxed", "last_number"):
             raise ManifestError(f"unknown answer_style {self.answer_style!r}")
         if not isinstance(self.arms, (list, tuple)):
@@ -214,6 +220,12 @@ class RunManifest:
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_dict(data).resolved(path.parent)
+
+
+def _check_count(value, what: str) -> None:
+    # type() and not isinstance(): True is an int, yet no count.
+    if type(value) is not int or value < 1:
+        raise ManifestError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def _resolve_path(spec: str | None, base: Path) -> str | None:

@@ -554,7 +554,7 @@ def load_corpus(path, mode: str = "whitespace", vocab: Vocabulary | None = None)
     token_lines = [_tokenize_line(line, mode) for line in lines]
     if vocab is None:
         vocab = byte_vocab() if mode == "byte" else build_vocab(token_lines)
-    index = {tok: i for i, tok in enumerate(vocab.surface)}
+    index = vocab._index
     documents = []
     for lineno, tokens in enumerate(token_lines, start=1):
         ids = []
@@ -570,7 +570,7 @@ def load_corpus(path, mode: str = "whitespace", vocab: Vocabulary | None = None)
 
 def encode_text(text: str, vocab: Vocabulary, mode: str = "whitespace") -> list[int]:
     """Tokenize ``text`` into ids; unknown tokens raise an ingestion error."""
-    index = {tok: i for i, tok in enumerate(vocab.surface)}
+    index = vocab._index
     ids = []
     for pos, tok in enumerate(_tokenize_line(text, mode), start=1):
         if tok not in index:

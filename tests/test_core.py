@@ -63,8 +63,17 @@ class TestVocabulary:
 
     def test_unknown_surface(self):
         v = Vocabulary(surface=("a", "b"), eos=1)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="token 'z' not in vocabulary"):
             v.id_of("z")
+
+    def test_id_map_is_not_a_field(self):
+        # The surface -> id map is built once per vocabulary, on first use,
+        # outside the fields: equality, hashing and repr see the fields alone.
+        v, w = (Vocabulary(surface=("a", "b", "<eos>"), eos=2) for _ in range(2))
+        assert [v.id_of(t) for t in v.surface] == [0, 1, 2]
+        assert v == w and hash(v) == hash(w)
+        assert repr(v) == "Vocabulary(surface=('a', 'b', '<eos>'), eos=2, bos=None)"
+        assert v.to_dict() == {"surface": ["a", "b", "<eos>"], "eos": 2, "bos": None}
 
     def test_dict_round_trip(self):
         v = Vocabulary(surface=("a", "b", "<eos>"), eos=2, bos=None)
@@ -103,6 +112,21 @@ class TestDecodeConfig:
         (field,) = kwargs
         with pytest.raises(InvalidConfigError, match=field):
             DecodeConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"delta_scale": "1"}, "delta_scale must be a real number, got str"),
+            ({"delta_scale": True}, "delta_scale must be a real number, got bool"),
+            ({"temperature": None}, "temperature must be a real number, got NoneType"),
+            ({"temperature": [1.0]}, "temperature must be a real number, got list"),
+            ({"top_p": "0.9"}, "top_p must be a real number, got str"),
+            ({"top_p": False}, "top_p must be a real number, got bool"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, data, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            DecodeConfig.from_dict(data)
 
     def test_replace(self):
         c = DecodeConfig().replace(delta_scale=2.0)

@@ -390,6 +390,26 @@ class TestArmSpec:
         with pytest.raises(ManifestError, match=message):
             ArmSpec.from_dict({"label": "a", "base": "m.json", "instrument": instrument})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"label": 5}, "arm label must be a filesystem-safe slug, got 5"),
+            ({"base": 3}, "arm 'a': base must be a string, got int"),
+            ({"base": None}, "arm 'a': base must be a string, got NoneType"),
+            ({"expert": ["e.json"], "expert_base": "eb.json"}, "arm 'a': expert must be a string, got list"),
+            ({"expert": "e.json", "expert_base": 1.5}, "arm 'a': expert_base must be a string, got float"),
+            ({"template": {}}, "arm 'a': template must be a string, got dict"),
+            ({"vocab": 0}, "arm 'a': vocab must be a string, got int"),
+            ({"tokenizer": 7}, "arm 'a': tokenizer must be a string, got int"),
+            ({"samples_per_problem": 2.5}, "arm 'a': samples_per_problem must be an integer >= 1, got 2.5"),
+            ({"samples_per_problem": True}, "arm 'a': samples_per_problem must be an integer >= 1, got True"),
+            ({"samples_per_problem": "4"}, "arm 'a': samples_per_problem must be an integer >= 1, got '4'"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected_at_load(self, fields, message):
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            ArmSpec.from_dict({"label": "a", "base": "m.json", **fields})
+
     def test_instrument_flags_accepted(self):
         arm = ArmSpec.from_dict({"label": "a", "base": "m.json", "instrument": ["kl"]})
         assert arm.instrument == ("kl",)
@@ -418,6 +438,12 @@ class TestRunManifest:
             make_manifest(world, **overrides)
         with pytest.raises(ManifestError, match=message):
             RunManifest.from_dict({**make_manifest(world).to_dict(), **overrides})
+
+    @pytest.mark.parametrize("samples", ["4", True, 2.5, None])
+    def test_wrongly_typed_sample_count_rejected(self, world, samples):
+        message = f"samples_per_problem must be an integer >= 1, got {samples!r}"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            RunManifest.from_dict({**make_manifest(world).to_dict(), "samples_per_problem": samples})
 
     def test_duplicate_labels_rejected(self, world):
         arm = ArmSpec(label="same", base=str(world / "base.json"))

@@ -281,6 +281,46 @@ def test_which_steps_are_sparse(sparse_steps, case, sparse):
     assert (len(calls) == 0) == sparse
 
 
+def test_a_blocks_last_row_takes_the_1d_step(monkeypatch, sparse_steps):
+    # Peaked rows: every role counts the same four pool ids and eos after
+    # each context, so rows stop at eos on different steps. Steps with two
+    # or more rows take the batched (dense) step; once one row is left it
+    # takes the sparse one.
+    size = GATE
+    rng = np.random.default_rng(21)
+    pool = rng.choice(size - 2, 12, replace=False)
+    eos = size - 1
+    successors = {int(ctx): [*map(int, rng.choice(pool, 4, replace=False)), eos] for ctx in pool}
+
+    def model(name):
+        counts = {
+            (ctx,): {t: int(c) for t, c in zip(ids, [*rng.integers(5, 50, 4), 8])}
+            for ctx, ids in successors.items()
+        }
+        return NGramModel(vocab_of(size), 2, counts, 1e-6, name=name)
+
+    scorers = [model("b"), model("e"), model("eb")]
+    blocks = []
+    nucleus_rows = decoder._nucleus_rows
+    monkeypatch.setattr(
+        decoder, "_nucleus_rows", lambda weights, *rest: blocks.append(len(weights)) or nucleus_rows(weights, *rest)
+    )
+    config = DecodeConfig(max_tokens=300, top_p=0.95)
+    prompt = [int(pool[0])]
+    seeds = list(range(6))
+    rows = dict(decoder._decode_lockstep(*scorers, prompts=[prompt] * 6, config=config, seeds=seeds))
+    lengths = sorted(len(t.generated) for t in rows.values())
+    assert {t.stop_reason for t in rows.values()} == {"eos"}
+    assert len(set(lengths)) > 3 and lengths[-2] < lengths[-1]
+    assert blocks == [sum(n > step for n in lengths) for step in range(lengths[-2])]
+    assert min(blocks) == 2
+    assert sparse_steps["sparse"] == lengths[-1] - lengths[-2]
+    for row, trajectory in rows.items():
+        expected = decode(*scorers, prompt=prompt, config=config.replace(seed=seeds[row]))
+        assert steps(trajectory) == steps(expected)
+        assert trajectory == expected
+
+
 # -- errors on the sparse path --------------------------------------------
 
 
