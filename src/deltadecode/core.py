@@ -23,7 +23,7 @@ import numbers
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -580,3 +580,78 @@ def _sample_rows(dist: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.nd
     for row in np.flatnonzero(tokens == dist.shape[1]):
         tokens[row] = np.flatnonzero(dist[row])[-1]
     return tokens
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), run over many
+# seeds at once: a pool of four uint32 words, filled from the entropy words
+# by ``hashmix``, mixed pairwise by ``mix``, then read out cyclically by
+# ``generate_state``. Each hash call's constants follow one fixed sequence,
+# the same for every seed, so the constants are arrays here. All operands
+# are uint32 arrays: arrays wrap silently where NumPy scalars would warn,
+# and no Python-int operand is left to promote differently under NumPy 1.x
+# and 2.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L = np.array(0xCA01F9DD, np.uint32)
+_MIX_MULT_R = np.array(0x4973F715, np.uint32)
+_XSHIFT = np.array(16, np.uint32)
+# The pool words each pool word is mixed into, in the hash's order.
+_OTHER_WORDS = [[i for i in range(_POOL) if i != src] for src in range(_POOL)]
+
+
+@cache
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constant each of ``calls`` hash calls xors in, and the one it
+    multiplies by: the running constant before and after its update."""
+    xors = [init]
+    for _ in range(calls):
+        xors.append(xors[-1] * mult & 0xFFFFFFFF)
+    return np.array(xors[:-1], np.uint32), np.array(xors[1:], np.uint32)
+
+
+def _hashed(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    out = values ^ xors
+    out *= mults
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x
+    out -= _MIX_MULT_R * y
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _seed_words(entropy: np.ndarray, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """``np.random.SeedSequence(row).generate_state(n_words, dtype)`` for
+    each row of the (n, w) uint32 array ``entropy``, as an (n, n_words)
+    array. Entropy of up to four words hashes as if padded with zeros to
+    four, so such rows can share one array; a row of five or more words
+    cannot be padded. With ``dtype=np.uint64`` each row is C-contiguous and
+    native-endian, as a bit generator reads it.
+    """
+    rows, width = entropy.shape
+    # Four fill calls, three per pool word in the pairwise mix, then four
+    # per entropy word past the pool.
+    xors, mults = _hash_constants(_INIT_A, _MULT_A, 4 * max(width, _POOL))
+    pool = np.zeros((rows, _POOL), np.uint32)
+    pool[:, : min(width, _POOL)] = entropy[:, :_POOL]
+    pool = _hashed(pool, xors[:4], mults[:4])
+    call = 4
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hashed(pool[:, src, None], xors[call : call + 3], mults[call : call + 3])
+        pool[:, dst] = _mixed(pool[:, dst], hashed)
+        call += 3
+    for src in range(_POOL, width):
+        hashed = _hashed(entropy[:, src, None], xors[call : call + 4], mults[call : call + 4])
+        pool = _mixed(pool, hashed)
+        call += 4
+    words = n_words * 2 if np.dtype(dtype) == np.uint64 else n_words
+    xors, mults = _hash_constants(_INIT_B, _MULT_B, words)
+    state = _hashed(pool.take(np.arange(words) % _POOL, axis=1), xors, mults)
+    if words == n_words:
+        return state
+    # Pairs of words, low word first, as SeedSequence assembles a uint64.
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DecodeConfig, InvalidConfigError, check_fields
+from .core import DecodeConfig, InvalidConfigError, _seed_words, check_fields
 from .decoder import INSTRUMENT_FLAGS, Trajectory, _decode_lockstep, _prompt_prefix, decode
 from .metrics import EvalRecord, extract_answer, pass_at_k_exact, save_records
 from .remote import RemoteScorer, connect_endpoint
@@ -145,6 +145,12 @@ class RunManifest:
     code_version: str = ""
 
     def __post_init__(self):
+        for name in ("run_id", "dataset", "created_at", "code_version"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ManifestError(
+                    f"manifest field {name!r} must be a string, got {type(value).__name__}"
+                )
         if not self.run_id:
             raise ManifestError("run_id must be non-empty")
         _check_count(self.samples_per_problem, "samples_per_problem")
@@ -353,9 +359,13 @@ def derive_seed(arm_seed: int, problem_id: str, sample_index: int) -> int:
     """Deterministic per-sample seed from (arm seed, problem id, sample).
 
     It is the first uint64 state word of ``np.random.SeedSequence([arm_seed
-    mod 2**64, the id's stable hash, sample_index])``.
+    mod 2**64, the id's stable hash, sample_index])``, each entry read as
+    its little-endian uint32 words. This is the reference: a campaign
+    derives its cells' seeds in one pass of the same hash over all of an
+    arm's missing cells, and the tests pin the two together.
     """
-    return _cell_seed(_problem_words(arm_seed, problem_id), sample_index)
+    entropy = _problem_words(arm_seed, problem_id) + _uint32_words(sample_index)
+    return int(np.random.SeedSequence(np.array(entropy, np.uint32)).generate_state(1, np.uint64)[0])
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -376,12 +386,21 @@ def _problem_words(arm_seed: int, problem_id: str) -> list[int]:
     return _uint32_words(arm_seed & _SEED_MASK) + _uint32_words(_stable_hash(problem_id))
 
 
-def _cell_seed(problem_words: list[int], sample_index: int) -> int:
-    """:func:`derive_seed` from its problem's words. A list entropy is
-    converted to these words one element at a time; a uint32 array is
-    taken as it is."""
-    entropy = np.array(problem_words + _uint32_words(sample_index), dtype=np.uint32)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+def _cell_seeds(entropy: list[list[int]]) -> list[int]:
+    """:func:`derive_seed` of each cell from its entropy words, hashed in
+    one pass per word count. Rows of up to four words are one pass, padded
+    with zeros; five and six words each take their own."""
+    groups: dict[int, list[int]] = {}
+    for position, words in enumerate(entropy):
+        groups.setdefault(max(len(words), 4), []).append(position)
+    seeds = [0] * len(entropy)
+    for width, positions in groups.items():
+        table = np.array(
+            [entropy[i] + [0] * (width - len(entropy[i])) for i in positions], np.uint32
+        )
+        for position, seed in zip(positions, _seed_words(table, 1, np.uint64)[:, 0].tolist()):
+            seeds[position] = seed
+    return seeds
 
 
 def _sanitize(problem_id: str) -> str:
@@ -451,13 +470,18 @@ def _load_arm_scorer(spec: str, arm: ArmSpec, cache: dict) -> Scorer:
     return scorer
 
 
+# One encoder for every line: ``json.dumps`` with these options builds a
+# new one per call.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _trajectory_line(sample_index: int, trajectory: Trajectory, answer: str | None) -> str:
     payload = {
         **trajectory.to_dict(),
         "sample_index": sample_index,
         "extracted_answer": answer,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _LINE_ENCODER.encode(payload)
 
 
 def _read_existing_lines(
@@ -602,9 +626,10 @@ def _run_arm(
     samples = runtime.samples
     size = runtime.base.vocab.size
     files: list[_ProblemFile] = []
-    # Per missing cell: its file and sample index, its prompt and its seed.
+    # Per missing cell: its file and sample index, its prompt and its seed's
+    # entropy words.
     cells: list[tuple[_ProblemFile, int]] = []
-    prompts, seeds = [], []
+    prompts, entropy = [], []
     taken: dict[str, str] = {}
     failure = None
     for problem in problems:
@@ -628,9 +653,9 @@ def _run_arm(
         for index in missing:
             cells.append((file, index))
             prompts.append(prompt)
-            seeds.append(_cell_seed(words, index))
+            entropy.append(words + _uint32_words(index))
     try:
-        lockstep, decoded = _decoded_cells(runtime, prompts, seeds)
+        lockstep, decoded = _decoded_cells(runtime, prompts, _cell_seeds(entropy))
         for position, trajectory in decoded:
             file, index = cells[position]
             answer = extract_answer(runtime.render(trajectory.tokens), manifest.answer_style)

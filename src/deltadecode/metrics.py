@@ -138,7 +138,9 @@ class EvalRecord:
             raise EmptyInputError(f"record {self.problem_id!r} has an empty prediction pool")
         object.__setattr__(self, "predictions", preds)
         truth = _truth_key(self.ground_truth)
-        object.__setattr__(self, "correct", tuple(_matches(p, truth) for p in preds))
+        # A pool repeats a few answers many times; match each one once.
+        verdicts = {p: _matches(p, truth) for p in set(preds)}
+        object.__setattr__(self, "correct", tuple(map(verdicts.__getitem__, preds)))
 
     @property
     def n(self) -> int:

@@ -287,12 +287,23 @@ class NGramModel(Scorer):
 
     def _score_rows(self, prefixes):
         """:meth:`score` of each prefix: one dict lookup per row, one fill of
-        the block, then one scatter of every row's counted logits."""
-        rows = [self._row_of(prefix) for prefix in prefixes]
+        the block, then one scatter of every row's counted logits. A
+        :class:`TokenPrefix` of this vocabulary's size has its context read
+        off directly; any other prefix is checked first."""
+        need, size = self.order - 1, self.vocab.size
+        pad = (self.vocab.pad,) * need
+        get, unseen = self._rows.get, self._unseen
+        rows = []
+        for prefix in prefixes:
+            if not (isinstance(prefix, TokenPrefix) and prefix.size == size):
+                prefix = self._check_prefix(prefix)
+            n = len(prefix)
+            context = tuple(prefix[n - need : n]) if n >= need else pad[n:] + tuple(prefix)
+            rows.append(get(context, unseen))
         bounds = self._bounds
         starts = np.array([bounds[i] for i in rows])
         lengths = np.array([bounds[i + 1] for i in rows]) - starts
-        out = self._fill[rows][:, None].repeat(self.vocab.size, axis=1)
+        out = self._fill[rows][:, None].repeat(size, axis=1)
         # Entry j of row r's counted ids is flat entry starts[r] + j.
         ends = lengths.cumsum()
         flat = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)

@@ -223,6 +223,41 @@ class TestDeriveSeed:
         with pytest.raises(ValueError, match="non-negative"):
             derive_seed(1, "p", -1)
 
+    def test_campaign_pass_equals_derive_seed(self):
+        # One arm's cells as _run_arm collects them, four to six words each
+        # (one or two per arm seed, id hash and index), mixed in one call,
+        # so every width group and the zero padding are exercised. Three
+        # words need an id hash below 2**32, so they are checked directly.
+        rng = np.random.default_rng(20)
+        arm_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**70 + 5]
+        arm_seeds += [int(v) for v in rng.integers(0, 2**63, size=2)]
+        ids = ["", "ü∑", "0", "succ-3"]
+        indexes = [0, 1, 2**32 - 1, 2**32, int(rng.integers(0, 2**32))]
+        cases = [(a, pid, i) for a in arm_seeds for pid in ids for i in indexes]
+        entropy = [harness._problem_words(a, pid) + harness._uint32_words(i) for a, pid, i in cases]
+        assert {len(words) for words in entropy} == {4, 5, 6}
+        assert harness._cell_seeds(entropy) == [derive_seed(*case) for case in cases]
+        short = [[0, 0, 0], [2**32 - 1, 5, 2**32 - 1], *entropy[:3]]
+        assert harness._cell_seeds(short) == [
+            int(np.random.SeedSequence(np.array(words, np.uint32)).generate_state(1, np.uint64)[0])
+            for words in short
+        ]
+        assert harness._cell_seeds(entropy[:1]) == [derive_seed(*cases[0])]
+        assert harness._cell_seeds([]) == []
+
+
+class TestTrajectoryLine:
+    @pytest.mark.parametrize("answer", ["42", None, "ü∑ \\boxed{3}"])
+    @pytest.mark.parametrize("instrument", [(), ("kl",)])
+    def test_bytes_equal_json_dumps(self, world, answer, instrument):
+        base = load_scorer(world / "base.json")
+        config = DecodeConfig(mode="sample", max_tokens=3, seed=4)
+        trajectory = decode(base, prompt=[0], config=config, instrument=instrument)
+        line = harness._trajectory_line(7, trajectory, answer)
+        payload = {**trajectory.to_dict(), "sample_index": 7, "extracted_answer": answer}
+        assert line == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert ('"kl":' in line) == bool(instrument)
+
 
 class TestIngestDataset:
     def test_line_index_ids(self, tmp_path):
@@ -438,6 +473,13 @@ class TestRunManifest:
             make_manifest(world, **overrides)
         with pytest.raises(ManifestError, match=message):
             RunManifest.from_dict({**make_manifest(world).to_dict(), **overrides})
+
+    @pytest.mark.parametrize("name", ["run_id", "dataset", "created_at", "code_version"])
+    @pytest.mark.parametrize("value", [5, None, ["r"]])
+    def test_non_string_field_rejected(self, world, name, value):
+        message = f"manifest field {name!r} must be a string, got {type(value).__name__}"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            RunManifest.from_dict({**make_manifest(world).to_dict(), name: value})
 
     @pytest.mark.parametrize("samples", ["4", True, 2.5, None])
     def test_wrongly_typed_sample_count_rejected(self, world, samples):

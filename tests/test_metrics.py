@@ -100,6 +100,13 @@ class TestEvalRecord:
         with pytest.raises(EmptyInputError):
             EvalRecord(problem_id="p", ground_truth="4", predictions=())
 
+    @pytest.mark.parametrize("truth", ["4", "1/2", "x", ""])
+    def test_repeated_predictions_match_as_each_alone(self, truth):
+        # Each distinct prediction is matched once; every copy gets its verdict.
+        pool = ("", "4", "4.0", "0.5", "x", "", "4", None, "1/2", "x", "", "8/2")
+        record = EvalRecord(problem_id="p", ground_truth=truth, predictions=pool * 2)
+        assert record.correct == tuple(match_answer(p or "", truth) for p in pool * 2)
+
     def test_jsonl_round_trip(self, tmp_path):
         records = [
             EvalRecord(problem_id="a", ground_truth="1", predictions=("1", "2")),

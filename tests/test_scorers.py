@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltadecode import scorers as scorers_module
-from deltadecode.core import InvalidConfigError, Vocabulary
+from deltadecode.core import InvalidConfigError, TokenPrefix, Vocabulary
 from deltadecode.scorers import (
     BigramMatrixScorer,
     ConstantScorer,
@@ -454,6 +454,20 @@ class TestNGramScoreBitwise:
     @given(ngram_cases())
     def test_matches_dense_formula(self, case):
         self._check(*case)
+        # The block read off checked prefixes, as the decoder passes them.
+        vocab, order, k, counts, prefixes = case
+        model = NGramModel(vocab, order, counts, smoothing_k=k)
+        checked = [TokenPrefix(vocab.size, prefix) for prefix in prefixes]
+        assert model._score_rows(checked).tobytes() == model._score_rows(prefixes).tobytes()
+
+    def test_rows_of_unchecked_prefixes_are_checked(self):
+        vocab = _vocab(6)
+        model = NGramModel(vocab, 3, {(1, 2): {3: 4}}, smoothing_k=0.5)
+        wide = TokenPrefix(vocab.size + 1, [1, 2])
+        assert model._score_rows([wide]).tobytes() == model.score([1, 2])[None].tobytes()
+        for prefix in ([1, 6], TokenPrefix(vocab.size + 1, [1, 6]), [1, -1], [1, 2.0]):
+            with pytest.raises(CorpusIngestionError, match="position 1"):
+                model._score_rows([[1, 2], prefix])
 
     def test_wide_vocabulary(self):
         rng = np.random.default_rng(8)

@@ -1102,3 +1102,62 @@ class TestLockstepChecks:
             rows = list(decoder._decode_lockstep(*used, prompts=[[1]] * 4, config=config, seeds=range(4), instrument=("kl",)))
             assert len(rows) == 4
         assert [s.matrix.tobytes() for s in scorers] == before
+
+
+class TestSeedHash:
+    """``core._seed_words`` is NumPy's SeedSequence hash run over rows, and
+    a block's generators draw what ``np.random.default_rng`` draws."""
+
+    words = st.integers(min_value=0, max_value=2**32 - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entropy=st.lists(st.lists(words, min_size=1, max_size=8), min_size=1, max_size=5),
+        n_words=st.integers(min_value=1, max_value=8),
+    )
+    @example(entropy=[[0], [2**32 - 1], [0] * 8, [2**32 - 1] * 8], n_words=8)
+    def test_equals_seed_sequence(self, entropy, n_words):
+        # One width per call, as a pass takes one: rows of one draw's width.
+        width = len(entropy[0])
+        table = np.array([(row * width)[:width] for row in entropy], np.uint32)
+        for dtype in (np.uint32, np.uint64):
+            got = core._seed_words(table, n_words, dtype)
+            assert got.dtype == dtype and got.shape == (len(entropy), n_words)
+            for row, state in zip(table, got):
+                want = np.random.SeedSequence(row).generate_state(n_words, dtype)
+                assert state.tolist() == want.tolist()
+                assert state.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "rows", [1, decoder._HASHED_MIN_ROWS - 1, decoder._HASHED_MIN_ROWS, 3 * decoder._HASHED_MIN_ROWS]
+    )
+    def test_block_draws_equal_default_rng(self, rows):
+        fixed = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        random = np.random.default_rng(20).integers(0, 2**64, size=rows, dtype=np.uint64).tolist()
+        seeds = (fixed + random)[:rows]
+        for generator, seed in zip(decoder._generators(seeds), seeds):
+            reference = np.random.default_rng(seed)
+            assert generator.random(3).tolist() == reference.random(3).tolist()
+            assert generator.integers(0, 2**62, 3).tolist() == reference.integers(0, 2**62, 3).tolist()
+
+    def test_seed_past_64_bits_keeps_default_rng(self):
+        seeds = [2**64 + 3] + list(range(decoder._HASHED_MIN_ROWS))
+        for generator, seed in zip(decoder._generators(seeds), seeds):
+            assert generator.random() == np.random.default_rng(seed).random()
+
+    def test_negative_seed_in_a_block_raises_as_decode_does(self):
+        scorers = row_scorers()
+        config = DecodeConfig(max_tokens=3, mode="sample")
+        with pytest.raises(ValueError) as expected:
+            decode(*scorers, prompt=[1], config=config.replace(seed=-1))
+        seeds = list(range(decoder._HASHED_MIN_ROWS)) + [-1]
+        with pytest.raises(ValueError) as got:
+            list(decoder._decode_lockstep(*scorers, prompts=[[1]] * len(seeds), config=config, seeds=seeds))
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_hashed_block_rows_are_their_decodes(self):
+        scorers = row_scorers()
+        config = DecodeConfig(max_tokens=8, top_p=0.9, mode="sample")
+        seeds = [0, 2**32, 2**64 - 1] + list(range(5, 5 + 2 * decoder._HASHED_MIN_ROWS))
+        assert_lockstep_matches_decode(scorers, [[1]] * len(seeds), config, seeds, ("kl",))
