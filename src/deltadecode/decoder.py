@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -46,7 +47,7 @@ from .core import (  # noqa: F401
     sample_token,
     softmax_with_temperature,
 )
-from .scorers import Scorer
+from .scorers import NGramModel, Scorer
 
 __all__ = [
     "DecodeError",
@@ -76,6 +77,27 @@ class InsufficientTrajectoryError(ValueError):
     """Replay needs at least two generated tokens to form one comparison."""
 
 
+class _StoredOnRead:
+    """A method read as an attribute, computed on the first read and stored
+    in the instance's ``__dict__``, where later reads find it without a
+    call. ``functools.cached_property`` does the same, but on Python 3.11
+    it takes a lock on each first read, which made a campaign cell's two
+    reads of a short trajectory slower than building the tuple twice."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.build(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One generated token with the diagnostics recorded at its step."""
@@ -95,8 +117,11 @@ class Trajectory:
     config_snapshot: DecodeConfig
     scorer_labels: tuple[tuple[str, str], ...] = ()
 
-    @property
+    @_StoredOnRead
     def tokens(self) -> tuple[int, ...]:
+        """The generated ids, built on first read (or stored by
+        :meth:`from_tokens`) and kept: not a field, so equality and
+        ``to_dict`` see only ``generated``."""
         return tuple(step.token for step in self.generated)
 
     @property
@@ -129,13 +154,15 @@ class Trajectory:
             StepRecord(t, float(lp), None if k is None else float(k))
             for t, lp, k in zip(tokens, logprobs, kl)
         )
-        return cls(
+        trajectory = cls(
             prompt_tokens=tuple(int(t) for t in prompt_tokens),
             generated=steps,
             stop_reason=stop_reason,
             config_snapshot=config_snapshot,
             scorer_labels=tuple(scorer_labels),
         )
+        trajectory.__dict__["tokens"] = tokens  # what ``tokens`` would build
+        return trajectory
 
     def to_dict(self) -> dict:
         """Persisted form for campaign lines and CLI output; ``kl`` only if recorded."""
@@ -203,19 +230,38 @@ def _bad_logits(scorer: Scorer, role: str, step: int, exc: Exception) -> DecodeE
     return DecodeError(f"scorer {_label(scorer, role)!r} returned bad logits at step {step}: {exc}")
 
 
+def _keyed(scorer: Scorer) -> bool:
+    """Whether a block reads ``scorer``'s rows through ``_score_window``:
+    an n-gram table with a key column that keeps NGramModel's own
+    ``_score_rows``. Any other scorer is read through ``_score_rows``."""
+    return (
+        isinstance(scorer, NGramModel)
+        and scorer._keys is not None
+        and type(scorer)._score_rows is NGramModel._score_rows
+    )
+
+
 def _checked_rows(
-    scorer: Scorer, role: str, prefixes, step: int, size: int, finite: bool
+    scorer: Scorer,
+    role: str,
+    keyed: bool,
+    window: np.ndarray,
+    prefixes,
+    step: int,
+    size: int,
+    finite: bool,
 ) -> np.ndarray:
-    """:func:`_checked_score` over a block: the scorer's rows for
-    ``prefixes`` as one (len(prefixes), size) array."""
+    """:func:`_checked_score` over a block: the scorer's rows for the
+    block's id ``window`` when ``keyed``, else for its ``prefixes``, as
+    one (len(window), size) array."""
     try:
-        raw = scorer._score_rows(prefixes)
+        raw = scorer._score_window(window) if keyed else scorer._score_rows(prefixes)
     except Exception as exc:
         raise _failed(scorer, role, step, exc) from exc
     block = np.asarray(raw, dtype=np.float64)
-    if block.shape != (len(prefixes), size):
+    if block.shape != (len(window), size):
         exc = VocabularyMismatchError(
-            f"expected {len(prefixes)} rows of {size} logits, got shape {block.shape}"
+            f"expected {len(window)} rows of {size} logits, got shape {block.shape}"
         )
         raise _bad_logits(scorer, role, step, exc)
     if finite:
@@ -408,15 +454,19 @@ def _decode_lockstep(
     a :class:`TokenPrefix` of the vocabulary's size is taken as checked, so
     rows that share one share its check. Yields ``(row, trajectory)`` as
     each row stops. While two or more rows run, each step scores them as
-    one block through each scorer's ``_score_rows`` and runs the batched
-    step core over it. Once one row is left, it takes the 1-D step: the
+    one block and runs the batched step core over it. The block keeps its
+    running rows' ids in one array, each prompt ending at one shared
+    column, so every row's context ends at the same column; an n-gram
+    table with a key column reads its rows off that array
+    (``_score_window``), and any other scorer gets a prefix per row
+    (``_score_rows``). Once one row is left, it takes the 1-D step: the
     sparse step when :func:`_sparse_pays`, else the dense rows, and the
     nucleus's head written into one reused zero row. Both steps give a row
     the same bits, so each trajectory is bit for bit the one
     :func:`decode`, the one-row case, gives that row's prompt and seed.
-    Each row keeps its own generator and prefix, and leaves the block at
-    eos. A failure raises a :class:`DecodeError` naming the role and step,
-    after every row that stopped earlier has been yielded.
+    Each row keeps its own generator and leaves the block at eos. A
+    failure raises a :class:`DecodeError` naming the role and step, after
+    every row that stopped earlier has been yielded.
     """
     if len(prompts) != len(seeds):
         raise ValueError(f"{len(prompts)} prompts for {len(seeds)} seeds")
@@ -432,7 +482,6 @@ def _decode_lockstep(
     sparse_ok = guided and not want_kl and _sparse_pays(size, 0)
     labels = _scorer_labels(base, expert, expert_base)
     prompts = [_prompt_prefix(size, prompt) for prompt in prompts]
-    contexts = [prompt.head(len(prompt)) for prompt in prompts]
     # ``decode`` passes its config's own seed, which needs no new snapshot.
     configs = [config if seed is config.seed else config._with_seed(seed) for seed in seeds]
     rngs = _generators(seeds) if config.mode == "sample" else None
@@ -443,6 +492,25 @@ def _decode_lockstep(
     # nucleus's head into the zero row, and zeroes it again at the kept ids.
     work = np.empty((len(seeds), size))
     zero = np.zeros(size)
+    # The lone row's prefix, built once one row is left.
+    context = prompts[0].head(len(prompts[0])) if len(seeds) == 1 else None
+    if context is None:
+        # An absent role reads nothing, so it counts as keyed.
+        keyed = [scorer is None or _keyed(scorer) for scorer in scorers]
+        width = max(
+            [s.order - 1 for s, k in zip(scorers, keyed) if s is not None and k], default=0
+        )
+        # Row r of ``block_ids`` holds the running row active[r]'s ids; its
+        # prompt ends at column ``lead``, its step-s token sits in column
+        # lead + s, and a slot before its first id holds -1.
+        lengths = np.fromiter(map(len, prompts), np.int64, len(prompts))
+        lead = max(width, int(lengths.max()))
+        block_ids = np.full((len(seeds), lead + config.max_tokens), -1, dtype=np.int64)
+        block_ids[:, :lead][np.arange(lead) >= lead - lengths[:, None]] = np.fromiter(
+            chain.from_iterable(prompts), np.int64
+        )
+        # A role read through ``_score_rows`` needs each row's prefix.
+        contexts = None if all(keyed) else [prompt.head(len(prompt)) for prompt in prompts]
 
     def finished(row: int, stop_reason: str) -> tuple[int, Trajectory]:
         return row, Trajectory(
@@ -459,7 +527,12 @@ def _decode_lockstep(
     for step in range(config.max_tokens):
         if len(active) == 1:
             row = active[0]
-            context = contexts[row]
+            if context is None:
+                if contexts is None:
+                    row_ids = block_ids[0, lead - len(prompts[row]) : lead + step]
+                    context = TokenPrefix(size, row_ids.tolist())
+                else:
+                    context = contexts[row]
             out = work[0]
             sparse = _sparse_rows(scorers, context, step) if sparse_ok else None
             lanes = None
@@ -496,14 +569,17 @@ def _decode_lockstep(
             continue
         if not active:
             return
-        prefixes = [contexts[row] for row in active]
         out = work[: len(active)]
-        logits = base_logits = _checked_rows(base, "base", prefixes, step, size, finite)
+        end = lead + step
+        window = block_ids[:, end - width : end]
+        prefixes = None if contexts is None else [contexts[row] for row in active]
+        args = (window, prefixes, step, size, finite)
+        logits = base_logits = _checked_rows(base, "base", keyed[0], *args)
         if expert is not None:
             rows = (
                 base_logits,
-                _checked_rows(expert, "expert", prefixes, step, size, finite),
-                _checked_rows(expert_base, "expert_base", prefixes, step, size, finite),
+                _checked_rows(expert, "expert", keyed[1], *args),
+                _checked_rows(expert_base, "expert_base", keyed[2], *args),
             )
             if guided:
                 logits = _checked_combine(scorers, rows, step, config.delta_scale, out)
@@ -515,15 +591,19 @@ def _decode_lockstep(
             tokens = _sample_rows(dist, [rngs[row] for row in active])
         logprobs = np.log(dist[np.arange(len(active)), tokens])
         kls = _kl_rows(base_logits, dist, config.temperature) if want_kl else [None] * len(active)
+        block_ids[:, end] = tokens
 
         still = []
         for row, token, logprob, kl in zip(active, tokens.tolist(), logprobs.tolist(), kls):
-            steps[row].append(StepRecord(token=token, chosen_logprob=logprob, kl_base_vs_combined=kl))
-            contexts[row].append(token)
+            steps[row].append(StepRecord(token, logprob, kl))
+            if contexts is not None:
+                contexts[row].append(token)
             if token == eos:
                 yield finished(row, "eos")
             else:
                 still.append(row)
+        if len(still) < len(active):
+            block_ids = block_ids[tokens != eos]
         active = still
     for row in active:
         yield finished(row, "max_tokens")

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from abc import ABC, abstractmethod
+from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from itertools import accumulate, chain
@@ -54,6 +55,8 @@ BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
 
 TOKENIZERS = ("whitespace", "byte")
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class CorpusIngestionError(ValueError):
@@ -235,22 +238,38 @@ class NGramModel(Scorer):
         ):
             raise InvalidConfigError(f"smoothing_k must be finite and > 0, got {smoothing_k!r}")
         self.smoothing_k = k = float(smoothing_k)
-        size = vocab.size
-        self._rows, lengths, self._ids, self._counts = _flat_counts(counts, self.order - 1, size)
-        # Row i holds _ids[bounds[i]:bounds[i + 1]]; the last row, for
-        # contexts never seen, is empty.
-        self._bounds = list(accumulate(lengths, initial=0))
+        size, need = vocab.size, self.order - 1
+        self._rows, lengths, self._ids, self._counts, contexts = _flat_counts(counts, need, size)
+        # Row i holds _ids[bounds[i]:bounds[i + 1]], the _lengths[i] ids
+        # from _starts[i] on; the last row, for contexts never seen, is empty.
+        # The bounds are int64 words, read one at a time as Python ints and
+        # in bulk through the array ``edges`` over the same memory: about a
+        # quarter of what a list of ints takes.
+        self._bounds = array("q", accumulate(lengths, initial=0))
         self._bounds.append(self._bounds[-1])
+        edges = np.frombuffer(self._bounds, dtype=np.int64)
+        self._starts, self._lengths = edges[:-1], edges[1:] - edges[:-1]
         self._unseen = len(self._rows)
+        # A context's key is its ids read as base-V digits, when every key
+        # fits in int64. _keys holds them ascending, then a sentinel above
+        # every key; _key_rows holds each one's table row, the unseen row
+        # for the sentinel.
+        self._keys = None
+        if size**need < 2**63:
+            self._powers = size ** np.arange(need - 1, -1, -1, dtype=np.int64)
+            keys = contexts @ self._powers
+            by_key = keys.argsort()
+            self._keys = np.concatenate((keys[by_key], [_INT64_MAX]))
+            self._key_rows = np.concatenate((by_key, [self._unseen]))
         weights = self._counts.astype(np.float64)
         running = np.concatenate(([0.0], weights.cumsum()))
         if running[-1] >= 2.0**53:
             raise InvalidConfigError("n-gram counts must sum to less than 2**53")
         # Below 2**53 every running sum is exact in float64, so every total
         # is, as in the dense formula.
-        ends = running[self._bounds]
+        ends = running[edges]
         denominators = k * size + (ends[1:] - ends[:-1])
-        self._logits = np.log((weights + k) / denominators[:-1].repeat(lengths))
+        self._logits = np.log((weights + k) / denominators[:-1].repeat(self._lengths[:-1]))
         self._fill = np.log(k / denominators)
 
     @property
@@ -286,10 +305,9 @@ class NGramModel(Scorer):
         return self._fill[i], self._ids[start:stop], self._logits[start:stop]
 
     def _score_rows(self, prefixes):
-        """:meth:`score` of each prefix: one dict lookup per row, one fill of
-        the block, then one scatter of every row's counted logits. A
-        :class:`TokenPrefix` of this vocabulary's size has its context read
-        off directly; any other prefix is checked first."""
+        """:meth:`score` of each prefix: one dict lookup per row, then
+        :meth:`_block`. A :class:`TokenPrefix` of this vocabulary's size has
+        its context read off directly; any other prefix is checked first."""
         need, size = self.order - 1, self.vocab.size
         pad = (self.vocab.pad,) * need
         get, unseen = self._rows.get, self._unseen
@@ -300,14 +318,37 @@ class NGramModel(Scorer):
             n = len(prefix)
             context = tuple(prefix[n - need : n]) if n >= need else pad[n:] + tuple(prefix)
             rows.append(get(context, unseen))
-        bounds = self._bounds
-        starts = np.array([bounds[i] for i in rows])
-        lengths = np.array([bounds[i + 1] for i in rows]) - starts
+        return self._block(np.array(rows, dtype=np.int64))
+
+    def _score_window(self, window: np.ndarray) -> np.ndarray:
+        """:meth:`score` of each row of a lockstep block, found by key.
+
+        ``window`` is an int64 array of at least ``order - 1`` columns,
+        one row per prefix, whose last ``order - 1`` columns hold the
+        prefix's last ids (taken as in range), a negative id standing for
+        the pad before its start. Needs the key column (``_keys`` is not
+        None). Each row's key is one ``searchsorted`` into the sorted keys;
+        a key the table lacks reads the unseen row.
+        """
+        need = self.order - 1
+        context = window[:, window.shape[1] - need :]
+        keys = np.where(context < 0, self.vocab.pad, context) @ self._powers
+        at = self._keys.searchsorted(keys)
+        rows = np.where(self._keys[at] == keys, self._key_rows[at], self._unseen)
+        return self._block(rows)
+
+    def _block(self, rows: np.ndarray) -> np.ndarray:
+        """The dense rows of table rows ``rows``: one fill of the block,
+        then one scatter of every row's counted logits."""
+        size = self.vocab.size
+        starts, lengths = self._starts[rows], self._lengths[rows]
         out = self._fill[rows][:, None].repeat(size, axis=1)
-        # Entry j of row r's counted ids is flat entry starts[r] + j.
+        # Entry j of row r's counted ids is flat entry starts[r] + j, and
+        # lands at r * size + its id in the block.
         ends = lengths.cumsum()
         flat = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
-        out[np.arange(len(rows)).repeat(lengths), self._ids[flat]] = self._logits[flat]
+        slots = np.arange(0, len(rows) * size, size).repeat(lengths) + self._ids[flat]
+        out.reshape(-1)[slots] = self._logits[flat]
         return out
 
     def _greedy_rows(self, heads):
@@ -364,13 +405,13 @@ def _flat_counts(counts, width: int, size: int):
     """Check n-gram ``counts`` and flatten them for :class:`NGramModel`.
 
     Returns a dict from each context (a tuple of ints) to its row index,
-    the number of counted ids per row, and the counted ids of every row
-    back to back (ascending within a row) with their counts, as int64
-    arrays. The types are checked as one set over a flat list, since
-    converting to int64 would accept ``True``, ``1.5`` or ``"3"``; the
-    ranges and repeats are checked on one int64 conversion of every id
-    and count. Only a failure walks the rows, to name the context and
-    token at fault.
+    the number of counted ids per row, the counted ids of every row back
+    to back (ascending within a row) with their counts, as int64 arrays,
+    and the contexts as one (rows, ``width``) int64 array. The types are
+    checked as one set over a flat list, since converting to int64 would
+    accept ``True``, ``1.5`` or ``"3"``; the ranges and repeats are
+    checked on one int64 conversion of every id and count. Only a failure
+    walks the rows, to name the context and token at fault.
     """
     try:
         items = list(counts.items() if isinstance(counts, Mapping) else counts)
@@ -410,7 +451,7 @@ def _flat_counts(counts, width: int, size: int):
     if len(index) < len(keys):
         ctx = next(key for key, n in Counter(keys).items() if n > 1)
         raise InvalidConfigError(f"context {ctx} is listed twice")
-    return index, lengths, ids, values
+    return index, lengths, ids, values, contexts.reshape(len(keys), width)
 
 
 def _int64(values: list) -> np.ndarray:

@@ -5,6 +5,7 @@ trajectories in campaign problem files and CLI decode output. Each is
 written through its ``to_dict`` and read back through its ``from_dict``.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -109,6 +110,23 @@ def test_trajectory_round_trip(trajectory):
     assert ("kl" in data) == instrumented
     rebuilt = Trajectory.from_dict(data, trajectory.config_snapshot, trajectory.scorer_labels)
     assert rebuilt == trajectory
+
+
+@given(trajectories())
+def test_trajectory_tokens_built_once(trajectory):
+    fields = {f.name: getattr(trajectory, f.name) for f in dataclasses.fields(Trajectory)}
+    assert "tokens" not in fields
+    unread = Trajectory(**fields)
+    tokens = trajectory.tokens
+    assert tokens == tuple(step.token for step in trajectory.generated)
+    assert trajectory.tokens is tokens
+    assert trajectory == unread and hash(trajectory) == hash(unread)
+    line = json.dumps(trajectory.to_dict())
+    assert line == json.dumps(unread.to_dict()) and json.loads(line)["tokens"] == list(tokens)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trajectory.tokens = ()
+    rebuilt = Trajectory.from_dict(json.loads(line), trajectory.config_snapshot, trajectory.scorer_labels)
+    assert rebuilt.tokens == tokens and rebuilt == trajectory
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltadecode import decoder
 from deltadecode import scorers as scorers_module
-from deltadecode.core import InvalidConfigError, TokenPrefix, Vocabulary
+from deltadecode.core import DecodeConfig, InvalidConfigError, TokenPrefix, Vocabulary
+from deltadecode.decoder import DecodeError, decode
 from deltadecode.scorers import (
     BigramMatrixScorer,
     ConstantScorer,
@@ -414,9 +416,9 @@ def _vocab(size):
 
 
 @st.composite
-def ngram_cases(draw):
+def ngram_cases(draw, max_order=3):
     size = draw(st.integers(1, 2000))
-    order = draw(st.integers(1, 3))
+    order = draw(st.integers(1, max_order))
     k = draw(st.sampled_from([1e-6, 0.5, 1.0]) | st.floats(1e-9, 1e3))
     ids = st.integers(0, size - 1)
     rows = st.dictionaries(ids, st.integers(0, 2**40), max_size=12)
@@ -481,6 +483,95 @@ class TestNGramScoreBitwise:
         prefixes = [[c[0]] for c in counts] + [[], [1, 2, 3], [int(rng.integers(0, size))]]
         for k in (1e-6, 1.0):
             self._check(_vocab(size), 2, k, counts, prefixes)
+
+
+def block_window(prefixes, width):
+    """A lockstep block's ids for ``prefixes``: one row each, right-aligned
+    in at least ``width`` columns, -1 before a row's first id."""
+    lead = max([width, *map(len, prefixes)])
+    window = np.full((len(prefixes), lead), -1, dtype=np.int64)
+    for row, prefix in zip(window, prefixes):
+        row[lead - len(prefix) :] = prefix
+    return window
+
+
+def lockstep_rows(scorers, prompts, config):
+    """Each row's trajectory from one lockstep block, by row."""
+    rows = decoder._decode_lockstep(*scorers, prompts=prompts, config=config, seeds=range(len(prompts)))
+    return dict(rows)
+
+
+class TestNGramKeyedBlock:
+    """A lockstep block reads an n-gram table's rows by integer key
+    (``_score_window``) with ``score``'s bytes; a table whose keys would
+    not fit in int64, or a subclass with its own ``_score_rows``, is read
+    through ``_score_rows`` instead."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ngram_cases(max_order=4), st.integers(0, 2))
+    def test_window_rows_equal_score(self, case, extra):
+        vocab, order, k, counts, prefixes = case
+        model = NGramModel(vocab, order, counts, smoothing_k=k)
+        assert model._keys is not None and decoder._keyed(model)
+        want = np.stack([model.score(prefix) for prefix in prefixes])
+        block = model._score_window(block_window(prefixes, order - 1 + extra))
+        assert block.dtype == np.float64 and block.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bos", [True, False])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_padded_and_unseen_contexts(self, bos, order):
+        vocab = _vocab(9)
+        if not bos:  # short contexts are padded with eos
+            vocab = Vocabulary(surface=vocab.surface, eos=vocab.eos, bos=None)
+        model = train_ngram([[3, 4, 0, 2, 3, 4, 1], [1], [0, 2, 3]], order, vocab, smoothing_k=0.5)
+        prefixes = [[], [3], [3, 4], [2, 3, 4], [6, 6, 6, 6], [0, 2, 3, 4, 0]]
+        rows = [model._row_of(prefix) for prefix in prefixes]
+        if order > 1:
+            assert model._unseen in rows and len(set(rows)) > 2
+        want = np.stack([model.score(prefix) for prefix in prefixes])
+        for width in (order - 1, order + 2):
+            assert model._score_window(block_window(prefixes, width)).tobytes() == want.tobytes()
+
+    def test_keys_past_int64_keep_the_prefix_path(self):
+        vocab = byte_vocab()  # V=258: 258**7 < 2**63 <= 258**8
+        docs = [list(b"abcabd"), list(b"bcad"), list(b"dcba")]
+        assert decoder._keyed(train_ngram(docs, 8, vocab))
+        model = train_ngram(docs, 9, vocab, smoothing_k=0.5, name="base")
+        assert model._keys is None and not decoder._keyed(model)
+        prompts = [list(b"a"), list(b"abcab"), list(b"zzzzzzzzzz"), list(b"bcad")]
+        block = model._score_rows(prompts)
+        assert block.tobytes() == np.stack([model.score(p) for p in prompts]).tobytes()
+        config = DecodeConfig(max_tokens=6, top_p=0.9)
+        for row, trajectory in lockstep_rows((model, None, None), prompts, config).items():
+            assert trajectory == decode(model, prompt=prompts[row], config=config.replace(seed=row))
+
+    def test_overriding_subclass_is_called(self):
+        data = Path(__file__).resolve().parent / "data"
+        docs, vocab = load_corpus(data / "transfer_base.txt")
+        trained = train_ngram(docs, 3, vocab, smoothing_k=0.5, name="base")
+
+        class Counting(NGramModel):
+            blocks = 0
+
+            def _score_rows(self, prefixes):
+                Counting.blocks += 1
+                return super()._score_rows(prefixes)
+
+        class Short(NGramModel):
+            def _score_rows(self, prefixes):
+                return super()._score_rows(prefixes)[:, 1:]
+
+        counting = Counting(vocab, 3, trained.counts, 0.5, name="base")
+        assert counting._keys is not None and not decoder._keyed(counting)
+        prompts = [[0], [1, 2], [3]]
+        config = DecodeConfig(max_tokens=4)
+        rows = lockstep_rows((counting, None, None), prompts, config)
+        assert Counting.blocks > 0
+        assert rows == lockstep_rows((trained, None, None), prompts, config)
+        short = Short(vocab, 3, trained.counts, 0.5, name="base")
+        message = f"scorer 'base' returned bad logits at step 0: expected 3 rows of {vocab.size} logits"
+        with pytest.raises(DecodeError, match=re.escape(message)):
+            lockstep_rows((short, None, None), prompts, config)
 
 
 def _load_module(path, name):

@@ -9,6 +9,7 @@ every property here compares bytes, not values within a tolerance.
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from deltadecode import core, decoder
 from deltadecode.core import (
     DecodeConfig,
+    TokenPrefix,
+    Vocabulary,
     InvalidConfigError,
     InvalidDistributionError,
     InvalidLogitsError,
@@ -908,12 +911,18 @@ class TestBatchedStepsMatchOneRow:
 
 @st.composite
 def lockstep_setups(draw):
-    """Bigram scorers over a small vocabulary whose rows have ties, one-hot
-    peaks, random values, or random values with exact zeros in their
-    softmax; a config, seeds for up to a dozen rows, each row's prompt
-    (rows share one of up to three prompts of one to four ids), and kl on
-    or off."""
-    vocab = build_vocab([[f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=30)))]])
+    """Scorers over a small vocabulary, with or without bos: each role a
+    bigram matrix whose rows have ties, one-hot peaks, random values, or
+    random values with exact zeros in their softmax, or an n-gram table
+    of order 1 to 4 (a block reads it by integer key) trained on a few
+    short documents, so prompts meet contexts it never counted; a config,
+    seeds for up to a dozen rows, each row's prompt (rows share one of up
+    to four prompts of one to five ids, so a block mixes prompt lengths,
+    some shorter than an n-gram's context), and kl on or off."""
+    words = [f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=30)))]
+    vocab = build_vocab([words])
+    if draw(st.booleans()):  # no bos: short contexts are padded with eos
+        vocab = Vocabulary(surface=vocab.surface, eos=vocab.eos, bos=None)
     n = vocab.size
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
@@ -931,7 +940,23 @@ def lockstep_setups(draw):
         m[np.arange(n), rng.integers(0, n, size=n)] = draw(st.sampled_from([1.0, 30.0, 800.0]))
         return m
 
-    base, expert, expert_base = (BigramMatrixScorer(vocab, matrix(), name=r) for r in "abc")
+    def ngram(name):
+        docs = [
+            rng.integers(0, n, size=draw(st.integers(min_value=0, max_value=6))).tolist()
+            for _ in range(draw(st.integers(min_value=0, max_value=6)))
+        ]
+        return train_ngram(
+            docs,
+            draw(st.integers(min_value=1, max_value=4)),
+            vocab,
+            smoothing_k=draw(st.sampled_from([1e-3, 0.5, 2.0])),
+            append_eos=draw(st.booleans()),
+            name=name,
+        )
+
+    base, expert, expert_base = (
+        ngram(r) if draw(st.booleans()) else BigramMatrixScorer(vocab, matrix(), name=r) for r in "abc"
+    )
     guided = draw(st.booleans())
     config = DecodeConfig(
         delta_scale=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
@@ -944,8 +969,8 @@ def lockstep_setups(draw):
     instrument = draw(st.sampled_from([(), ("kl",)]))
     scorers = (base, expert, expert_base) if guided else (base, None, None)
     pool = [
-        [int(t) for t in rng.integers(0, n, size=draw(st.integers(min_value=1, max_value=4)))]
-        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        [int(t) for t in rng.integers(0, n, size=draw(st.integers(min_value=1, max_value=5)))]
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
     ]
     prompts = [pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))] for _ in seeds]
     return scorers, prompts, config, seeds, instrument
@@ -1031,6 +1056,56 @@ class TestLockstepMatchesDecode:
         assert len({len(t.generated) for _, t in rows if t.stop_reason == "eos"}) > 2
         assert {t.stop_reason for _, t in rows} == {"eos", "max_tokens"}
         assert_lockstep_matches_decode(scorers, prompts, config, seeds, ("kl",))
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_lone_row_goes_on_from_the_block_ids(self, guided):
+        # Greedy rows over n-gram tables read by key: the row prompted [0]
+        # stops at eos at step 0 and the one prompted [5] at step 1, so the
+        # row prompted [1] goes on alone from step 2, its prefix rebuilt
+        # from the block's ids.
+        vocab = build_vocab([[f"t{i}" for i in range(6)]])
+        docs = [[0], [5, 2], [1, 2, 3, 4] * 3]
+        base = train_ngram(docs, 3, vocab, name="a")
+        pair = [train_ngram(docs, order, vocab, name=r) for order, r in ((4, "b"), (2, "c"))]
+        scorers = (base, *pair) if guided else (base, None, None)
+        config = DecodeConfig(max_tokens=8, mode="greedy", delta_scale=0.5)
+        prompts = [[0], [5], [1]]
+        rows = dict(decoder._decode_lockstep(*scorers, prompts=prompts, config=config, seeds=[0, 1, 2]))
+        assert [len(rows[row].generated) for row in range(3)] == [1, 2, 8]
+        assert_lockstep_matches_decode(scorers, prompts, config, [0, 1, 2], ())
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_keyed_block_makes_no_prefix_calls(self, guided, monkeypatch):
+        # Every role is an n-gram table with a key column, so a block reads
+        # its rows off the block's id array: its steps build, append to and
+        # index no row's TokenPrefix, and the calls its setup and results
+        # make do not grow with the steps. No document ends in eos, so
+        # greedy rows never stop early and never leave one row alone.
+        rng = np.random.default_rng(3)
+        vocab = build_vocab([[f"t{i}" for i in range(9)]])
+        docs = [rng.integers(0, 9, size=8).tolist() for _ in range(30)]
+        base = train_ngram(docs, 3, vocab, append_eos=False, name="a")
+        pair = [train_ngram(docs[i::2], 2, vocab, append_eos=False, name=r) for i, r in enumerate("bc")]
+        scorers = (base, *pair) if guided else (base, None, None)
+        assert all(decoder._keyed(s) for s in scorers if s is not None)
+        prompts = [TokenPrefix(vocab.size, p) for p in ([1], [2, 3], [4, 5, 6])] * 4
+        seeds = list(range(len(prompts)))
+        assert_lockstep_matches_decode(scorers, prompts, DecodeConfig(max_tokens=6, mode="greedy"), seeds, ())
+        calls = Counter()
+        for name in ("append", "head", "__getitem__", "__len__", "__iter__"):
+            def spy(self, *args, _real=getattr(TokenPrefix, name), _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(TokenPrefix, name, spy)
+        counted = []
+        for max_tokens in (1, 6):
+            calls.clear()
+            config = DecodeConfig(max_tokens=max_tokens, mode="greedy")
+            rows = list(decoder._decode_lockstep(*scorers, prompts=prompts, config=config, seeds=seeds))
+            assert {t.stop_reason for _, t in rows} == {"max_tokens"}
+            counted.append(dict(calls))
+        assert counted[0] == counted[1]
+        assert not {"append", "head", "__getitem__"} & set(counted[1])
 
 
 @pytest.mark.filterwarnings(
