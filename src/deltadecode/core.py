@@ -163,11 +163,16 @@ class TokenPrefix(Sequence):
     def size(self) -> int:
         return self._size
 
+    @classmethod
+    def _trusted(cls, size: int, ids: list[int]) -> "TokenPrefix":
+        """A prefix holding the list of ints ``ids`` itself, taken as checked."""
+        out = cls.__new__(cls)
+        out._size, out._ids = size, ids
+        return out
+
     def head(self, n: int) -> "TokenPrefix":
         """A new prefix of the first ``n`` ids, taken as already checked."""
-        out = TokenPrefix(self._size)
-        out._ids = self._ids[:n]
-        return out
+        return TokenPrefix._trusted(self._size, self._ids[:n])
 
     def append(self, token: int) -> None:
         try:

@@ -8,6 +8,8 @@ sampling. Generation stops at the vocabulary's eos token or the step cap.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -47,7 +49,7 @@ from .core import (  # noqa: F401
     sample_token,
     softmax_with_temperature,
 )
-from .scorers import NGramModel, Scorer
+from .scorers import Scorer
 
 __all__ = [
     "DecodeError",
@@ -141,11 +143,28 @@ class Trajectory:
     ) -> "Trajectory":
         """Build a trajectory from bare token ids (logprobs default to 0, kl to None).
 
-        Raises ValueError unless given logprobs and kl have one entry per token.
+        Raises TypeError unless the ids are integers (``operator.index``)
+        and logprobs and kl real numbers (or None for kl), none a bool, and
+        ValueError unless ``stop_reason`` is "eos" or "max_tokens" and given
+        logprobs and kl have one entry per token. The types are checked as
+        one set per kind, not per value.
         """
-        tokens = tuple(int(t) for t in tokens)
-        logprobs = [0.0] * len(tokens) if logprobs is None else logprobs
-        kl = [None] * len(tokens) if kl is None else kl
+        if stop_reason not in ("eos", "max_tokens"):
+            raise ValueError(f"stop_reason must be 'eos' or 'max_tokens', got {stop_reason!r}")
+        prompt_tokens, tokens = tuple(prompt_tokens), tuple(tokens)
+        logprobs = [0.0] * len(tokens) if logprobs is None else list(logprobs)
+        kl = [None] * len(tokens) if kl is None else list(kl)
+        ids = set(map(type, prompt_tokens + tokens)) - {int}
+        if ids:
+            if bool in ids or not all(hasattr(kind, "__index__") for kind in ids):
+                raise TypeError(f"token ids must be ints, got {sorted(k.__name__ for k in ids)}")
+            prompt_tokens = tuple(map(operator.index, prompt_tokens))
+            tokens = tuple(map(operator.index, tokens))
+        # A None logprob passes here and fails float() below.
+        reals = set(map(type, chain(logprobs, kl))) - {float, type(None)}
+        if bool in reals or not all(issubclass(kind, numbers.Real) for kind in reals):
+            names = sorted(kind.__name__ for kind in reals)
+            raise TypeError(f"logprobs and kl must be real numbers, got {names}")
         if not len(tokens) == len(logprobs) == len(kl):
             raise ValueError(
                 f"{len(tokens)} tokens, {len(logprobs)} logprobs and {len(kl)} kl entries"
@@ -155,7 +174,7 @@ class Trajectory:
             for t, lp, k in zip(tokens, logprobs, kl)
         )
         trajectory = cls(
-            prompt_tokens=tuple(int(t) for t in prompt_tokens),
+            prompt_tokens=prompt_tokens,
             generated=steps,
             stop_reason=stop_reason,
             config_snapshot=config_snapshot,
@@ -230,32 +249,13 @@ def _bad_logits(scorer: Scorer, role: str, step: int, exc: Exception) -> DecodeE
     return DecodeError(f"scorer {_label(scorer, role)!r} returned bad logits at step {step}: {exc}")
 
 
-def _keyed(scorer: Scorer) -> bool:
-    """Whether a block reads ``scorer``'s rows through ``_score_window``:
-    an n-gram table with a key column that keeps NGramModel's own
-    ``_score_rows``. Any other scorer is read through ``_score_rows``."""
-    return (
-        isinstance(scorer, NGramModel)
-        and scorer._keys is not None
-        and type(scorer)._score_rows is NGramModel._score_rows
-    )
-
-
 def _checked_rows(
-    scorer: Scorer,
-    role: str,
-    keyed: bool,
-    window: np.ndarray,
-    prefixes,
-    step: int,
-    size: int,
-    finite: bool,
+    scorer: Scorer, role: str, window: np.ndarray, step: int, size: int, finite: bool
 ) -> np.ndarray:
     """:func:`_checked_score` over a block: the scorer's rows for the
-    block's id ``window`` when ``keyed``, else for its ``prefixes``, as
-    one (len(window), size) array."""
+    block's id ``window``, as one (len(window), size) array."""
     try:
-        raw = scorer._score_window(window) if keyed else scorer._score_rows(prefixes)
+        raw = scorer._score_window(window)
     except Exception as exc:
         raise _failed(scorer, role, step, exc) from exc
     block = np.asarray(raw, dtype=np.float64)
@@ -455,15 +455,15 @@ def _decode_lockstep(
     rows that share one share its check. Yields ``(row, trajectory)`` as
     each row stops. While two or more rows run, each step scores them as
     one block and runs the batched step core over it. The block keeps its
-    running rows' ids in one array, each prompt ending at one shared
-    column, so every row's context ends at the same column; an n-gram
-    table with a key column reads its rows off that array
-    (``_score_window``), and any other scorer gets a prefix per row
-    (``_score_rows``). Once one row is left, it takes the 1-D step: the
-    sparse step when :func:`_sparse_pays`, else the dense rows, and the
-    nucleus's head written into one reused zero row. Both steps give a row
-    the same bits, so each trajectory is bit for bit the one
-    :func:`decode`, the one-row case, gives that row's prompt and seed.
+    running rows' ids in one int64 array, each prompt ending at the
+    column of the longest one, and every role reads its rows off that
+    array through ``Scorer._score_window``; no row keeps a prefix. Once
+    one row is left, its prefix is rebuilt once from the array and it
+    takes the 1-D step: the sparse step when :func:`_sparse_pays`, else
+    the dense rows, and the nucleus's head written into one reused zero
+    row. Both steps give a row the same bits, so each trajectory is bit
+    for bit the one :func:`decode`, the one-row case, gives that row's
+    prompt and seed.
     Each row keeps its own generator and leaves the block at eos. A
     failure raises a :class:`DecodeError` naming the role and step, after
     every row that stopped earlier has been yielded.
@@ -495,22 +495,15 @@ def _decode_lockstep(
     # The lone row's prefix, built once one row is left.
     context = prompts[0].head(len(prompts[0])) if len(seeds) == 1 else None
     if context is None:
-        # An absent role reads nothing, so it counts as keyed.
-        keyed = [scorer is None or _keyed(scorer) for scorer in scorers]
-        width = max(
-            [s.order - 1 for s, k in zip(scorers, keyed) if s is not None and k], default=0
-        )
         # Row r of ``block_ids`` holds the running row active[r]'s ids; its
         # prompt ends at column ``lead``, its step-s token sits in column
         # lead + s, and a slot before its first id holds -1.
         lengths = np.fromiter(map(len, prompts), np.int64, len(prompts))
-        lead = max(width, int(lengths.max()))
+        lead = int(lengths.max())
         block_ids = np.full((len(seeds), lead + config.max_tokens), -1, dtype=np.int64)
         block_ids[:, :lead][np.arange(lead) >= lead - lengths[:, None]] = np.fromiter(
             chain.from_iterable(prompts), np.int64
         )
-        # A role read through ``_score_rows`` needs each row's prefix.
-        contexts = None if all(keyed) else [prompt.head(len(prompt)) for prompt in prompts]
 
     def finished(row: int, stop_reason: str) -> tuple[int, Trajectory]:
         return row, Trajectory(
@@ -528,11 +521,8 @@ def _decode_lockstep(
         if len(active) == 1:
             row = active[0]
             if context is None:
-                if contexts is None:
-                    row_ids = block_ids[0, lead - len(prompts[row]) : lead + step]
-                    context = TokenPrefix(size, row_ids.tolist())
-                else:
-                    context = contexts[row]
+                row_ids = block_ids[0, lead - len(prompts[row]) : lead + step]
+                context = TokenPrefix._trusted(size, row_ids.tolist())
             out = work[0]
             sparse = _sparse_rows(scorers, context, step) if sparse_ok else None
             lanes = None
@@ -571,15 +561,13 @@ def _decode_lockstep(
             return
         out = work[: len(active)]
         end = lead + step
-        window = block_ids[:, end - width : end]
-        prefixes = None if contexts is None else [contexts[row] for row in active]
-        args = (window, prefixes, step, size, finite)
-        logits = base_logits = _checked_rows(base, "base", keyed[0], *args)
+        args = (block_ids[:, :end], step, size, finite)
+        logits = base_logits = _checked_rows(base, "base", *args)
         if expert is not None:
             rows = (
                 base_logits,
-                _checked_rows(expert, "expert", keyed[1], *args),
-                _checked_rows(expert_base, "expert_base", keyed[2], *args),
+                _checked_rows(expert, "expert", *args),
+                _checked_rows(expert_base, "expert_base", *args),
             )
             if guided:
                 logits = _checked_combine(scorers, rows, step, config.delta_scale, out)
@@ -596,8 +584,6 @@ def _decode_lockstep(
         still = []
         for row, token, logprob, kl in zip(active, tokens.tolist(), logprobs.tolist(), kls):
             steps[row].append(StepRecord(token, logprob, kl))
-            if contexts is not None:
-                contexts[row].append(token)
             if token == eos:
                 yield finished(row, "eos")
             else:

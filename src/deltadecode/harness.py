@@ -497,15 +497,24 @@ def _read_existing_lines(
     text = path.read_text(encoding="utf-8")
     for line in text.splitlines():
         try:
-            row = json.loads(line)
-            Trajectory.from_dict(row, config)
-            index = row["sample_index"]
+            _, index, answer = _parse_line(line, config)
         except (TypeError, KeyError, ValueError):
             continue  # torn or foreign line: regenerate that sample
-        if isinstance(index, int) and 0 <= index < samples and "extracted_answer" in row:
+        if 0 <= index < samples:
             lines[index] = line
-            answers[index] = row["extracted_answer"]
+            answers[index] = answer
     return text, lines, answers
+
+
+def _parse_line(line, config: DecodeConfig, labels=()) -> tuple[Trajectory, int, str | None]:
+    """A campaign line's trajectory, int sample index and str-or-null
+    extracted answer; raises KeyError, TypeError or ValueError otherwise."""
+    row = json.loads(line)
+    trajectory = Trajectory.from_dict(row, config, labels)
+    index, answer = row["sample_index"], row["extracted_answer"]
+    if type(index) is not int or not (answer is None or type(answer) is str):
+        raise TypeError(f"want an int sample_index and a str or null answer, got {index!r}, {answer!r}")
+    return trajectory, index, answer
 
 
 @dataclass
@@ -742,9 +751,7 @@ def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:
     for path in sorted(problems_dir.glob("*.jsonl")):
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             try:
-                trajectories.append(
-                    Trajectory.from_dict(json.loads(line), arm.config, (("base", arm.base),))
-                )
+                trajectories.append(_parse_line(line, arm.config, (("base", arm.base),))[0])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ManifestError(f"{path}: line {lineno}: malformed trajectory: {exc}") from exc
     return trajectories

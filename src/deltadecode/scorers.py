@@ -89,13 +89,20 @@ class Scorer(ABC):
     def score(self, prefix: Sequence[int]) -> np.ndarray:
         """Return logits for the next token after ``prefix``."""
 
-    def _score_rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """The rows :meth:`score` gives for ``prefixes``, as one 2-D array.
+    def _score_window(self, window: np.ndarray) -> np.ndarray:
+        """The rows :meth:`score` gives for a lockstep block's prefixes, as
+        one 2-D array: the decoder's only read of a block.
 
-        The lockstep decoder's batch call. This default stacks ``score``'s
-        rows; a scorer that can fill the block at once overrides it.
+        ``window`` is an int64 array, one row per prefix, holding the
+        prefix's ids (taken as in range) right-aligned, with -1 in each
+        slot before its first id; it must not be modified. This default
+        rebuilds each prefix, an O(prefix) copy per row and step, and
+        stacks ``score``'s rows; a scorer whose rows read only the last
+        few ids overrides it.
         """
-        return np.stack([self.score(prefix) for prefix in prefixes])
+        size, starts = self.vocab.size, (window < 0).sum(axis=1).tolist()
+        rows = zip(window.tolist(), starts)
+        return np.stack([self.score(TokenPrefix._trusted(size, ids[start:])) for ids, start in rows])
 
     def _greedy_rows(self, heads: Sequence[tuple[TokenPrefix, int]]) -> list[int]:
         """For each ``(prefix, n)`` in ``heads``, the lowest id holding the
@@ -148,6 +155,9 @@ class ConstantScorer(Scorer):
         self._check_prefix(prefix)
         return self._logits.copy()
 
+    def _score_window(self, window):
+        return np.tile(self._logits, (len(window), 1))
+
 
 class TableScorer(Scorer):
     """Looks the prefix up in an explicit table of logit rows.
@@ -199,6 +209,9 @@ class BigramMatrixScorer(Scorer):
         if not ids:
             raise InvalidConfigError("bigram scorer needs at least one prefix token")
         return self._matrix[ids[-1]].copy()
+
+    def _score_window(self, window):
+        return self._matrix[window[:, -1]]
 
 
 class NGramModel(Scorer):
@@ -304,43 +317,24 @@ class NGramModel(Scorer):
         start, stop = self._bounds[i], self._bounds[i + 1]
         return self._fill[i], self._ids[start:stop], self._logits[start:stop]
 
-    def _score_rows(self, prefixes):
-        """:meth:`score` of each prefix: one dict lookup per row, then
-        :meth:`_block`. A :class:`TokenPrefix` of this vocabulary's size has
-        its context read off directly; any other prefix is checked first."""
-        need, size = self.order - 1, self.vocab.size
-        pad = (self.vocab.pad,) * need
-        get, unseen = self._rows.get, self._unseen
-        rows = []
-        for prefix in prefixes:
-            if not (isinstance(prefix, TokenPrefix) and prefix.size == size):
-                prefix = self._check_prefix(prefix)
-            n = len(prefix)
-            context = tuple(prefix[n - need : n]) if n >= need else pad[n:] + tuple(prefix)
-            rows.append(get(context, unseen))
-        return self._block(np.array(rows, dtype=np.int64))
-
-    def _score_window(self, window: np.ndarray) -> np.ndarray:
-        """:meth:`score` of each row of a lockstep block, found by key.
-
-        ``window`` is an int64 array of at least ``order - 1`` columns,
-        one row per prefix, whose last ``order - 1`` columns hold the
-        prefix's last ids (taken as in range), a negative id standing for
-        the pad before its start. Needs the key column (``_keys`` is not
-        None). Each row's key is one ``searchsorted`` into the sorted keys;
-        a key the table lacks reads the unseen row.
-        """
-        need = self.order - 1
-        context = window[:, window.shape[1] - need :]
-        keys = np.where(context < 0, self.vocab.pad, context) @ self._powers
-        at = self._keys.searchsorted(keys)
-        rows = np.where(self._keys[at] == keys, self._key_rows[at], self._unseen)
-        return self._block(rows)
-
-    def _block(self, rows: np.ndarray) -> np.ndarray:
-        """The dense rows of table rows ``rows``: one fill of the block,
-        then one scatter of every row's counted logits."""
-        size = self.vocab.size
+    def _score_window(self, window):
+        """Each row's :meth:`score`, read off the last ``order - 1`` columns
+        (-1, or a column the window lacks, as the pad id): one
+        ``searchsorted`` of the context's key into the key column or, with
+        none (keys past int64), one dict lookup; a context the table lacks
+        reads the unseen row. Then one fill and one scatter of the block."""
+        need, width, size = self.order - 1, window.shape[1], self.vocab.size
+        if width < need:
+            window, width = np.pad(window, ((0, 0), (need - width, 0)), constant_values=-1), need
+        tail = window[:, width - need :]
+        context = np.where(tail < 0, self.vocab.pad, tail)
+        if self._keys is None:
+            get, unseen = self._rows.get, self._unseen
+            rows = np.array([get(tuple(c), unseen) for c in context.tolist()], dtype=np.int64)
+        else:
+            keys = context @ self._powers
+            at = self._keys.searchsorted(keys)
+            rows = np.where(self._keys[at] == keys, self._key_rows[at], self._unseen)
         starts, lengths = self._starts[rows], self._lengths[rows]
         out = self._fill[rows][:, None].repeat(size, axis=1)
         # Entry j of row r's counted ids is flat entry starts[r] + j, and

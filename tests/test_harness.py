@@ -52,6 +52,30 @@ GREEDY = DecodeConfig(mode="greedy", max_tokens=4, seed=7)
 SAMPLED = DecodeConfig(mode="sample", temperature=1.0, top_p=0.95, max_tokens=6, seed=7)
 
 
+# A campaign line with one field of the wrong type, each of which a value
+# conversion would once have taken: it must be regenerated on resume and
+# named by load_campaign_trajectories.
+MISTYPED = {
+    "bool-index": lambda row: {**row, "sample_index": True},
+    "float-prompt": lambda row: {**row, "prompt_tokens": [float(t) for t in row["prompt_tokens"]]},
+    "float-tokens": lambda row: {**row, "tokens": [t + 0.5 for t in row["tokens"]]},
+    "bool-tokens": lambda row: {**row, "tokens": [t > 1 for t in row["tokens"]]},
+    "string-logprobs": lambda row: {**row, "logprobs": [str(v) for v in row["logprobs"]]},
+    "bool-logprobs": lambda row: {**row, "logprobs": [False] * len(row["logprobs"])},
+    "string-kl": lambda row: {**row, "kl": [str(v) for v in row["kl"]]},
+    "number-stop-reason": lambda row: {**row, "stop_reason": 7},
+    "unknown-stop-reason": lambda row: {**row, "stop_reason": "length"},
+    "number-answer": lambda row: {**row, "extracted_answer": 3},
+}
+
+
+def damage_line(path, number, damage):
+    """Rewrite line ``number`` (from 1) of a campaign file through ``damage``."""
+    lines = path.read_text().splitlines()
+    lines[number - 1] = json.dumps(damage(json.loads(lines[number - 1])))
+    path.write_text("".join(line + "\n" for line in lines))
+
+
 def walk_bytes(root, exclude=("run_log.json",)):
     """Map of relative path -> bytes for every file under root."""
     root = Path(root)
@@ -787,6 +811,21 @@ class TestRunCampaign:
         run_campaign(manifest, out)
         assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
 
+    @pytest.mark.parametrize("damage", MISTYPED.values(), ids=MISTYPED.keys())
+    def test_mistyped_lines_are_regenerated(self, world, tmp_path, damage):
+        manifest = make_manifest(world)
+        run_campaign(manifest, tmp_path / "fresh")
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        victim = out / "arms/guided/problems/0.jsonl"
+        assert json.loads(victim.read_text().splitlines()[1])["sample_index"] == 1
+        damage_line(victim, 2, damage)
+        run_campaign(manifest, out)
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+        # Two problems of three samples: every line but the damaged one is reused.
+        run_log = json.loads((out / "run_log.json").read_text())
+        assert (run_log["cells_reused"]["guided"], run_log["cells_decoded"]["guided"]) == (5, 1)
+
     def test_records_round_trip_and_predictions(self, world, tmp_path):
         out = tmp_path / "out"
         run_campaign(make_manifest(world), out)
@@ -968,7 +1007,7 @@ def problem_lines(out, arm):
 
 class FailingScorer(Scorer):
     """Delegates to ``inner`` and raises on its ``fail_at``-th ``score``
-    call; the default ``_score_rows`` loops ``score``, so the failure lands
+    call; the default ``_score_window`` loops ``score``, so the failure lands
     partway through a block."""
 
     kind = "failing"
@@ -1293,6 +1332,14 @@ class TestLoadCampaignTrajectories:
         victim.write_text('{"sample_index": 0}\n')
         with pytest.raises(ManifestError, match="line 1"):
             load_campaign_trajectories(out, "base")
+
+    @pytest.mark.parametrize("damage", MISTYPED.values(), ids=MISTYPED.keys())
+    def test_mistyped_line_names_location(self, world, tmp_path, damage):
+        out = tmp_path / "out"
+        run_campaign(make_manifest(world), out)
+        damage_line(out / "arms/guided/problems/0.jsonl", 2, damage)
+        with pytest.raises(ManifestError, match=r"0\.jsonl: line 2: malformed trajectory: "):
+            load_campaign_trajectories(out, "guided")
 
     def test_unequal_lengths_rejected_not_truncated(self, world, tmp_path):
         out = tmp_path / "out"

@@ -8,6 +8,7 @@ written through its ``to_dict`` and read back through its ``from_dict``.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,3 +149,44 @@ def test_trajectory_unequal_lengths_rejected(changes, message):
     }
     with pytest.raises(ValueError, match=message):
         Trajectory.from_dict(data, DecodeConfig())
+
+
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        ({"tokens": [1, 2.0, 3, 4]}, TypeError, r"token ids must be ints, got \['float'\]"),
+        ({"tokens": [1, True, 3, 4]}, TypeError, r"token ids must be ints, got \['bool'\]"),
+        ({"prompt_tokens": ["0"]}, TypeError, r"token ids must be ints, got \['str'\]"),
+        ({"logprobs": [-0.5, "-0.5", -0.5, -0.5]}, TypeError, r"logprobs and kl must be real numbers, got \['str'\]"),
+        ({"logprobs": [False] * 4}, TypeError, r"logprobs and kl must be real numbers, got \['bool'\]"),
+        ({"logprobs": [-0.5, None, -0.5, -0.5]}, TypeError, "float"),
+        ({"kl": [0.1, None, "0.1", True]}, TypeError, r"logprobs and kl must be real numbers, got \['bool', 'str'\]"),
+        ({"stop_reason": 7}, ValueError, "stop_reason must be 'eos' or 'max_tokens', got 7"),
+    ],
+    ids=["float-token", "bool-token", "str-prompt", "str-logprob", "bool-logprob", "none-logprob", "kl", "stop"],
+)
+def test_trajectory_mistyped_fields_rejected(changes, error, message):
+    data = {
+        "prompt_tokens": [0],
+        "tokens": [1, 2, 3, 4],
+        "logprobs": [-0.5] * 4,
+        "kl": [0.1] * 4,
+        "stop_reason": "max_tokens",
+        **changes,
+    }
+    with pytest.raises(error, match=message):
+        Trajectory.from_dict(data, DecodeConfig())
+
+
+def test_trajectory_numpy_numbers_accepted():
+    trajectory = Trajectory.from_tokens(
+        np.array([0]),
+        np.array([1, 2]),
+        "eos",
+        DecodeConfig(),
+        logprobs=np.array([-0.5, -1.0]),
+        kl=[None, np.float32(0.25)],
+    )
+    assert trajectory.tokens == (1, 2) and type(trajectory.tokens[0]) is int
+    assert [step.chosen_logprob for step in trajectory.generated] == [-0.5, -1.0]
+    assert trajectory.generated[1].kl_base_vs_combined == 0.25

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from deltadecode import decoder
 from deltadecode import scorers as scorers_module
-from deltadecode.core import DecodeConfig, InvalidConfigError, TokenPrefix, Vocabulary
+from deltadecode.core import DecodeConfig, InvalidConfigError, Vocabulary
 from deltadecode.decoder import DecodeError, decode
 from deltadecode.scorers import (
     BigramMatrixScorer,
@@ -432,7 +432,7 @@ def ngram_cases(draw, max_order=3):
 class TestNGramScoreBitwise:
     """``score`` returns the dense formula's bytes, in a fresh array each
     call, ``_sparse_row`` returns them as a fill and ascending unique ids,
-    and ``_score_rows`` returns them as the rows of one block."""
+    and ``_score_window`` returns them as the rows of one block."""
 
     def _check(self, vocab, order, k, counts, prefixes):
         model = NGramModel(vocab, order, counts, smoothing_k=k)
@@ -448,7 +448,7 @@ class TestNGramScoreBitwise:
             row = np.full(vocab.size, fill)
             row[ids] = values
             assert row.tobytes() == want.tobytes()
-        block = model._score_rows(prefixes)
+        block = model._score_window(block_window(prefixes, order - 1))
         assert block.dtype == np.float64 and block.shape == (len(prefixes), vocab.size)
         assert block.tobytes() == np.stack(wanted).tobytes()
 
@@ -456,20 +456,6 @@ class TestNGramScoreBitwise:
     @given(ngram_cases())
     def test_matches_dense_formula(self, case):
         self._check(*case)
-        # The block read off checked prefixes, as the decoder passes them.
-        vocab, order, k, counts, prefixes = case
-        model = NGramModel(vocab, order, counts, smoothing_k=k)
-        checked = [TokenPrefix(vocab.size, prefix) for prefix in prefixes]
-        assert model._score_rows(checked).tobytes() == model._score_rows(prefixes).tobytes()
-
-    def test_rows_of_unchecked_prefixes_are_checked(self):
-        vocab = _vocab(6)
-        model = NGramModel(vocab, 3, {(1, 2): {3: 4}}, smoothing_k=0.5)
-        wide = TokenPrefix(vocab.size + 1, [1, 2])
-        assert model._score_rows([wide]).tobytes() == model.score([1, 2])[None].tobytes()
-        for prefix in ([1, 6], TokenPrefix(vocab.size + 1, [1, 6]), [1, -1], [1, 2.0]):
-            with pytest.raises(CorpusIngestionError, match="position 1"):
-                model._score_rows([[1, 2], prefix])
 
     def test_wide_vocabulary(self):
         rng = np.random.default_rng(8)
@@ -501,21 +487,35 @@ def lockstep_rows(scorers, prompts, config):
     return dict(rows)
 
 
+def without_keys(model):
+    """A copy of ``model`` that reads rows through its dict, as a table
+    whose keys would not fit in int64 does."""
+    copy = NGramModel(model.vocab, model.order, model.counts, model.smoothing_k, name=model.name)
+    copy._keys = None
+    return copy
+
+
 class TestNGramKeyedBlock:
-    """A lockstep block reads an n-gram table's rows by integer key
-    (``_score_window``) with ``score``'s bytes; a table whose keys would
-    not fit in int64, or a subclass with its own ``_score_rows``, is read
-    through ``_score_rows`` instead."""
+    """A lockstep block reads an n-gram table's rows off its id window
+    (``_score_window``) with ``score``'s bytes: by integer key when the
+    table has a key column, else by one dict lookup per row, at any window
+    width."""
 
     @settings(max_examples=150, deadline=None)
-    @given(ngram_cases(max_order=4), st.integers(0, 2))
-    def test_window_rows_equal_score(self, case, extra):
+    @given(ngram_cases(max_order=4), st.integers(0, 5))
+    def test_window_rows_equal_score(self, case, width):
+        # Each prefix cut to its last ``width`` ids, in a window of
+        # ``width`` columns: below, at or above order - 1.
         vocab, order, k, counts, prefixes = case
+        prefixes = [prefix[max(len(prefix) - width, 0) :] for prefix in prefixes]
         model = NGramModel(vocab, order, counts, smoothing_k=k)
-        assert model._keys is not None and decoder._keyed(model)
+        assert model._keys is not None
         want = np.stack([model.score(prefix) for prefix in prefixes])
-        block = model._score_window(block_window(prefixes, order - 1 + extra))
-        assert block.dtype == np.float64 and block.tobytes() == want.tobytes()
+        window = block_window(prefixes, width)
+        assert window.shape == (len(prefixes), width)
+        for table in (model, without_keys(model)):
+            block = table._score_window(window)
+            assert block.dtype == np.float64 and block.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bos", [True, False])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -529,18 +529,20 @@ class TestNGramKeyedBlock:
         if order > 1:
             assert model._unseen in rows and len(set(rows)) > 2
         want = np.stack([model.score(prefix) for prefix in prefixes])
-        for width in (order - 1, order + 2):
-            assert model._score_window(block_window(prefixes, width)).tobytes() == want.tobytes()
+        for table in (model, without_keys(model)):
+            for width in (order - 1, order + 2):
+                assert table._score_window(block_window(prefixes, width)).tobytes() == want.tobytes()
 
-    def test_keys_past_int64_keep_the_prefix_path(self):
+    def test_keys_past_int64_read_by_dict(self):
         vocab = byte_vocab()  # V=258: 258**7 < 2**63 <= 258**8
         docs = [list(b"abcabd"), list(b"bcad"), list(b"dcba")]
-        assert decoder._keyed(train_ngram(docs, 8, vocab))
+        assert train_ngram(docs, 8, vocab)._keys is not None
         model = train_ngram(docs, 9, vocab, smoothing_k=0.5, name="base")
-        assert model._keys is None and not decoder._keyed(model)
+        assert model._keys is None
         prompts = [list(b"a"), list(b"abcab"), list(b"zzzzzzzzzz"), list(b"bcad")]
-        block = model._score_rows(prompts)
-        assert block.tobytes() == np.stack([model.score(p) for p in prompts]).tobytes()
+        want = np.stack([model.score(p) for p in prompts])
+        for width in (0, 12):
+            assert model._score_window(block_window(prompts, width)).tobytes() == want.tobytes()
         config = DecodeConfig(max_tokens=6, top_p=0.9)
         for row, trajectory in lockstep_rows((model, None, None), prompts, config).items():
             assert trajectory == decode(model, prompt=prompts[row], config=config.replace(seed=row))
@@ -553,16 +555,15 @@ class TestNGramKeyedBlock:
         class Counting(NGramModel):
             blocks = 0
 
-            def _score_rows(self, prefixes):
+            def _score_window(self, window):
                 Counting.blocks += 1
-                return super()._score_rows(prefixes)
+                return super()._score_window(window)
 
         class Short(NGramModel):
-            def _score_rows(self, prefixes):
-                return super()._score_rows(prefixes)[:, 1:]
+            def _score_window(self, window):
+                return super()._score_window(window)[:, 1:]
 
         counting = Counting(vocab, 3, trained.counts, 0.5, name="base")
-        assert counting._keys is not None and not decoder._keyed(counting)
         prompts = [[0], [1, 2], [3]]
         config = DecodeConfig(max_tokens=4)
         rows = lockstep_rows((counting, None, None), prompts, config)

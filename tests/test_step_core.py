@@ -36,7 +36,15 @@ from deltadecode.core import (
     softmax_with_temperature,
 )
 from deltadecode.decoder import DecodeError, decode, kl_divergence
-from deltadecode.scorers import BigramMatrixScorer, NGramModel, Scorer, build_vocab, train_ngram
+from deltadecode.scorers import (
+    BigramMatrixScorer,
+    ConstantScorer,
+    NGramModel,
+    Scorer,
+    TableScorer,
+    build_vocab,
+    train_ngram,
+)
 
 JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -1075,37 +1083,80 @@ class TestLockstepMatchesDecode:
         assert_lockstep_matches_decode(scorers, prompts, config, [0, 1, 2], ())
 
     @pytest.mark.parametrize("guided", [False, True])
+    @pytest.mark.parametrize("kind", ["table", "bigram_matrix", "constant"])
+    def test_each_scorer_kind(self, kind, guided):
+        # Table rows read whole prefixes through the default
+        # ``Scorer._score_window``; bigram-matrix and constant rows read the
+        # block's window themselves. Prompts of one to three ids share rows.
+        rng = np.random.default_rng(6)
+        vocab = build_vocab([[f"t{i}" for i in range(5)]])
+        n = vocab.size
+        prompts = [[1], [2, 3], [0, 4, 2]] * 3
+
+        def scorer(name):
+            if kind == "table":
+                table = {(*prompt, t): rng.normal(size=n) for prompt in prompts[:3] for t in range(n)}
+                return TableScorer(vocab, table, default=rng.normal(size=n), name=name)
+            if kind == "bigram_matrix":
+                return BigramMatrixScorer(vocab, rng.normal(size=(n, n)), name=name)
+            return ConstantScorer(vocab, rng.normal(size=n), name=name)
+
+        scorers = tuple(map(scorer, "abc")) if guided else (scorer("a"), None, None)
+        config = DecodeConfig(top_p=0.9, max_tokens=6)
+        assert_lockstep_matches_decode(scorers, prompts, config, list(range(len(prompts))), ("kl",))
+
+    @pytest.mark.parametrize("guided", [False, True])
     def test_keyed_block_makes_no_prefix_calls(self, guided, monkeypatch):
-        # Every role is an n-gram table with a key column, so a block reads
-        # its rows off the block's id array: its steps build, append to and
-        # index no row's TokenPrefix, and the calls its setup and results
-        # make do not grow with the steps. No document ends in eos, so
-        # greedy rows never stop early and never leave one row alone.
+        # N-gram tables (read by key), bigram matrices and constant rows
+        # read their rows off the block's id array: its steps build, append
+        # to and index no row's TokenPrefix, and the calls its setup and
+        # results make do not grow with the steps. No document ends in eos
+        # and every eos logit is far below the rest, so greedy rows never
+        # stop early and never leave one row alone.
         rng = np.random.default_rng(3)
         vocab = build_vocab([[f"t{i}" for i in range(9)]])
+        n, eos = vocab.size, vocab.eos
         docs = [rng.integers(0, 9, size=8).tolist() for _ in range(30)]
-        base = train_ngram(docs, 3, vocab, append_eos=False, name="a")
-        pair = [train_ngram(docs[i::2], 2, vocab, append_eos=False, name=r) for i, r in enumerate("bc")]
-        scorers = (base, *pair) if guided else (base, None, None)
-        assert all(decoder._keyed(s) for s in scorers if s is not None)
-        prompts = [TokenPrefix(vocab.size, p) for p in ([1], [2, 3], [4, 5, 6])] * 4
+        matrices = rng.normal(size=(3, n, n))
+        matrices[:, :, eos] = -100.0
+        constants = rng.normal(size=(3, n))
+        constants[:, eos] = -100.0
+        worlds = [
+            [
+                train_ngram(docs, 3, vocab, append_eos=False, name="a"),
+                *(train_ngram(docs[i::2], 2, vocab, append_eos=False, name=r) for i, r in enumerate("bc")),
+            ],
+            [BigramMatrixScorer(vocab, m, name=r) for m, r in zip(matrices, "abc")],
+            [ConstantScorer(vocab, row, name=r) for row, r in zip(constants, "abc")],
+        ]
+        worlds = [tuple(world) if guided else (world[0], None, None) for world in worlds]
+        prompts = [TokenPrefix(n, p) for p in ([1], [2, 3], [4, 5, 6])] * 4
         seeds = list(range(len(prompts)))
-        assert_lockstep_matches_decode(scorers, prompts, DecodeConfig(max_tokens=6, mode="greedy"), seeds, ())
+        for scorers in worlds:
+            assert_lockstep_matches_decode(scorers, prompts, DecodeConfig(max_tokens=6, mode="greedy"), seeds, ())
         calls = Counter()
         for name in ("append", "head", "__getitem__", "__len__", "__iter__"):
             def spy(self, *args, _real=getattr(TokenPrefix, name), _name=name):
                 calls[_name] += 1
                 return _real(self, *args)
             monkeypatch.setattr(TokenPrefix, name, spy)
-        counted = []
-        for max_tokens in (1, 6):
-            calls.clear()
-            config = DecodeConfig(max_tokens=max_tokens, mode="greedy")
-            rows = list(decoder._decode_lockstep(*scorers, prompts=prompts, config=config, seeds=seeds))
-            assert {t.stop_reason for _, t in rows} == {"max_tokens"}
-            counted.append(dict(calls))
-        assert counted[0] == counted[1]
-        assert not {"append", "head", "__getitem__"} & set(counted[1])
+        trusted = TokenPrefix._trusted.__func__
+
+        def trusted_spy(cls, *args):
+            calls["_trusted"] += 1
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(TokenPrefix, "_trusted", classmethod(trusted_spy))
+        for scorers in worlds:
+            counted = []
+            for max_tokens in (1, 6):
+                calls.clear()
+                config = DecodeConfig(max_tokens=max_tokens, mode="greedy")
+                rows = list(decoder._decode_lockstep(*scorers, prompts=prompts, config=config, seeds=seeds))
+                assert {t.stop_reason for _, t in rows} == {"max_tokens"}
+                counted.append(dict(calls))
+            assert counted[0] == counted[1]
+            assert not {"append", "head", "__getitem__", "_trusted"} & set(counted[1])
 
 
 @pytest.mark.filterwarnings(
@@ -1160,8 +1211,8 @@ class TestLockstepChecks:
 
     def test_wrong_block_shape_named(self):
         class Short(RowScorer):
-            def _score_rows(self, prefixes):
-                return super()._score_rows(prefixes)[:, 1:]
+            def _score_window(self, window):
+                return super()._score_window(window)[:, 1:]
 
         scorers = row_scorers()
         short = Short(scorers[0].vocab, scorers[0].matrix, name="base")
