@@ -214,7 +214,7 @@ def length_stats(groups: Mapping[str, Sequence[Trajectory]]) -> dict[str, dict[s
     for name, trajectories in groups.items():
         if len(trajectories) == 0:
             raise EmptyInputError(f"group {name!r} has no trajectories")
-        lengths = np.array([len(t.generated) for t in trajectories], dtype=np.float64)
+        lengths = np.array([len(t.tokens) for t in trajectories], dtype=np.float64)
         out[name] = {
             "n": int(lengths.size),
             "mean": float(lengths.mean()),

@@ -8,6 +8,7 @@ sampling. Generation stops at the vocabulary's eos token or the step cap.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from collections.abc import Sequence
@@ -79,27 +80,6 @@ class InsufficientTrajectoryError(ValueError):
     """Replay needs at least two generated tokens to form one comparison."""
 
 
-class _StoredOnRead:
-    """A method read as an attribute, computed on the first read and stored
-    in the instance's ``__dict__``, where later reads find it without a
-    call. ``functools.cached_property`` does the same, but on Python 3.11
-    it takes a lock on each first read, which made a campaign cell's two
-    reads of a short trajectory slower than building the tuple twice."""
-
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.build(instance)
-        return value
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """One generated token with the diagnostics recorded at its step."""
@@ -111,20 +91,22 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Immutable record of one decode: prompt, steps, and the settings used."""
+    """Immutable record of one decode: prompt, the generated ids with one
+    logprob and one kl value (None when not recorded) per id, and the
+    settings used."""
 
     prompt_tokens: tuple[int, ...]
-    generated: tuple[StepRecord, ...]
+    tokens: tuple[int, ...]
+    logprobs: tuple[float, ...]
+    kl: tuple[float | None, ...]
     stop_reason: str
     config_snapshot: DecodeConfig
     scorer_labels: tuple[tuple[str, str], ...] = ()
 
-    @_StoredOnRead
-    def tokens(self) -> tuple[int, ...]:
-        """The generated ids, built on first read (or stored by
-        :meth:`from_tokens`) and kept: not a field, so equality and
-        ``to_dict`` see only ``generated``."""
-        return tuple(step.token for step in self.generated)
+    @property
+    def generated(self) -> tuple[StepRecord, ...]:
+        """One :class:`StepRecord` per generated id, built on each read."""
+        return tuple(map(StepRecord, self.tokens, self.logprobs, self.kl))
 
     @property
     def labels(self) -> dict[str, str]:
@@ -146,54 +128,49 @@ class Trajectory:
         Raises TypeError unless the ids are integers (``operator.index``)
         and logprobs and kl real numbers (or None for kl), none a bool, and
         ValueError unless ``stop_reason`` is "eos" or "max_tokens" and given
-        logprobs and kl have one entry per token. The types are checked as
-        one set per kind, not per value.
+        logprobs and kl have one finite entry per token. The types are
+        checked as one set per kind, not per value.
         """
         if stop_reason not in ("eos", "max_tokens"):
             raise ValueError(f"stop_reason must be 'eos' or 'max_tokens', got {stop_reason!r}")
         prompt_tokens, tokens = tuple(prompt_tokens), tuple(tokens)
-        logprobs = [0.0] * len(tokens) if logprobs is None else list(logprobs)
-        kl = [None] * len(tokens) if kl is None else list(kl)
+        logprobs = (0.0,) * len(tokens) if logprobs is None else tuple(logprobs)
+        kl = (None,) * len(tokens) if kl is None else tuple(kl)
         ids = set(map(type, prompt_tokens + tokens)) - {int}
         if ids:
             if bool in ids or not all(hasattr(kind, "__index__") for kind in ids):
                 raise TypeError(f"token ids must be ints, got {sorted(k.__name__ for k in ids)}")
             prompt_tokens = tuple(map(operator.index, prompt_tokens))
             tokens = tuple(map(operator.index, tokens))
-        # A None logprob passes here and fails float() below.
         reals = set(map(type, chain(logprobs, kl))) - {float, type(None)}
-        if bool in reals or not all(issubclass(kind, numbers.Real) for kind in reals):
-            names = sorted(kind.__name__ for kind in reals)
-            raise TypeError(f"logprobs and kl must be real numbers, got {names}")
+        if reals:
+            if bool in reals or not all(issubclass(kind, numbers.Real) for kind in reals):
+                names = sorted(kind.__name__ for kind in reals)
+                raise TypeError(f"logprobs and kl must be real numbers, got {names}")
+            kl = tuple(None if k is None else float(k) for k in kl)
+        # A None logprob fails float() here.
+        logprobs = tuple(map(float, logprobs))
         if not len(tokens) == len(logprobs) == len(kl):
             raise ValueError(
                 f"{len(tokens)} tokens, {len(logprobs)} logprobs and {len(kl)} kl entries"
             )
-        steps = tuple(
-            StepRecord(t, float(lp), None if k is None else float(k))
-            for t, lp, k in zip(tokens, logprobs, kl)
+        # filter(None, kl) skips the None entries (and zeros, which are finite).
+        if not all(map(math.isfinite, chain(logprobs, filter(None, kl)))):
+            raise ValueError("logprobs and kl must be finite")
+        return cls(
+            prompt_tokens, tokens, logprobs, kl, stop_reason, config_snapshot, tuple(scorer_labels)
         )
-        trajectory = cls(
-            prompt_tokens=prompt_tokens,
-            generated=steps,
-            stop_reason=stop_reason,
-            config_snapshot=config_snapshot,
-            scorer_labels=tuple(scorer_labels),
-        )
-        trajectory.__dict__["tokens"] = tokens  # what ``tokens`` would build
-        return trajectory
 
     def to_dict(self) -> dict:
         """Persisted form for campaign lines and CLI output; ``kl`` only if recorded."""
         data = {
             "prompt_tokens": list(self.prompt_tokens),
             "tokens": list(self.tokens),
-            "logprobs": [step.chosen_logprob for step in self.generated],
+            "logprobs": list(self.logprobs),
             "stop_reason": self.stop_reason,
         }
-        kl = [step.kl_base_vs_combined for step in self.generated]
-        if any(k is not None for k in kl):
-            data["kl"] = kl
+        if any(k is not None for k in self.kl):
+            data["kl"] = list(self.kl)
         return data
 
     @classmethod
@@ -485,7 +462,10 @@ def _decode_lockstep(
     # ``decode`` passes its config's own seed, which needs no new snapshot.
     configs = [config if seed is config.seed else config._with_seed(seed) for seed in seeds]
     rngs = _generators(seeds) if config.mode == "sample" else None
-    steps: list[list[StepRecord]] = [[] for _ in seeds]
+    # Each row's generated ids, logprobs and kl values (None unless recorded).
+    ids: list[list[int]] = [[] for _ in seeds]
+    logps: list[list[float]] = [[] for _ in seeds]
+    kl_values: list[list[float | None]] = [[] for _ in seeds]
     # The combine, the temperature divide and exp run in place in this
     # buffer; no scorer row is written. Active rows are its leading rows,
     # so each slice of it stays C-contiguous. The 1-D step writes the
@@ -507,11 +487,13 @@ def _decode_lockstep(
 
     def finished(row: int, stop_reason: str) -> tuple[int, Trajectory]:
         return row, Trajectory(
-            prompt_tokens=tuple(prompts[row]),
-            generated=tuple(steps[row]),
-            stop_reason=stop_reason,
-            config_snapshot=configs[row],
-            scorer_labels=labels,
+            tuple(prompts[row]),
+            tuple(ids[row]),
+            tuple(logps[row]),
+            tuple(kl_values[row]),
+            stop_reason,
+            configs[row],
+            labels,
         )
 
     active = list(range(len(seeds)))
@@ -549,7 +531,9 @@ def _decode_lockstep(
             kl = None
             if want_kl:
                 kl = kl_divergence(_softmax(base_logits, config.temperature), dist)
-            steps[row].append(StepRecord(token, float(np.log(dist[token])), kl))
+            ids[row].append(token)
+            logps[row].append(float(np.log(dist[token])))
+            kl_values[row].append(kl)
             if dist is zero:
                 zero[kept] = 0.0
             context.append(token)
@@ -583,7 +567,9 @@ def _decode_lockstep(
 
         still = []
         for row, token, logprob, kl in zip(active, tokens.tolist(), logprobs.tolist(), kls):
-            steps[row].append(StepRecord(token, logprob, kl))
+            ids[row].append(token)
+            logps[row].append(logprob)
+            kl_values[row].append(kl)
             if token == eos:
                 yield finished(row, "eos")
             else:
@@ -670,7 +656,7 @@ def replay_against(trajectory: Trajectory, probe: Scorer) -> list[tuple[int, int
 
 
 def _check_replayable(trajectory: Trajectory) -> None:
-    n = len(trajectory.generated)
+    n = len(trajectory.tokens)
     if n < 2:
         raise InsufficientTrajectoryError(
             f"replay needs at least 2 generated tokens, trajectory has {n}"

@@ -485,11 +485,12 @@ def _trajectory_line(sample_index: int, trajectory: Trajectory, answer: str | No
 
 
 def _read_existing_lines(
-    path: Path, samples: int, config: DecodeConfig
+    path: Path, samples: int, size: int, config: DecodeConfig
 ) -> tuple[str | None, dict[int, str], dict[int, object]]:
     """Salvage completed samples from a possibly torn JSONL file: its text
     (None when there is no file) and, per sample index, the line and its
-    extracted answer."""
+    extracted answer. A line is kept only if its ids are all in the
+    arm's ``size``-id vocabulary (checked by their min and max)."""
     lines: dict[int, str] = {}
     answers: dict[int, object] = {}
     if not path.is_file():
@@ -497,10 +498,11 @@ def _read_existing_lines(
     text = path.read_text(encoding="utf-8")
     for line in text.splitlines():
         try:
-            _, index, answer = _parse_line(line, config)
+            trajectory, index, answer = _parse_line(line, config)
         except (TypeError, KeyError, ValueError):
             continue  # torn or foreign line: regenerate that sample
-        if 0 <= index < samples:
+        ids = trajectory.prompt_tokens + trajectory.tokens
+        if 0 <= index < samples and ids and 0 <= min(ids) and max(ids) < size:
             lines[index] = line
             answers[index] = answer
     return text, lines, answers
@@ -644,7 +646,7 @@ def _run_arm(
     for problem in problems:
         filename = _problem_filename(problem["problem_id"], taken)
         path = arm_dir / "problems" / f"{filename}.jsonl"
-        text, lines, answers = _read_existing_lines(path, samples, arm.config)
+        text, lines, answers = _read_existing_lines(path, samples, size, arm.config)
         missing = [i for i in range(samples) if i not in lines]
         counts["cells_reused"] += len(lines)
         try:
@@ -675,7 +677,7 @@ def _run_arm(
                 file.write()
             counts["cells_decoded"] += 1
             counts["cells_lockstep"] += lockstep
-            counts["tokens"] += len(trajectory.generated)
+            counts["tokens"] += len(trajectory.tokens)
     except Exception:
         # Keep whatever finished so a later rerun only fills the gaps.
         for file in files:
@@ -739,7 +741,9 @@ def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:
 
     Step diagnostics beyond token/logprob/kl are not persisted, and the
     config snapshot is the arm's manifest config (per-sample seeds are
-    re-derivable but not stored on the rebuilt object).
+    re-derivable but not stored on the rebuilt object). A malformed line,
+    or a sample index outside the arm's samples or repeated within its
+    file, raises :class:`ManifestError` naming the file and line.
     """
     out = Path(out_dir)
     manifest = RunManifest.load(out / "manifest.json")
@@ -747,13 +751,20 @@ def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:
     problems_dir = out / "arms" / arm_label / "problems"
     if not problems_dir.is_dir():
         raise ManifestError(f"arm {arm_label!r} has no trajectory files under {out}")
+    samples = manifest.samples_for(arm)
     trajectories = []
     for path in sorted(problems_dir.glob("*.jsonl")):
+        seen = set()
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             try:
-                trajectories.append(_parse_line(line, arm.config, (("base", arm.base),))[0])
+                trajectory, index, _ = _parse_line(line, arm.config, (("base", arm.base),))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ManifestError(f"{path}: line {lineno}: malformed trajectory: {exc}") from exc
+            if not 0 <= index < samples or index in seen:
+                problem = "repeated" if index in seen else f"outside [0, {samples})"
+                raise ManifestError(f"{path}: line {lineno}: sample_index {index} is {problem}")
+            seen.add(index)
+            trajectories.append(trajectory)
     return trajectories
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltadecode import harness
+from deltadecode import decoder, harness
 from deltadecode.core import DecodeConfig, InvalidConfigError
 from deltadecode.decoder import decode
 from deltadecode.harness import (
@@ -66,6 +66,25 @@ MISTYPED = {
     "number-stop-reason": lambda row: {**row, "stop_reason": 7},
     "unknown-stop-reason": lambda row: {**row, "stop_reason": "length"},
     "number-answer": lambda row: {**row, "extracted_answer": 3},
+}
+
+# A line with a NaN or infinite logprob or kl (JSON's NaN and Infinity). No
+# decode writes one, so it too must be regenerated on resume and named by
+# load_campaign_trajectories.
+NON_FINITE = {
+    "nan-logprobs": lambda row: {**row, "logprobs": [float("nan")] * len(row["logprobs"])},
+    "inf-logprob": lambda row: {**row, "logprobs": [-float("inf"), *row["logprobs"][1:]]},
+    "inf-kl": lambda row: {**row, "kl": [*row["kl"][:-1], float("inf")]},
+}
+UNREADABLE = {**MISTYPED, **NON_FINITE}
+
+# A line with an id outside the world's five-id vocabulary: resume must
+# regenerate it.
+OUT_OF_RANGE = {
+    "token-at-vocab-size": lambda row: {**row, "tokens": [5, *row["tokens"][1:]]},
+    "negative-token": lambda row: {**row, "tokens": [*row["tokens"][:-1], -3]},
+    "negative-prompt": lambda row: {**row, "prompt_tokens": [-1, *row["prompt_tokens"][1:]]},
+    "prompt-past-vocab": lambda row: {**row, "prompt_tokens": [*row["prompt_tokens"][:-1], 99]},
 }
 
 
@@ -811,7 +830,7 @@ class TestRunCampaign:
         run_campaign(manifest, out)
         assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
 
-    @pytest.mark.parametrize("damage", MISTYPED.values(), ids=MISTYPED.keys())
+    @pytest.mark.parametrize("damage", UNREADABLE.values(), ids=UNREADABLE.keys())
     def test_mistyped_lines_are_regenerated(self, world, tmp_path, damage):
         manifest = make_manifest(world)
         run_campaign(manifest, tmp_path / "fresh")
@@ -825,6 +844,35 @@ class TestRunCampaign:
         # Two problems of three samples: every line but the damaged one is reused.
         run_log = json.loads((out / "run_log.json").read_text())
         assert (run_log["cells_reused"]["guided"], run_log["cells_decoded"]["guided"]) == (5, 1)
+
+    @pytest.mark.parametrize("damage", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_ids_are_regenerated(self, world, tmp_path, damage):
+        manifest = make_manifest(world)
+        run_campaign(manifest, tmp_path / "fresh")
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        damage_line(out / "arms/guided/problems/0.jsonl", 2, damage)
+        run_campaign(manifest, out)
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+        run_log = json.loads((out / "run_log.json").read_text())
+        assert (run_log["cells_reused"]["guided"], run_log["cells_decoded"]["guided"]) == (5, 1)
+
+    def test_decoding_builds_no_step_records(self, world, tmp_path, monkeypatch):
+        """A trajectory stores its columns: a one-row decode, a lockstep
+        block and a campaign build no StepRecord; reading ``generated`` does."""
+        made = []
+        record = decoder.StepRecord
+        monkeypatch.setattr(decoder, "StepRecord", lambda *step: made.append(step) or record(*step))
+        scorers = [load_scorer(world / f"{role}.json") for role in ("base", "expert", "expert_base")]
+        prompt = encode_text("1 2", scorers[0].vocab)
+        one = decode(*scorers, prompt=prompt, config=SAMPLED, instrument=("kl",))
+        rows = decoder._decode_lockstep(
+            *scorers, prompts=[prompt] * 4, config=SAMPLED, seeds=[1, 2, 3, 4], instrument=("kl",)
+        )
+        assert len(list(rows)) == 4
+        run_campaign(make_manifest(world), tmp_path / "out")
+        assert made == []
+        assert len(one.generated) == len(made) == len(one.tokens) > 0
 
     def test_records_round_trip_and_predictions(self, world, tmp_path):
         out = tmp_path / "out"
@@ -1333,13 +1381,32 @@ class TestLoadCampaignTrajectories:
         with pytest.raises(ManifestError, match="line 1"):
             load_campaign_trajectories(out, "base")
 
-    @pytest.mark.parametrize("damage", MISTYPED.values(), ids=MISTYPED.keys())
+    @pytest.mark.parametrize("damage", UNREADABLE.values(), ids=UNREADABLE.keys())
     def test_mistyped_line_names_location(self, world, tmp_path, damage):
         out = tmp_path / "out"
         run_campaign(make_manifest(world), out)
         damage_line(out / "arms/guided/problems/0.jsonl", 2, damage)
         with pytest.raises(ManifestError, match=r"0\.jsonl: line 2: malformed trajectory: "):
             load_campaign_trajectories(out, "guided")
+
+    @pytest.mark.parametrize(
+        "index, problem",
+        [(7, r"outside \[0, 3\)"), (-1, r"outside \[0, 3\)"), (0, "repeated")],
+        ids=["past-samples", "negative", "repeated"],
+    )
+    def test_out_of_place_sample_index_names_location(self, world, tmp_path, index, problem):
+        manifest = make_manifest(world)
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        victim = out / "arms/guided/problems/0.jsonl"
+        row = json.loads(victim.read_text().splitlines()[0])
+        with victim.open("a") as handle:
+            handle.write(json.dumps({**row, "sample_index": index}) + "\n")
+        with pytest.raises(ManifestError, match=rf"0\.jsonl: line 4: sample_index {index} is {problem}"):
+            load_campaign_trajectories(out, "guided")
+        # A resume drops the line, and the loader then reads every sample.
+        run_campaign(manifest, out)
+        assert len(load_campaign_trajectories(out, "guided")) == 6
 
     def test_unequal_lengths_rejected_not_truncated(self, world, tmp_path):
         out = tmp_path / "out"

@@ -70,19 +70,14 @@ manifests = st.builds(
 
 @st.composite
 def trajectories(draw):
-    tokens = draw(st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=8))
+    tokens = tuple(draw(st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=8)))
+    column = dict(min_size=len(tokens), max_size=len(tokens))
     instrumented = draw(st.booleans())
-    steps = tuple(
-        StepRecord(
-            token=token,
-            chosen_logprob=draw(finite(max_value=0)),
-            kl_base_vs_combined=draw(finite(min_value=0)) if instrumented else None,
-        )
-        for token in tokens
-    )
     return Trajectory(
         prompt_tokens=tuple(draw(st.lists(st.integers(min_value=0), min_size=1, max_size=8))),
-        generated=steps,
+        tokens=tokens,
+        logprobs=tuple(draw(st.lists(finite(max_value=0), **column))),
+        kl=tuple(draw(st.lists(finite(min_value=0), **column))) if instrumented else (None,) * len(tokens),
         stop_reason=draw(st.sampled_from(("eos", "max_tokens"))),
         config_snapshot=draw(configs),
         scorer_labels=tuple(sorted(draw(st.dictionaries(st.text(), st.text())).items())),
@@ -107,27 +102,30 @@ def test_manifest_round_trip(manifest):
 @given(trajectories())
 def test_trajectory_round_trip(trajectory):
     data = through_json(trajectory.to_dict())
-    instrumented = any(step.kl_base_vs_combined is not None for step in trajectory.generated)
+    instrumented = any(k is not None for k in trajectory.kl)
     assert ("kl" in data) == instrumented
     rebuilt = Trajectory.from_dict(data, trajectory.config_snapshot, trajectory.scorer_labels)
     assert rebuilt == trajectory
 
 
 @given(trajectories())
-def test_trajectory_tokens_built_once(trajectory):
-    fields = {f.name: getattr(trajectory, f.name) for f in dataclasses.fields(Trajectory)}
-    assert "tokens" not in fields
-    unread = Trajectory(**fields)
-    tokens = trajectory.tokens
-    assert tokens == tuple(step.token for step in trajectory.generated)
-    assert trajectory.tokens is tokens
-    assert trajectory == unread and hash(trajectory) == hash(unread)
+def test_trajectory_stores_its_columns(trajectory):
+    columns = (trajectory.tokens, trajectory.logprobs, trajectory.kl)
+    assert trajectory.generated == tuple(StepRecord(*step) for step in zip(*columns))
+    assert "generated" not in vars(trajectory)
+    data = trajectory.to_dict()
+    data["tokens"].append(0)
+    data["logprobs"].append(0.0)
+    assert trajectory.to_dict()["tokens"] == list(trajectory.tokens)
+    assert trajectory.to_dict()["logprobs"] == list(trajectory.logprobs)
     line = json.dumps(trajectory.to_dict())
-    assert line == json.dumps(unread.to_dict()) and json.loads(line)["tokens"] == list(tokens)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        trajectory.tokens = ()
     rebuilt = Trajectory.from_dict(json.loads(line), trajectory.config_snapshot, trajectory.scorer_labels)
-    assert rebuilt.tokens == tokens and rebuilt == trajectory
+    assert rebuilt == trajectory and hash(rebuilt) == hash(trajectory)
+    assert json.dumps(rebuilt.to_dict()) == line
+    assert (rebuilt.tokens, rebuilt.logprobs, rebuilt.kl) == columns
+    for name in ("tokens", "logprobs", "kl", "generated"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trajectory, name, ())
 
 
 @pytest.mark.parametrize(
@@ -190,3 +188,19 @@ def test_trajectory_numpy_numbers_accepted():
     assert trajectory.tokens == (1, 2) and type(trajectory.tokens[0]) is int
     assert [step.chosen_logprob for step in trajectory.generated] == [-0.5, -1.0]
     assert trajectory.generated[1].kl_base_vs_combined == 0.25
+
+
+@pytest.mark.parametrize(
+    "logprobs, kl",
+    [
+        ([float("nan"), -0.5], None),
+        ([-0.5, -float("inf")], None),
+        ([-0.5, -0.5], [0.0, float("inf")]),
+        ([-0.5, -0.5], [None, float("nan")]),
+        (np.array([-0.5, np.nan]), None),
+    ],
+    ids=["nan-logprob", "inf-logprob", "inf-kl", "nan-kl", "numpy-nan-logprob"],
+)
+def test_trajectory_non_finite_rejected(logprobs, kl):
+    with pytest.raises(ValueError, match="logprobs and kl must be finite"):
+        Trajectory.from_tokens([0], [1, 2], "eos", DecodeConfig(), logprobs=logprobs, kl=kl)
