@@ -11,200 +11,22 @@ The package splits into small layers:
   token-category frequencies, length statistics).
 - ``metrics``: answer extraction and pooled accuracy estimators.
 - ``harness``: campaign manifests, datasets, memory estimates, sweeps.
+
+The package exports each module's ``__all__`` and ``__version__``.
 """
 
-from .analysis import (
-    PcrReport,
-    SeriesMismatchError,
-    TokenSetSpec,
-    UndefinedCosineError,
-    avg_cosine_sim,
-    delta_series,
-    length_stats,
-    pcr,
-    token_frequency,
-)
-from .core import (
-    DecodeConfig,
-    EmptyInputError,
-    InvalidConfigError,
-    InvalidDistributionError,
-    InvalidLogitsError,
-    TokenPrefix,
-    Vocabulary,
-    VocabularyMismatchError,
-    argmax_token,
-    as_distribution,
-    as_logits,
-    combine_logits,
-    nucleus_filter,
-    sample_token,
-    softmax_with_temperature,
-)
-from .decoder import (
-    DecodeError,
-    InsufficientTrajectoryError,
-    StepRecord,
-    Trajectory,
-    decode,
-    kl_divergence,
-    replay_against,
-)
-from .harness import (
-    ArmSpec,
-    DatasetError,
-    ManifestError,
-    MemoryPlan,
-    RunManifest,
-    derive_seed,
-    estimate_memory,
-    ingest_dataset,
-    load_campaign_trajectories,
-    load_template,
-    render_prompt,
-    run_campaign,
-    sweep,
-)
-from .metrics import (
-    DegenerateGapError,
-    EvalRecord,
-    InvalidKError,
-    MetricResult,
-    extract_answer,
-    load_records,
-    majority_at_k,
-    match_answer,
-    pass_at_k_exact,
-    pass_at_k_resampled,
-    pass_probability,
-    recovery_rate,
-    save_records,
-)
-from .remote import (
-    HandshakeError,
-    ProtocolError,
-    RemoteScoreError,
-    RemoteScorer,
-    RemoteTimeoutError,
-    ScorerClient,
-    StubServer,
-    connect_endpoint,
-    parse_endpoint,
-    serve_stdio,
-)
-from .scorers import (
-    BigramMatrixScorer,
-    ConstantScorer,
-    CorpusIngestionError,
-    NGramModel,
-    Scorer,
-    TableScorer,
-    UnknownPrefixError,
-    build_vocab,
-    byte_vocab,
-    encode_text,
-    load_corpus,
-    load_scorer,
-    load_vocab,
-    render_tokens,
-    save_scorer,
-    save_vocab,
-    train_ngram,
-)
+from . import analysis, core, decoder, harness, metrics, remote, scorers
+from .analysis import *  # noqa: F403
+from .core import *  # noqa: F403
+from .decoder import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .remote import *  # noqa: F403
+from .scorers import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Vocabulary",
-    "TokenPrefix",
-    "DecodeConfig",
-    "as_logits",
-    "as_distribution",
-    "combine_logits",
-    "softmax_with_temperature",
-    "nucleus_filter",
-    "argmax_token",
-    "sample_token",
-    "InvalidLogitsError",
-    "VocabularyMismatchError",
-    "InvalidConfigError",
-    "InvalidDistributionError",
-    "EmptyInputError",
-    # scorers
-    "Scorer",
-    "ConstantScorer",
-    "TableScorer",
-    "BigramMatrixScorer",
-    "NGramModel",
-    "train_ngram",
-    "build_vocab",
-    "byte_vocab",
-    "load_vocab",
-    "save_vocab",
-    "load_corpus",
-    "encode_text",
-    "render_tokens",
-    "save_scorer",
-    "load_scorer",
-    "CorpusIngestionError",
-    "UnknownPrefixError",
-    # decoder
-    "StepRecord",
-    "Trajectory",
-    "decode",
-    "replay_against",
-    "kl_divergence",
-    "DecodeError",
-    "InsufficientTrajectoryError",
-    # analysis
-    "PcrReport",
-    "pcr",
-    "delta_series",
-    "avg_cosine_sim",
-    "TokenSetSpec",
-    "token_frequency",
-    "length_stats",
-    "UndefinedCosineError",
-    "SeriesMismatchError",
-    # metrics
-    "EvalRecord",
-    "MetricResult",
-    "extract_answer",
-    "match_answer",
-    "load_records",
-    "save_records",
-    "pass_probability",
-    "pass_at_k_exact",
-    "pass_at_k_resampled",
-    "majority_at_k",
-    "recovery_rate",
-    "DegenerateGapError",
-    "InvalidKError",
-    # remote
-    "ScorerClient",
-    "RemoteScorer",
-    "StubServer",
-    "serve_stdio",
-    "parse_endpoint",
-    "connect_endpoint",
-    "ProtocolError",
-    "HandshakeError",
-    "RemoteScoreError",
-    "RemoteTimeoutError",
-    # harness
-    "ArmSpec",
-    "RunManifest",
-    "MemoryPlan",
-    "estimate_memory",
-    "ingest_dataset",
-    "load_template",
-    "render_prompt",
-    "derive_seed",
-    "run_campaign",
-    "sweep",
-    "load_campaign_trajectories",
-    "ManifestError",
-    "DatasetError",
-]
+__all__ = ["__version__"]
+for _module in (analysis, core, decoder, harness, metrics, remote, scorers):
+    __all__ += _module.__all__
+del _module

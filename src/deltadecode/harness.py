@@ -22,7 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import DecodeConfig, InvalidConfigError, _seed_words, check_fields
-from .decoder import INSTRUMENT_FLAGS, Trajectory, _decode_lockstep, _prompt_prefix, decode
+from .decoder import INSTRUMENT_FLAGS, Trajectory, _decode_lockstep, _prompt_prefix
+
+# Every cell decodes through _decode_lockstep, but perfbench/tracer.py
+# wraps ``harness.decode``, so the name stays bound here.
+from .decoder import decode  # noqa: F401
 from .metrics import EvalRecord, extract_answer, pass_at_k_exact, save_records
 from .remote import RemoteScorer, connect_endpoint
 from .scorers import Scorer, encode_text, load_scorer, load_vocab, render_tokens
@@ -48,10 +52,11 @@ _SEED_MASK = (1 << 64) - 1
 # An arm's missing cells, across its problems, are decoded in lockstep, as
 # (rows x V) blocks stepped together, when at least two are missing, the
 # vocabulary has at most this many ids and no scorer is remote; otherwise
-# each is one ``decode`` call. Lockstep time over per-cell time, measured
-# on a shared 2-vCPU x86_64 VM pinned to one core with a trigram base and
-# bigram pair trained on random text (guided, kl on, 16 tokens per row;
-# add-0.5 rows are near flat, add-1e-6 rows peaked): at V=16, 0.57x for
+# each is a block of one row, which is what ``decode`` runs. Lockstep time
+# over per-cell time, measured on a shared 2-vCPU x86_64 VM pinned to one
+# core with a trigram base and bigram pair trained on random text (guided,
+# kl on, 16 tokens per row; add-0.5 rows are near flat, add-1e-6 rows
+# peaked): at V=16, 0.57x for
 # one row taking the block step (a block's last row takes ``decode``'s
 # 1-D step), 0.94x for two, 1.44x for three and 3.7x for twenty; at twenty
 # rows, 2.5-3.0x at V=256, 1.2-1.8x at V=1024, 0.97-1.34x at V=2048 and
@@ -194,9 +199,7 @@ class RunManifest:
         return cls(**{**data, "arms": arms})
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(Path(path), self.to_dict())
 
     def resolved(self, base=None) -> "RunManifest":
         """Copy with every relative path made absolute against ``base``.
@@ -484,39 +487,78 @@ def _trajectory_line(sample_index: int, trajectory: Trajectory, answer: str | No
     return _LINE_ENCODER.encode(payload)
 
 
+def _campaign_lines(text: str, samples: int, config: DecodeConfig, labels=()):
+    """Each line of a campaign problem file's ``text`` as ``(line,
+    trajectory, sample index, extracted answer, fault)``.
+
+    The fault is None, or says why the line is not one a campaign of
+    ``samples`` samples under ``config`` writes: it does not parse as a
+    trajectory with an int sample index and a str-or-null answer (the
+    trajectory and the rest are then None), its sample index lies outside
+    ``[0, samples)`` or repeats one an earlier line without a fault holds,
+    or it has no generated ids or more than ``config.max_tokens``.
+    """
+    seen = set()
+    for line in text.splitlines():
+        try:
+            row = json.loads(line)
+            trajectory = Trajectory.from_dict(row, config, labels)
+            index, answer = row["sample_index"], row["extracted_answer"]
+            if type(index) is not int or not (answer is None or type(answer) is str):
+                raise TypeError(
+                    f"want an int sample_index and a str or null answer, got {index!r}, {answer!r}"
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            yield line, None, None, None, f"malformed trajectory: {exc}"
+            continue
+        fault = None
+        if not 0 <= index < samples or index in seen:
+            where = "repeated" if index in seen else f"outside [0, {samples})"
+            fault = f"sample_index {index} is {where}"
+        elif not 1 <= len(trajectory.tokens) <= config.max_tokens:
+            fault = f"{len(trajectory.tokens)} generated ids, outside [1, {config.max_tokens}]"
+        else:
+            seen.add(index)
+        yield line, trajectory, index, answer, fault
+
+
 def _read_existing_lines(
-    path: Path, samples: int, size: int, config: DecodeConfig
+    path: Path, runtime: _ArmRuntime, prompt: tuple[int, ...], answer_style: str
 ) -> tuple[str | None, dict[int, str], dict[int, object]]:
     """Salvage completed samples from a possibly torn JSONL file: its text
     (None when there is no file) and, per sample index, the line and its
-    extracted answer. A line is kept only if its ids are all in the
-    arm's ``size``-id vocabulary (checked by their min and max)."""
+    extracted answer.
+
+    A line is kept only if :func:`_campaign_lines` finds no fault in it
+    and this arm could have written it: its ``prompt_tokens`` are
+    ``prompt``, every generated id lies in the vocabulary (checked by
+    the min and max), eos is at most the last id and is the last exactly
+    when ``stop_reason`` is "eos", a "max_tokens" line has
+    ``max_tokens`` ids, and ``extracted_answer`` is the answer of the
+    rendered ids. Any other line's sample is decoded again.
+    """
     lines: dict[int, str] = {}
     answers: dict[int, object] = {}
     if not path.is_file():
         return None, lines, answers
     text = path.read_text(encoding="utf-8")
-    for line in text.splitlines():
-        try:
-            trajectory, index, answer = _parse_line(line, config)
-        except (TypeError, KeyError, ValueError):
-            continue  # torn or foreign line: regenerate that sample
-        ids = trajectory.prompt_tokens + trajectory.tokens
-        if 0 <= index < samples and ids and 0 <= min(ids) and max(ids) < size:
+    config, vocab = runtime.arm.config, runtime.base.vocab
+    for line, trajectory, index, answer, fault in _campaign_lines(text, runtime.samples, config):
+        if fault is not None or trajectory.prompt_tokens != prompt:
+            continue
+        tokens = trajectory.tokens
+        stopped = tokens[-1] == vocab.eos
+        if (
+            0 <= min(tokens)
+            and max(tokens) < vocab.size
+            and vocab.eos not in tokens[:-1]
+            and stopped == (trajectory.stop_reason == "eos")
+            and (stopped or len(tokens) == config.max_tokens)
+            and answer == extract_answer(runtime.render(tokens), answer_style)
+        ):
             lines[index] = line
             answers[index] = answer
     return text, lines, answers
-
-
-def _parse_line(line, config: DecodeConfig, labels=()) -> tuple[Trajectory, int, str | None]:
-    """A campaign line's trajectory, int sample index and str-or-null
-    extracted answer; raises KeyError, TypeError or ValueError otherwise."""
-    row = json.loads(line)
-    trajectory = Trajectory.from_dict(row, config, labels)
-    index, answer = row["sample_index"], row["extracted_answer"]
-    if type(index) is not int or not (answer is None or type(answer) is str):
-        raise TypeError(f"want an int sample_index and a str or null answer, got {index!r}, {answer!r}")
-    return trajectory, index, answer
 
 
 @dataclass
@@ -544,6 +586,11 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     tmp.replace(path)
+
+
+def _write_json(path: Path, data) -> None:
+    """``data`` as sorted, indented JSON, written through :func:`_write_atomic`."""
+    _write_atomic(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def run_campaign(manifest: RunManifest, out_dir) -> dict:
@@ -606,13 +653,8 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
                 scorer.client.close()
 
     summary = {"run_id": manifest.run_id, "arms": summary_arms}
-    _write_atomic(
-        out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
-    _write_atomic(
-        out / "run_log.json",
-        json.dumps({"wall_clock_seconds": timings, **cells}, sort_keys=True, indent=2) + "\n",
-    )
+    _write_json(out / "summary.json", summary)
+    _write_json(out / "run_log.json", {"wall_clock_seconds": timings, **cells})
     return summary
 
 
@@ -626,12 +668,12 @@ def _run_arm(
     """Decode an arm's missing cells, counting them into ``counts``, and
     return one record per problem.
 
-    Every problem's lines are read first. Then the missing cells of every
-    problem are decoded together, and each problem's file is written as
-    soon as its last missing cell finishes; if decoding fails, every
-    finished line is written before the error propagates. A problem whose
-    prompt cannot be encoded fails the arm once the problems before it are
-    decoded and written.
+    Every problem's prompt is encoded and its lines read first. Then the
+    missing cells of every problem are decoded together, and each
+    problem's file is written as soon as its last missing cell finishes;
+    if decoding fails, every finished line is written before the error
+    propagates. A problem whose prompt cannot be encoded fails the arm
+    once the problems before it are decoded and written.
     """
     arm = runtime.arm
     samples = runtime.samples
@@ -646,16 +688,16 @@ def _run_arm(
     for problem in problems:
         filename = _problem_filename(problem["problem_id"], taken)
         path = arm_dir / "problems" / f"{filename}.jsonl"
-        text, lines, answers = _read_existing_lines(path, samples, size, arm.config)
-        missing = [i for i in range(samples) if i not in lines]
-        counts["cells_reused"] += len(lines)
         try:
-            prompt = runtime.encode_prompt(problem["input"])
-            if missing:
-                prompt = _prompt_prefix(size, prompt)
+            prompt = _prompt_prefix(size, runtime.encode_prompt(problem["input"]))
         except Exception as exc:
             failure = exc
             break
+        text, lines, answers = _read_existing_lines(
+            path, runtime, tuple(prompt), manifest.answer_style
+        )
+        missing = [i for i in range(samples) if i not in lines]
+        counts["cells_reused"] += len(lines)
         file = _ProblemFile(path, lines, answers, len(missing))
         files.append(file)
         if not missing:
@@ -665,9 +707,17 @@ def _run_arm(
             cells.append((file, index))
             prompts.append(prompt)
             entropy.append(words + _uint32_words(index))
+    # Lockstep rows would take turns on a remote scorer's one session, so
+    # each request would re-send its row's whole generated suffix: an arm
+    # with a remote role, like one of more than _LOCKSTEP_MAX_VOCAB ids,
+    # decodes blocks of one row.
+    rows = 1
+    scorers = (runtime.base, runtime.expert, runtime.expert_base)
+    if size <= _LOCKSTEP_MAX_VOCAB and not any(isinstance(s, RemoteScorer) for s in scorers):
+        rows = max(_LOCKSTEP_BLOCK_ENTRIES // (size + arm.config.max_tokens), samples)
+    lockstep = rows > 1 and len(cells) > 1
     try:
-        lockstep, decoded = _decoded_cells(runtime, prompts, _cell_seeds(entropy))
-        for position, trajectory in decoded:
+        for position, trajectory in _decoded_cells(runtime, prompts, _cell_seeds(entropy), rows):
             file, index = cells[position]
             answer = extract_answer(runtime.render(trajectory.tokens), manifest.answer_style)
             file.lines[index] = _trajectory_line(index, trajectory, answer)
@@ -696,43 +746,26 @@ def _run_arm(
     ]
 
 
-def _decoded_cells(runtime: _ArmRuntime, prompts: list, seeds: list[int]):
-    """Whether the cells decode in lockstep, and ``(position, trajectory)``
-    for each (prompt, seed) cell, as each finishes."""
-    config, instrument = runtime.arm.config, runtime.arm.instrument
-    scorers = (runtime.base, runtime.expert, runtime.expert_base)
-    size = runtime.base.vocab.size
-    # Lockstep rows would take turns on a remote scorer's one session, so
-    # each request would re-send its row's whole generated suffix.
-    remote = any(isinstance(scorer, RemoteScorer) for scorer in scorers)
-    if len(seeds) > 1 and size <= _LOCKSTEP_MAX_VOCAB and not remote:
-        rows = max(_LOCKSTEP_BLOCK_ENTRIES // (size + config.max_tokens), runtime.samples)
-        return True, _lockstep_blocks(scorers, prompts, seeds, config, instrument, rows)
-    return False, (
-        (
-            position,
-            decode(*scorers, prompt=prompt, config=config._with_seed(seed), instrument=instrument),
-        )
-        for position, (prompt, seed) in enumerate(zip(prompts, seeds))
-    )
-
-
-def _lockstep_blocks(scorers, prompts, seeds, config, instrument, rows: int):
-    """``(position, trajectory)`` from ``_decode_lockstep`` over consecutive
-    blocks of the cells, each of at most ``rows`` rows and all of about one
-    size."""
+def _decoded_cells(runtime: _ArmRuntime, prompts: list, seeds: list[int], rows: int):
+    """``(position, trajectory)`` for each (prompt, seed) cell, as each
+    finishes, from ``_decode_lockstep`` over consecutive blocks of the
+    cells, each of at most ``rows`` rows and all of about one size."""
+    if not seeds:
+        return
     blocks = -(-len(seeds) // rows)
     width = -(-len(seeds) // blocks)
     for start in range(0, len(seeds), width):
         stop = start + width
-        rows = _decode_lockstep(
-            *scorers,
+        block = _decode_lockstep(
+            runtime.base,
+            runtime.expert,
+            runtime.expert_base,
             prompts=prompts[start:stop],
-            config=config,
+            config=runtime.arm.config,
             seeds=seeds[start:stop],
-            instrument=instrument,
+            instrument=runtime.arm.instrument,
         )
-        for row, trajectory in rows:
+        for row, trajectory in block:
             yield start + row, trajectory
 
 
@@ -741,9 +774,9 @@ def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:
 
     Step diagnostics beyond token/logprob/kl are not persisted, and the
     config snapshot is the arm's manifest config (per-sample seeds are
-    re-derivable but not stored on the rebuilt object). A malformed line,
-    or a sample index outside the arm's samples or repeated within its
-    file, raises :class:`ManifestError` naming the file and line.
+    re-derivable but not stored on the rebuilt object). A line with a
+    fault (see :func:`_campaign_lines`) raises :class:`ManifestError`
+    naming the file, the line and the fault.
     """
     out = Path(out_dir)
     manifest = RunManifest.load(out / "manifest.json")
@@ -752,18 +785,13 @@ def load_campaign_trajectories(out_dir, arm_label: str) -> list[Trajectory]:
     if not problems_dir.is_dir():
         raise ManifestError(f"arm {arm_label!r} has no trajectory files under {out}")
     samples = manifest.samples_for(arm)
+    labels = (("base", arm.base),)
     trajectories = []
     for path in sorted(problems_dir.glob("*.jsonl")):
-        seen = set()
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            try:
-                trajectory, index, _ = _parse_line(line, arm.config, (("base", arm.base),))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ManifestError(f"{path}: line {lineno}: malformed trajectory: {exc}") from exc
-            if not 0 <= index < samples or index in seen:
-                problem = "repeated" if index in seen else f"outside [0, {samples})"
-                raise ManifestError(f"{path}: line {lineno}: sample_index {index} is {problem}")
-            seen.add(index)
+        lines = _campaign_lines(path.read_text(encoding="utf-8"), samples, arm.config, labels)
+        for lineno, (_, trajectory, _, _, fault) in enumerate(lines, start=1):
+            if fault is not None:
+                raise ManifestError(f"{path}: line {lineno}: {fault}")
             trajectories.append(trajectory)
     return trajectories
 
@@ -826,9 +854,7 @@ def sweep(
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-    _write_atomic(
-        out / "sweep.json", json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "sweep.json", {"rows": rows})
     return rows
 
 

@@ -83,8 +83,28 @@ UNREADABLE = {**MISTYPED, **NON_FINITE}
 OUT_OF_RANGE = {
     "token-at-vocab-size": lambda row: {**row, "tokens": [5, *row["tokens"][1:]]},
     "negative-token": lambda row: {**row, "tokens": [*row["tokens"][:-1], -3]},
+    "negative-first-token": lambda row: {**row, "tokens": [-3, *row["tokens"][1:]]},
     "negative-prompt": lambda row: {**row, "prompt_tokens": [-1, *row["prompt_tokens"][1:]]},
     "prompt-past-vocab": lambda row: {**row, "prompt_tokens": [*row["prompt_tokens"][:-1], 99]},
+}
+
+# A line that parses, but that the arm could not have written from its
+# problem: resume must regenerate it. Each damages line 2 of a guided
+# file, in 0.jsonl ``[1, 2, eos]`` (stopped at eos) and in 1.jsonl
+# ``[0, 1, 2, 0, 1, 2]`` (ran to max_tokens=6), and keeps its answer
+# unless the answer is the damage.
+STEP_COLUMNS = ("tokens", "logprobs", "kl")
+FOREIGN = {
+    "foreign-answer": ("0.jsonl", lambda row: {**row, "extracted_answer": "999"}),
+    "foreign-prompt": ("0.jsonl", lambda row: {**row, "prompt_tokens": [2, 2, 2]}),
+    "past-max-tokens": (
+        "0.jsonl",
+        lambda row: {**row, **{key: [*row[key][:-1], *[row[key][1]] * 5, row[key][-1]] for key in STEP_COLUMNS}},
+    ),
+    "eos-stop-flipped": ("0.jsonl", lambda row: {**row, "stop_reason": "max_tokens"}),
+    "max-tokens-stop-flipped": ("1.jsonl", lambda row: {**row, "stop_reason": "eos"}),
+    "eos-inside": ("0.jsonl", lambda row: {**row, "tokens": [4, *row["tokens"][1:]]}),
+    "short-of-max-tokens": ("1.jsonl", lambda row: {**row, **{key: row[key][1:] for key in STEP_COLUMNS}}),
 }
 
 
@@ -604,6 +624,21 @@ class TestRunManifest:
         with pytest.raises(ManifestError, match="not valid JSON"):
             RunManifest.load(path)
 
+    def test_save_failing_part_way_keeps_the_previous_file(self, world, tmp_path, monkeypatch):
+        path = tmp_path / "manifest.json"
+        make_manifest(world).save(path)
+        write_text = Path.write_text
+
+        def torn(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="disk full"):
+            make_manifest(world, run_id="other").save(path)
+        monkeypatch.undo()
+        assert RunManifest.load(path) == make_manifest(world)
+
 
 class TestRunCampaign:
     def test_artifact_counts(self, world, tmp_path):
@@ -852,6 +887,18 @@ class TestRunCampaign:
         out = tmp_path / "out"
         run_campaign(manifest, out)
         damage_line(out / "arms/guided/problems/0.jsonl", 2, damage)
+        run_campaign(manifest, out)
+        assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+        run_log = json.loads((out / "run_log.json").read_text())
+        assert (run_log["cells_reused"]["guided"], run_log["cells_decoded"]["guided"]) == (5, 1)
+
+    @pytest.mark.parametrize("name, damage", FOREIGN.values(), ids=FOREIGN.keys())
+    def test_lines_the_arm_could_not_write_are_regenerated(self, world, tmp_path, name, damage):
+        manifest = make_manifest(world)
+        run_campaign(manifest, tmp_path / "fresh")
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        damage_line(out / "arms/guided/problems" / name, 2, damage)
         run_campaign(manifest, out)
         assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
         run_log = json.loads((out / "run_log.json").read_text())
@@ -1107,11 +1154,11 @@ class TestLockstepCampaign:
     def test_lockstep_and_per_cell_trees_agree(self, world, tmp_path, monkeypatch):
         manifest = self.manifest(world)
         run_campaign(manifest, tmp_path / "lockstep")
-        calls = []
         monkeypatch.setattr(harness, "_LOCKSTEP_MAX_VOCAB", 4)
-        monkeypatch.setattr(harness, "decode", lambda *a, **k: calls.append(1) or decode(*a, **k))
+        blocks = self.spy_blocks(monkeypatch)
         run_campaign(manifest, tmp_path / "per-cell")
-        assert len(calls) == 2 * self.SAMPLES
+        # Above the gate every cell is a block of one row.
+        assert [len(seeds) for _, seeds in blocks] == [1] * 2 * self.SAMPLES
         assert walk_bytes(tmp_path / "lockstep") == walk_bytes(tmp_path / "per-cell")
 
     def test_resume_decodes_only_the_scattered_gaps(self, world, tmp_path, monkeypatch):
@@ -1182,6 +1229,18 @@ class TestLockstepCampaign:
         ]
         assert prompts == [[0, 1]] * 4 + [[1, 2]] * 3
         assert walk_bytes(out) == walk_bytes(tmp_path / "fresh")
+
+    def test_complete_arm_decodes_no_block(self, world, tmp_path, monkeypatch):
+        manifest = self.manifest(world)
+        out = tmp_path / "out"
+        run_campaign(manifest, out)
+        before = walk_bytes(out)
+        blocks = self.spy_blocks(monkeypatch)
+        run_campaign(manifest, out)
+        assert blocks == []
+        assert walk_bytes(out) == before
+        log = json.loads((out / "run_log.json").read_text())
+        assert (log["cells_decoded"]["guided"], log["cells_reused"]["guided"]) == (0, 2 * self.SAMPLES)
 
     def test_a_written_file_keeps_only_its_answers(self, world, tmp_path, monkeypatch):
         # A problem's lines are dropped once its file is complete and
@@ -1257,12 +1316,12 @@ class TestLockstepCampaign:
         monkeypatch.setattr(
             StubSession, "step", lambda self, frame: sent.append(len(frame["tokens"])) or step(self, frame)
         )
-        lockstep_bases = []
+        blocks = []
         lockstep = harness._decode_lockstep
         monkeypatch.setattr(
             harness,
             "_decode_lockstep",
-            lambda base, *a, **k: lockstep_bases.append(base.kind) or lockstep(base, *a, **k),
+            lambda base, *a, **k: blocks.append((base.kind, len(k["seeds"]))) or lockstep(base, *a, **k),
         )
         connects = []
         connect = harness.connect_endpoint
@@ -1277,7 +1336,9 @@ class TestLockstepCampaign:
             gc.collect()
         assert summary["arms"]["remote"]["degraded"] is False
         assert len(connects) == 1
-        assert lockstep_bases == ["ngram"]  # one block for the in-process arm's two problems
+        # One block for the in-process arm's two problems, then one row
+        # per block for the remote arm.
+        assert blocks == [("ngram", 2 * self.SAMPLES)] + [("remote", 1)] * 2 * self.SAMPLES
         # Only a problem's first request sends more than one id: its
         # two-id prompt. A later cell's first request shares the prompt
         # with the cell before and sends none.
@@ -1407,6 +1468,13 @@ class TestLoadCampaignTrajectories:
         # A resume drops the line, and the loader then reads every sample.
         run_campaign(manifest, out)
         assert len(load_campaign_trajectories(out, "guided")) == 6
+
+    def test_line_past_max_tokens_names_location(self, world, tmp_path):
+        out = tmp_path / "out"
+        run_campaign(make_manifest(world), out)
+        damage_line(out / "arms/guided/problems/0.jsonl", 2, FOREIGN["past-max-tokens"][1])
+        with pytest.raises(ManifestError, match=r"0\.jsonl: line 2: 8 generated ids, outside \[1, 6\]"):
+            load_campaign_trajectories(out, "guided")
 
     def test_unequal_lengths_rejected_not_truncated(self, world, tmp_path):
         out = tmp_path / "out"
