@@ -23,7 +23,7 @@ import numbers
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -454,31 +454,39 @@ def _nucleus(
     divide gives. ``lanes``, from a sparse step, is ``(ids, their weights,
     fill)`` with every id outside the ascending ``ids`` holding weight
     ``fill``: when the fill is under the margin, the candidates are read
-    off the lanes and V is never scanned. When every id is a candidate, or
-    rounding keeps the head short of ``top_p``, every id is divided and
-    ranked by value, and a fresh row is returned with every id.
+    off the lanes and V is never scanned. When every id is a candidate
+    (the smallest weight clears the margin), or rounding keeps the head
+    short of ``top_p``, every id is divided and ranked by value, and a
+    fresh row is returned with :func:`_all_ids`.
+
+    The kept ids are unique and in range, so they hold every id exactly
+    when there are V of them; only the full path, ``top_p == 1``
+    included, returns all of them.
     """
     size = weights.size
     if top_p == 1.0:
-        return weights / total, np.arange(size)
+        return weights / total, _all_ids(size)
     threshold = (1.0 - top_p) / size
     floor = threshold * total * (1.0 - 1e-9)
     if lanes is not None and lanes[2] < floor:
         ids, lane_weights, _ = lanes
         head = ids[lane_weights >= floor]
+    elif weights.min() >= floor:
+        # Every id is a candidate: ``(weights >= floor).all()`` without
+        # building the V-length mask.
+        head = None
     else:
-        candidates = weights >= floor
-        head = None if candidates.all() else np.flatnonzero(candidates)
+        head = (weights >= floor).nonzero()[0]
     if head is not None:
         probs = weights[head] / total
-        rank = np.argsort(-probs, kind="stable")
+        rank = (-probs).argsort(kind="stable")
         ranked = probs[rank]
         # The margin can admit candidates whose quotient falls short of
         # the threshold; they rank last, after the n that make the head.
         n = rank.size
         if n and ranked[-1] < threshold:
             n = int(np.count_nonzero(ranked >= threshold))
-        cut = int(np.searchsorted(np.cumsum(ranked[:n]), top_p, side="left"))
+        cut = int(ranked[:n].cumsum().searchsorted(top_p, side="left"))
         if cut < n:
             keep = np.sort(rank[: cut + 1])
             kept, values = head[keep], probs[keep]
@@ -494,36 +502,55 @@ def _nucleus(
     # ties) holds these values in reverse order, since tied ids hold equal
     # values, so its cumulative sums have the same bits. Rounding can leave
     # the total just under top_p; then cut == V and every id is kept.
-    cut = int(np.searchsorted(np.cumsum(ascending[::-1]), top_p, side="left"))
+    cut = int(ascending[::-1].cumsum().searchsorted(top_p, side="left"))
     if cut < size - 1:
         # The ranking keeps every id above the edge value, then the lowest
         # ids at it until rank cut; the ids at it ranked later are dropped.
         edge = ascending[size - 1 - cut]
-        dropped_ties = size - 1 - cut - int(np.searchsorted(ascending, edge, side="left"))
+        dropped_ties = size - 1 - cut - int(ascending.searchsorted(edge, side="left"))
         if dropped_ties:
-            probs[np.flatnonzero(probs == edge)[-dropped_ties:]] = 0.0
+            probs[(probs == edge).nonzero()[0][-dropped_ties:]] = 0.0
         probs[probs < edge] = 0.0
     probs /= probs.sum()
-    return probs, np.arange(size)
+    return probs, _all_ids(size)
+
+
+@lru_cache(maxsize=16)
+def _all_ids(size: int) -> np.ndarray:
+    """``arange(size)``, built once per vocabulary size and read-only: the
+    kept ids of :func:`_nucleus`'s full path, shared by every step. At most
+    16 sizes are kept, so public calls over many lengths do not grow it
+    without bound."""
+    ids = np.arange(size)
+    ids.flags.writeable = False
+    return ids
 
 
 def _greedy(dist: np.ndarray, kept: np.ndarray) -> int:
-    """The most probable of the ``kept`` ids (ascending), lowest id on ties."""
-    return int(kept[np.argmax(dist[kept])])
+    """The most probable of the ``kept`` ids (ascending), lowest id on ties.
+
+    ``kept`` holds unique in-range ids, so it holds every id exactly when
+    its size is V; then the argmax reads ``dist`` itself, with no copy.
+    """
+    if kept.size == dist.size:
+        return int(dist.argmax())
+    return int(kept[dist[kept].argmax()])
 
 
 def _sample(dist: np.ndarray, kept: np.ndarray, rng: np.random.Generator) -> int:
     """Draw from ``dist`` over ``kept``, ascending ids outside which it is zero.
 
     A sequential cumsum over the kept ids has the same bits as one over the
-    whole vector, whose other entries add exact zeros.
+    whole vector, whose other entries add exact zeros. ``kept`` holds
+    unique in-range ids, so it holds every id exactly when its size is V;
+    then the cumsum runs on ``dist`` itself, with no copy.
     """
-    values = dist[kept]
-    idx = int(np.searchsorted(np.cumsum(values), rng.random(), side="right"))
+    values = dist if kept.size == dist.size else dist[kept]
+    idx = int(values.cumsum().searchsorted(rng.random(), side="right"))
     if idx >= kept.size:
         # u landed past the last cumulative value (mass summed slightly
         # below 1); fall back to the highest-id token with support.
-        return int(kept[np.flatnonzero(values)[-1]])
+        return int(kept[values.nonzero()[0][-1]])
     return int(kept[idx])
 
 

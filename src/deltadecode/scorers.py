@@ -296,14 +296,15 @@ class NGramModel(Scorer):
     def context_of(self, prefix: Sequence[int]) -> tuple[int, ...]:
         """Last ``order - 1`` tokens of ``prefix``, left-padded at the start."""
         need = self.order - 1
-        ids = list(prefix[-need:]) if need else []
-        if len(ids) < need:
-            ids = [self.vocab.pad] * (need - len(ids)) + ids
-        return tuple(ids)
+        context = tuple(prefix[-need:]) if need else ()
+        if len(context) < need:
+            context = (self.vocab.pad,) * (need - len(context)) + context
+        return context
 
     def score(self, prefix):
         fill, ids, values = self._sparse_row(prefix)
-        out = np.full(self.vocab.size, fill, dtype=np.float64)
+        out = np.empty(self.vocab.size)
+        out.fill(fill)
         out[ids] = values
         return out
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from deltadecode import decoder
 from deltadecode import scorers as scorers_module
-from deltadecode.core import DecodeConfig, InvalidConfigError, Vocabulary
+from deltadecode.core import DecodeConfig, InvalidConfigError, TokenPrefix, Vocabulary
 from deltadecode.decoder import DecodeError, decode
 from deltadecode.scorers import (
     BigramMatrixScorer,
@@ -469,6 +469,57 @@ class TestNGramScoreBitwise:
         prefixes = [[c[0]] for c in counts] + [[], [1, 2, 3], [int(rng.integers(0, size))]]
         for k in (1e-6, 1.0):
             self._check(_vocab(size), 2, k, counts, prefixes)
+
+
+class TestNGramRow:
+    """A row is one context lookup, then a fill and one scatter of the
+    context's counted logits, for a prefix of any length given as a
+    ``TokenPrefix`` or as a plain list."""
+
+    VOCAB = _vocab(7)
+    CORPUS = [[0, 1, 2, 3, 1, 2, 4], [2, 3, 1, 0, 0, 1], [4, 4, 2, 1]]
+
+    @staticmethod
+    def prefixes(order):
+        """Prefixes shorter than, as long as and longer than ``order - 1``."""
+        need = order - 1
+        lengths = sorted({max(need - 1, 0), need, need + 1, need + 4})
+        ids = [1, 2, 3, 1, 0, 4, 2]
+        return [ids[len(ids) - n :] if n else [] for n in lengths] + [[5], [0, 5]]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_fill_plus_scatter(self, order):
+        model = train_ngram(self.CORPUS, order, self.VOCAB)
+        prefixes = self.prefixes(order)
+        rows = []
+        for prefix in prefixes:
+            fill, ids, values = model._sparse_row(prefix)
+            want = np.full(self.VOCAB.size, fill)
+            want[ids] = values
+            dense = dense_reference(model.counts, order, 1.0, self.VOCAB, prefix)
+            assert want.tobytes() == dense.tobytes()
+            rows.append(want)
+            checked = TokenPrefix(self.VOCAB.size, prefix)
+            for given_as in (prefix, checked):
+                assert model.score(given_as).tobytes() == want.tobytes()
+            assert model.context_of(prefix) == model.context_of(checked)
+            assert len(model.context_of(prefix)) == order - 1
+        block = model._score_window(block_window(prefixes, order - 1))
+        assert block.tobytes() == np.stack(rows).tobytes()
+
+    def test_context_is_left_padded(self):
+        model = train_ngram(self.CORPUS, 3, self.VOCAB)
+        pad = self.VOCAB.pad
+        assert model.context_of([]) == (pad, pad)
+        assert model.context_of([4]) == (pad, 4)
+        assert model.context_of(TokenPrefix(7, [0, 1, 2])) == (1, 2)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("bad, at", [([0, 7], 1), ([-1], 0), ([1, 2, 3, 99], 3)])
+    def test_plain_list_out_of_range_names_position(self, order, bad, at):
+        model = train_ngram(self.CORPUS, order, self.VOCAB)
+        with pytest.raises(CorpusIngestionError, match=f"prefix position {at}: token id"):
+            model.score(bad)
 
 
 def block_window(prefixes, width):

@@ -2,7 +2,8 @@
 
 ``decode`` runs the private step core (one validation per scorer row, a
 threshold head instead of a full sort, a sort of values rather than ids
-when every id is a candidate, choice over the kept ids only).
+when every id is a candidate, choice over the kept ids only, or over the
+whole vector with no copy when every id is kept).
 The reference functions below are the straightforward full-vector steps;
 every property here compares bytes, not values within a tolerance.
 """
@@ -439,6 +440,102 @@ class TestValueRankedCut:
         assert dropped.size and kept_ids.size > dist.size // 2
         assert dropped.min() > np.intersect1d(at_edge, kept_ids).max()
         assert out.tobytes() == ref_nucleus(dist, 0.95).tobytes()
+
+
+@st.composite
+def full_path_rows(draw):
+    """Weights of a few tied near-flat values at V in {16, 1024, 1026},
+    their sum and a top_p of at least 0.3: the smallest weight is at least
+    e^-0.3 of the mean, far above ``(1 - top_p)`` of it, so every id is a
+    nucleus candidate."""
+    size = draw(st.sampled_from([16, 1024, 1026]))
+    distinct = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = np.exp(rng.uniform(-0.3, 0.0, distinct))
+    weights = levels[rng.integers(0, distinct, size)]
+    top_p = draw(
+        st.sampled_from([0.5, 0.9, 0.95, 0.99, 1.0 - 1e-7, JUST_BELOW_ONE, 1.0])
+        | st.floats(min_value=0.3, max_value=1.0)
+    )
+    return weights, float(weights.sum()), top_p
+
+
+def at_the_floor(size, top_p, seed):
+    """Near-flat weights whose smallest, id 0, equals the nucleus's
+    candidate floor ``(1 - top_p) / V * total * (1 - 1e-9)`` exactly."""
+    weights = np.exp(np.random.default_rng(seed).uniform(-0.3, 0.0, size))
+    # The floor moves with the total that id 0 is part of; a few rounds
+    # settle both.
+    for _ in range(20):
+        floor = (1.0 - top_p) / size * float(weights.sum()) * (1.0 - 1e-9)
+        if weights[0] == floor:
+            return weights
+        weights[0] = floor
+    raise AssertionError("the floor did not settle")
+
+
+class TestFullPathChoice:
+    """When every id is a candidate, the nucleus returns one shared,
+    read-only ``arange(V)`` as its kept ids, and token choice reads the
+    whole vector: the same token as over a fresh writable ``arange(V)``."""
+
+    @staticmethod
+    def assert_full_path(weights, total, top_p, seed=0):
+        size = weights.size
+        row = np.zeros(size)
+        dist, kept = _nucleus(weights, total, top_p, row)
+        assert dist is not row and kept.size == size
+        assert kept is _nucleus(weights, total, top_p, np.zeros(size))[1]
+        assert dist.tobytes() == ref_nucleus(weights / total, top_p).tobytes()
+        fresh = np.arange(size)
+        assert _greedy(dist, kept) == _greedy(dist, fresh) == int(np.argmax(dist))
+        draws = [np.random.default_rng(seed) for _ in range(3)]
+        token = _sample(dist, kept, draws[0])
+        assert token == _sample(dist, fresh, draws[1]) == ref_sample(dist, draws[2])
+        assert draws[0].bit_generator.state == draws[1].bit_generator.state
+        with pytest.raises(ValueError, match="read-only"):
+            kept[token] = 0
+        assert (kept == fresh).all()
+        return dist
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=full_path_rows(), seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @example(case=(flat_tied_row(), 1.0, 0.95), seed=0)
+    @example(case=(flat_tied_row(16, 2, seed=1), 1.0, 0.95), seed=1)
+    @example(case=(np.ones(1026), 1026.0, 0.5), seed=2)
+    def test_equals_the_reference(self, case, seed):
+        self.assert_full_path(*case, seed=seed)
+
+    @pytest.mark.parametrize("size", [16, 1024, 1026])
+    def test_cut_inside_a_tied_run(self, size):
+        # At V=16 every near-flat id holds over 0.05 of the mass, so a
+        # top_p of 0.95 would keep them all.
+        weights = flat_tied_row(size, distinct=2, seed=size)
+        dist = self.assert_full_path(weights, 1.0, 0.8)
+        edge = dist[dist > 0].min()
+        at_edge = np.flatnonzero(weights == weights[dist == edge][0])
+        kept_at_edge = np.flatnonzero(dist[at_edge])
+        # The cut falls inside the run: some ids at the edge value are kept
+        # and the later ones dropped.
+        assert 0 < kept_at_edge.size < at_edge.size
+        assert kept_at_edge.tolist() == list(range(kept_at_edge.size))
+
+    @pytest.mark.parametrize("size", [16, 1024, 1026])
+    def test_smallest_weight_at_the_floor(self, size):
+        top_p = 0.95
+        weights = at_the_floor(size, top_p, seed=size)
+        self.assert_full_path(weights, float(weights.sum()), top_p)
+        # One ulp below the floor, id 0 is no candidate: the head path.
+        weights[0] = np.nextafter(weights[0], 0.0)
+        total = float(weights.sum())
+        assert weights[0] < (1.0 - top_p) / size * total * (1.0 - 1e-9)
+        row = np.zeros(size)
+        dist, kept = _nucleus(weights, total, top_p, row)
+        assert dist is row and kept.size < size
+        assert dist.tobytes() == ref_nucleus(weights / total, top_p).tobytes()
+        assert _greedy(dist, kept) == int(np.argmax(dist))
+        draws = [np.random.default_rng(5) for _ in range(2)]
+        assert _sample(dist, kept, draws[0]) == ref_sample(dist, draws[1])
 
 
 @st.composite
