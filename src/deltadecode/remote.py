@@ -2,7 +2,8 @@
 
 The server speaks first with a hello frame naming the protocol version and
 vocabulary size; afterwards the client sends requests carrying a request
-id and the server answers each id exactly once, in any order:
+id and the server answers each id once. The client sends a request only
+once the last one was answered or timed out:
 
     {"type": "hello", "version": 3, "vocab_size": 14}
     {"type": "extend", "id": 9, "keep": 3, "tokens": [2]}
@@ -21,9 +22,9 @@ until one with ``keep == 0`` arrives. Any other request type earns an
 error. Client and server speak only this version, and the client refuses
 a hello naming any other.
 
-The client multiplexes one connection across threads: sends are
-serialized, responses are matched to waiters by id. Every transport (a TCP
-socket, a child process's pipes, the server's own stdin/stdout) frames
+Threads may share one client: each request is sent and its reply read
+under one lock, so one request is in flight at a time. Every transport (a
+TCP socket, a child process's pipes, the server's own stdin/stdout) frames
 lines and payloads through the same reader and differs only in how it
 sends, receives and closes.
 """
@@ -192,25 +193,31 @@ def _token_ids(tokens: Sequence) -> list[int]:
     return ids
 
 
+def _check_timeout(timeout_ms) -> None:
+    # bool is an int subclass: True would pass as 1 ms.
+    if type(timeout_ms) is not int or timeout_ms <= 0:
+        raise ValueError(f"timeout_ms must be a positive integer, got {timeout_ms!r}")
+
+
 class ScorerClient:
     """Client side of the protocol, safe to share across decode threads.
 
-    ``submit`` sends a request and returns its id without blocking on the
-    response; ``collect`` waits for that id, pumping the connection and
-    parking frames for other ids so pipelined, out-of-order replies land
-    with their rightful callers. A request whose ``collect`` timed out is
-    retired: its response, if it ever arrives, is dropped and counted in
-    ``late_frames``. Each request is an ``extend`` frame relative to the
-    prefix this client sent last. Building a client reads the server's
-    hello, so ``vocab_size`` is always set.
+    ``score_tokens`` is the one request path. Under one lock it sends an
+    ``extend`` frame relative to the prefix this client sent last and reads
+    frames until the reply to that request, so one request is in flight at
+    a time and threads that share a client each get their own rows. One
+    deadline covers the wait for the lock and the round trip; a caller that
+    cannot get the lock in time sends nothing. A request that timed out is
+    retired: its reply, if it ever arrives, is read by a later request,
+    dropped and counted in ``late_frames``. Building a client reads the
+    server's hello, so ``vocab_size`` is always set.
     """
 
     def __init__(self, channel: _Channel, timeout_ms: int = DEFAULT_TIMEOUT_MS):
         # A client that fails its handshake is never returned, so its
         # transport (socket or child process) is released here.
         try:
-            if timeout_ms <= 0:
-                raise ValueError(f"timeout_ms must be positive, got {timeout_ms}")
+            _check_timeout(timeout_ms)
             self._channel = channel
             self._timeout = timeout_ms / 1000.0
             self.timeout_ms = timeout_ms
@@ -218,33 +225,32 @@ class ScorerClient:
         except BaseException:
             channel.close()
             raise
-        self._cond = threading.Condition()
-        self._send_lock = threading.Lock()
-        # Read and written under _send_lock: the server's session holds the
-        # first _sent_len ids of _sent (a TokenPrefix only grows), unless an
-        # error frame, which sets _resync, may have poisoned it.
+        self._lock = threading.Lock()
+        # Everything below is read and written under _lock. The server's
+        # session holds the first _sent_len ids of _sent (a TokenPrefix only
+        # grows), unless an error frame, which sets _resync, may have
+        # poisoned it.
         self._sent: Sequence[int] = []
         self._sent_len = 0
         self._resync = False
-        self._responses: dict[int, tuple[dict, bytes | None]] = {}
-        self._outstanding: set[int] = set()
         self._timed_out: set[int] = set()
         self._late_frames = 0
         self._next_id = 0
-        self._pumping = False
-        # Only the pumping thread touches it: a frame whose header was read
-        # and whose payload was not, so the next pump reads that payload
-        # first, or (when the header's nbytes was refused) fails again.
+        # A frame whose header was read and whose payload was not, so the
+        # next request reads that payload first, or (when the header's
+        # nbytes was refused) fails again.
         self._header: dict | None = None
 
     @classmethod
     def connect_tcp(cls, host: str, port: int, timeout_ms: int = DEFAULT_TIMEOUT_MS):
+        _check_timeout(timeout_ms)
         sock = socket.create_connection((host, port), timeout=timeout_ms / 1000.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(_socket_channel(sock), timeout_ms)
 
     @classmethod
     def connect_stdio(cls, command: Sequence[str], timeout_ms: int = DEFAULT_TIMEOUT_MS):
+        _check_timeout(timeout_ms)
         process = subprocess.Popen(
             list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
@@ -272,23 +278,34 @@ class ScorerClient:
             raise HandshakeError(f"hello carries invalid vocab_size: {vocab_size!r}")
         return vocab_size
 
-    def submit(self, tokens: Sequence[int]) -> int:
-        """Send one score request; returns its id for a later collect.
+    def score_tokens(self, tokens: Sequence[int]) -> np.ndarray:
+        """Score one prefix: send its request and wait for the reply.
 
         The server checks the ids against its vocabulary; a sequence other
         than a :class:`TokenPrefix` is first checked to hold integers.
         """
         prefix = tokens if isinstance(tokens, TokenPrefix) else _token_ids(tokens)
-        with self._cond:
+        deadline = time.monotonic() + self._timeout
+        if not self._lock.acquire(timeout=self._timeout):
+            raise RemoteTimeoutError(
+                f"no response within {self.timeout_ms} ms: another request held the connection"
+            )
+        try:
             request_id = self._next_id
             self._next_id += 1
-            self._outstanding.add(request_id)
-        with self._send_lock:
             keep = self._shared_length(prefix)
             frame = {"type": "extend", "id": request_id, "keep": keep, "tokens": prefix[keep:]}
             self._sent, self._sent_len = prefix, len(prefix)
             self._channel.send(_encode_frame(frame))
-        return request_id
+            try:
+                header, payload = self._read_reply(request_id, deadline)
+            except RemoteTimeoutError:
+                # Retire the id so that its reply, if it comes, is dropped.
+                self._timed_out.add(request_id)
+                raise
+        finally:
+            self._lock.release()
+        return self._decode_response(header, payload)
 
     def _shared_length(self, prefix: Sequence[int]) -> int:
         """How many leading ids ``prefix`` shares with the session's prefix."""
@@ -303,40 +320,14 @@ class ScorerClient:
             return n
         return next(i for i in range(n) if sent[i] != new[i])
 
-    def collect(self, request_id: int) -> np.ndarray:
-        """Wait for the response to ``request_id`` and decode it."""
-        deadline = time.monotonic() + self._timeout
-        with self._cond:
-            if request_id not in self._outstanding:
-                raise ProtocolError(f"request id {request_id} is not outstanding")
-            try:
-                while request_id not in self._responses:
-                    if self._pumping:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise RemoteTimeoutError(
-                                f"no response for request {request_id} within {self.timeout_ms} ms"
-                            )
-                        self._cond.wait(timeout=remaining)
-                        continue
-                    self._pump_one(deadline)
-            except RemoteTimeoutError:
-                # Retire the id so a late response is dropped, not parked forever.
-                self._outstanding.discard(request_id)
-                self._timed_out.add(request_id)
-                raise
-            frame, payload = self._responses.pop(request_id)
-            self._outstanding.discard(request_id)
-        return self._decode_response(frame, payload)
+    def _read_reply(self, request_id: int, deadline: float) -> tuple[dict, bytes | None]:
+        """Read frames until the one answering ``request_id``; returns its
+        header and the payload of a logits frame (``None`` for an error).
 
-    def _pump_one(self, deadline: float) -> None:
-        # Caller holds the condition; read one frame, and the payload of a
-        # logits frame, with it released so other threads can park as
-        # waiters meanwhile. The payload is read before the id is matched,
-        # so a dropped reply leaves the stream in frame.
-        self._pumping = True
-        self._cond.release()
-        try:
+        The payload is read before the id is matched, so a dropped reply
+        leaves the stream in frame.
+        """
+        while True:
             try:
                 if self._header is None:
                     self._header = self._parse_line(self._channel.recv_line(deadline))
@@ -348,29 +339,24 @@ class ScorerClient:
                 raise RemoteTimeoutError(
                     f"no response within {self.timeout_ms} ms"
                 ) from None
-        finally:
-            self._cond.acquire()
-            self._pumping = False
-            self._cond.notify_all()
-        kind = frame.get("type")
-        if kind not in ("logits", "error"):
-            raise ProtocolError(f"unexpected frame type {kind!r} from server")
-        frame_id = frame.get("id")
-        if kind == "error":
-            # The failed request may have been an extend that poisoned the
-            # server's session, so the next request restarts it.
-            self._resync = True
-            if frame_id is None:
-                raise RemoteScoreError(f"server error: {frame.get('message')!r}")
-        # An id that is not an int (a list would not even hash, true would
-        # match request 1) is unknown too.
-        if type(frame_id) is int and frame_id in self._outstanding:
-            self._responses[frame_id] = (frame, payload)
-        elif type(frame_id) is int and frame_id in self._timed_out:
+            kind = frame.get("type")
+            if kind not in ("logits", "error"):
+                raise ProtocolError(f"unexpected frame type {kind!r} from server")
+            frame_id = frame.get("id")
+            if kind == "error":
+                # The failed request may have been an extend that poisoned the
+                # server's session, so the next request restarts it.
+                self._resync = True
+                if frame_id is None:
+                    raise RemoteScoreError(f"server error: {frame.get('message')!r}")
+            # An id that is not an int (a list would not even hash, true
+            # would match request 1) is unknown too.
+            if type(frame_id) is int and frame_id == request_id:
+                return frame, payload
+            if type(frame_id) is not int or frame_id not in self._timed_out:
+                raise ProtocolError(f"response for unknown request id {frame_id!r}")
             self._timed_out.discard(frame_id)
             self._late_frames += 1
-        else:
-            raise ProtocolError(f"response for unknown request id {frame_id!r}")
 
     @staticmethod
     def _parse_line(line: bytes) -> dict:
@@ -399,9 +385,6 @@ class ScorerClient:
         if not np.isfinite(logits).all():
             raise RemoteScoreError("logits contain non-finite values")
         return logits
-
-    def score_tokens(self, tokens: Sequence[int]) -> np.ndarray:
-        return self.collect(self.submit(tokens))
 
     def close(self) -> None:
         self._channel.close()

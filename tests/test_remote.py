@@ -1,6 +1,6 @@
 import contextlib
 import json
-import os
+import re
 import socket
 import subprocess
 import sys
@@ -25,6 +25,7 @@ from deltadecode.remote import (
     StubServer,
     StubSession,
     _Channel,
+    _socket_channel,
     connect_endpoint,
     parse_endpoint,
 )
@@ -130,38 +131,54 @@ class TestTcpTransport:
                     remote = client.score_tokens(prefix)
                     assert local.tobytes() == remote.tobytes()
 
-    def test_pipelined_out_of_order_delivery(self, reordering_server):
-        scorer = demo_scorer()
-        prefixes = [[0], [1], [2], [0, 1], [1, 2], [2, 0], [0, 0], [1, 1], [2, 2]]
-        host, port = reordering_server(scorer, window=4, count=len(prefixes))
-        with ScorerClient.connect_tcp(host, port) as client:
-            ids = [client.submit(p) for p in prefixes]
-            for request_id, prefix in zip(ids, prefixes):
-                got = client.collect(request_id)
-                assert got.tobytes() == scorer.score(prefix).tobytes()
-
     def test_concurrent_callers_get_their_own(self):
-        scorer = demo_scorer()
-        failures = []
-
-        def worker(client, prefix, repeats=25):
-            want = scorer.score(prefix).tobytes()
-            for _ in range(repeats):
-                got = client.score_tokens(prefix)
-                if got.tobytes() != want:
-                    failures.append(prefix)
+        # Six threads share one client, each with its own multi-id prefixes,
+        # so a request's keep is worked out against another thread's prefix.
+        # Every row is its caller's, and a request goes out only once the
+        # last one's reply was read.
+        scorer = trigram_scorer()
+        rng = np.random.default_rng(63)
+        work = [
+            [[int(t) for t in rng.integers(0, scorer.vocab.size, size=int(rng.integers(2, 7)))] for _ in range(25)]
+            for _ in range(6)
+        ]
+        wanted = [[scorer.score(prefix).tobytes() for prefix in prefixes] for prefixes in work]
+        counter, in_flight, peak, failures = threading.Lock(), [0], [0], []
 
         with StubServer(scorer) as server:
-            with ScorerClient.connect_tcp(server.host, server.port) as client:
-                threads = [
-                    threading.Thread(target=worker, args=(client, [i % 3]))
-                    for i in range(4)
-                ]
+            sock = socket.create_connection((server.host, server.port), timeout=5)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            channel = _socket_channel(sock)
+            send, recv_exact = channel.send, channel.recv_exact
+
+            def counting_send(data):
+                with counter:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                send(data)
+
+            def counting_recv_exact(n, deadline):
+                payload = recv_exact(n, deadline)
+                with counter:
+                    in_flight[0] -= 1
+                return payload
+
+            channel.send, channel.recv_exact = counting_send, counting_recv_exact
+            with ScorerClient(channel, timeout_ms=30_000) as client:
+
+                def worker(prefixes, rows):
+                    for prefix, want in zip(prefixes, rows):
+                        if client.score_tokens(prefix).tobytes() != want:
+                            failures.append(prefix)
+
+                threads = [threading.Thread(target=worker, args=job) for job in zip(work, wanted)]
                 for t in threads:
                     t.start()
                 for t in threads:
-                    t.join()
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
         assert not failures
+        assert peak == [1]
 
     def test_remote_scorer_decode_matches_local(self):
         scorer = demo_scorer()
@@ -199,13 +216,6 @@ class TestTcpTransport:
             with ScorerClient.connect_tcp(server.host, server.port) as client:
                 with pytest.raises(VocabularyMismatchError):
                     RemoteScorer(client, other_vocab)
-
-    def test_unknown_response_id_rejected(self):
-        scorer = demo_scorer()
-        with StubServer(scorer) as server:
-            with ScorerClient.connect_tcp(server.host, server.port) as client:
-                with pytest.raises(ProtocolError):
-                    client.collect(999)
 
     def test_stop_closes_open_connections(self):
         scorer = demo_scorer()
@@ -299,6 +309,58 @@ def scripted_client(stream, cuts=(), timeout_ms=5000):
 
 def answer(requests):
     return b"".join(logits_frame(frame_id, prefix) for frame_id, prefix in requests)
+
+
+FIRST, SECOND = [0, 1, 2], [2, 1, 0]
+
+
+def second_caller_waits(reply, timeout_ms=600):
+    """Two threads share a client: one scores FIRST, another scores SECOND a
+    third of the timeout later, while FIRST is in flight.
+
+    The server reads FIRST's frame, notes two thirds of the timeout later
+    whether more bytes have arrived (a client that pipelined SECOND would
+    have sent it by then), and then ``reply(conn, session, first)`` answers.
+    Returns each call's row, or the error it raised, the client's
+    ``late_frames`` and that note.
+    """
+    in_flight, early = threading.Event(), []
+
+    def serve(conn):
+        conn.sendall(HELLO)
+        session = EchoSession()
+        first = session.resolve(read_frames(conn, 1))
+        in_flight.set()
+        time.sleep(timeout_ms / 1500)
+        conn.setblocking(False)
+        try:
+            early.append(bool(conn.recv(1, socket.MSG_PEEK)))
+        except BlockingIOError:
+            early.append(False)
+        conn.setblocking(True)
+        reply(conn, session, first)
+        conn.recv(1024)
+
+    results = {}
+    with fake_server(serve) as (host, port):
+        with ScorerClient.connect_tcp(host, port, timeout_ms=timeout_ms) as client:
+
+            def call(prefix):
+                try:
+                    results[tuple(prefix)] = client.score_tokens(prefix).tolist()
+                except ProtocolError as exc:
+                    results[tuple(prefix)] = exc
+
+            threads = [threading.Thread(target=call, args=(FIRST,))]
+            threads[0].start()
+            assert in_flight.wait(10)
+            time.sleep(timeout_ms / 3000)
+            threads.append(threading.Thread(target=call, args=(SECOND,)))
+            threads[1].start()
+            for thread in threads:
+                thread.join(timeout=10)
+            late_frames = client.late_frames
+    return results[tuple(FIRST)], results[tuple(SECOND)], late_frames, early
 
 
 class TestHandshakeValidation:
@@ -412,17 +474,21 @@ class TestLineFraming:
             conn.sendall(HELLO[:split])
             time.sleep(0.05)
             conn.sendall(HELLO[split:])
-            # Both answers go out in one send, newest first.
-            conn.sendall(answer(reversed(EchoSession().resolve(read_frames(conn, 2)))))
+            session = EchoSession()
+            requests = [session.resolve(read_frames(conn, 1))[0] for _ in range(3)]
+            # The first two requests, which timed out, are answered in the
+            # same send as the third.
+            conn.sendall(answer(requests))
             conn.recv(1024)
 
         with fake_server(serve) as (host, port):
-            with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
+            with ScorerClient.connect_tcp(host, port, timeout_ms=300) as client:
                 assert client.vocab_size == 3
-                first = client.submit([0, 1, 2])
-                second = client.submit([2, 2, 1])
-                assert client.collect(first).tolist() == [0.0, 1.0, 2.0]
-                assert client.collect(second).tolist() == [2.0, 2.0, 1.0]
+                for prefix in ([0, 1, 2], [1, 1, 0]):
+                    with pytest.raises(RemoteTimeoutError):
+                        client.score_tokens(prefix)
+                assert client.score_tokens([2, 2, 1]).tolist() == [2.0, 2.0, 1.0]
+                assert client.late_frames == 2
 
     def test_peer_closing_mid_session(self):
         def serve(conn):
@@ -460,7 +526,7 @@ class TestLineFraming:
         failing = data.draw(st.sets(st.sampled_from(range(len(prefixes)))))
         frames = [hello(3)] + [
             error_frame(i, f"no row {i}") if i in failing else logits_frame(i, scorer.score(prefixes[i]))
-            for i in data.draw(st.permutations(range(len(prefixes))))
+            for i in range(len(prefixes))
         ]
         stream = b"".join(frames)
         # Cut anywhere, and also right at, before or after every header's end.
@@ -468,14 +534,13 @@ class TestLineFraming:
         near = st.sampled_from(ends).flatmap(lambda end: st.integers(end - 1, end + 1))
         cuts = data.draw(st.lists(near | st.integers(1, len(stream) - 1), max_size=12))
         client, sent = scripted_client(stream, cuts)
-        assert [client.submit(prefix) for prefix in prefixes] == list(range(len(prefixes)))
         for i, prefix in enumerate(prefixes):
             if i in failing:
                 with pytest.raises(RemoteScoreError, match=f"no row {i}"):
-                    client.collect(i)
+                    client.score_tokens(prefix)
             else:
-                assert client.collect(i).tobytes() == scorer.score(prefix).tobytes()
-        assert len(sent) == len(prefixes)
+                assert client.score_tokens(prefix).tobytes() == scorer.score(prefix).tobytes()
+        assert [json.loads(frame)["id"] for frame in sent] == list(range(len(prefixes)))
 
 
 class TestResponseIds:
@@ -491,6 +556,18 @@ class TestResponseIds:
             with ScorerClient.connect_tcp(host, port, timeout_ms=5000) as client:
                 with pytest.raises(ProtocolError, match="unknown request id"):
                     client.score_tokens([0])
+
+    def test_reply_naming_the_waiting_caller_is_protocol_error(self):
+        # FIRST's request is 0, and its answer is labelled 1: the id that
+        # SECOND's request takes once it is sent.
+        def reply(conn, session, first):
+            conn.sendall(logits_frame(1, first[0][1]))
+            conn.sendall(answer(session.resolve(read_frames(conn, 1))))
+
+        first, second, late_frames, early = second_caller_waits(reply)
+        assert type(first) is ProtocolError and "unknown request id 1" in str(first)
+        assert second == [2.0, 1.0, 0.0]
+        assert late_frames == 0 and early == [False]
 
 
 class TestReplyFormat:
@@ -542,98 +619,59 @@ class TestReplyFormat:
 
 class TestLateFrames:
     def test_timed_out_request_is_retired(self):
-        timed_out = threading.Event()
+        def reply(conn, session, first):
+            # FIRST is answered only once SECOND arrives, after FIRST's deadline.
+            conn.sendall(answer(first + session.resolve(read_frames(conn, 1))))
 
-        def serve(conn):
-            conn.sendall(HELLO)
-            requests = EchoSession().resolve(read_frames(conn, 2))
-            timed_out.wait(10)
-            # Request 0 is answered after its deadline passed, then request 1.
-            conn.sendall(answer(requests))
-            conn.recv(1024)
-
-        with fake_server(serve) as (host, port):
-            with ScorerClient.connect_tcp(host, port, timeout_ms=200) as client:
-                late = client.submit([0, 0, 0])
-                wanted = client.submit([1, 2, 0])
-                with pytest.raises(RemoteTimeoutError):
-                    client.collect(late)
-                timed_out.set()
-                assert client.collect(wanted).tolist() == [1.0, 2.0, 0.0]
-                assert client.late_frames == 1
-                with pytest.raises(ProtocolError, match="not outstanding"):
-                    client.collect(late)
+        first, second, late_frames, early = second_caller_waits(reply)
+        assert isinstance(first, RemoteTimeoutError)
+        assert second == [2.0, 1.0, 0.0]
+        assert late_frames == 1 and early == [False]
 
     def test_stall_mid_payload_retires_id(self):
-        resumed = threading.Event()
+        def reply(conn, session, first):
+            stalled = answer(first)
+            # The header and part of the payload, then a stall past FIRST's
+            # deadline; the rest comes ahead of SECOND's answer.
+            conn.sendall(stalled[:-10])
+            conn.sendall(stalled[-10:] + answer(session.resolve(read_frames(conn, 1))))
 
-        def serve(conn):
-            conn.sendall(HELLO)
-            requests = EchoSession().resolve(read_frames(conn, 2))
-            reply = answer(requests[:1])
-            # The header and part of the payload, then a stall past the deadline.
-            conn.sendall(reply[:-10])
-            resumed.wait(10)
-            conn.sendall(reply[-10:] + answer(requests[1:]))
-            conn.recv(1024)
-
-        with fake_server(serve) as (host, port):
-            with ScorerClient.connect_tcp(host, port, timeout_ms=200) as client:
-                stalled = client.submit([2, 1, 0])
-                wanted = client.submit([1, 2, 2])
-                with pytest.raises(RemoteTimeoutError):
-                    client.collect(stalled)
-                with pytest.raises(ProtocolError, match="not outstanding"):
-                    client.collect(stalled)
-                resumed.set()
-                assert client.collect(wanted).tolist() == [1.0, 2.0, 2.0]
-                assert client.late_frames == 1
+        first, second, late_frames, early = second_caller_waits(reply)
+        assert isinstance(first, RemoteTimeoutError)
+        assert second == [2.0, 1.0, 0.0]
+        assert late_frames == 1 and early == [False]
 
     def test_timeouts_under_thread_contention(self):
-        # Half the callers are answered at once, half only after every
-        # deadline passed; however each one lands, it is collected or
-        # counted late exactly once, with pumping and waiting callers mixed.
-        callers = 2 * (os.cpu_count() or 1) + 2
-        released = threading.Event()
+        # The transport hands over the first reply only when released, which
+        # keeps the first caller's request in flight past a second caller's
+        # deadline. The second times out waiting for the connection, before
+        # it takes a request id or sends a frame.
+        waiting, release = threading.Event(), threading.Event()
+        chunks = [HELLO, logits_frame(0, [0.0, 1.0, 2.0]) + logits_frame(1, [2.0, 1.0, 0.0])]
 
-        def serve(conn):
-            conn.sendall(HELLO)
-            session = EchoSession()
-            requests = session.resolve(read_frames(conn, callers))
-            conn.sendall(answer(r for r in requests if r[1][0] == 0))
-            released.wait(10)
-            conn.sendall(answer(r for r in requests if r[1][0] == 1))
-            conn.sendall(answer(session.resolve(read_frames(conn, 1))))
-            conn.recv(1024)
+        def recv(timeout):
+            if len(chunks) == 1:
+                waiting.set()
+                release.wait(10)
+            return chunks.pop(0) if chunks else b""
 
-        results, timeouts = [], []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        sent = []
+        client = ScorerClient(_Channel(sent.append, recv, lambda: None, "stream ended"), timeout_ms=200)
+        first = []
+        holder = threading.Thread(target=lambda: first.append(client.score_tokens([0]).tolist()))
+        holder.start()
         try:
-            with fake_server(serve) as (host, port):
-                with ScorerClient.connect_tcp(host, port, timeout_ms=500) as client:
-
-                    def call(i):
-                        prefix = [i % 2, i, 0]
-                        try:
-                            results.append((prefix, client.score_tokens(prefix).tolist()))
-                        except RemoteTimeoutError:
-                            timeouts.append(i)
-
-                    threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join(timeout=10)
-                    assert not any(thread.is_alive() for thread in threads)
-                    released.set()
-                    assert client.score_tokens([1, 1, 1]).tolist() == [1.0, 1.0, 1.0]
-                    assert client.late_frames == len(timeouts)
+            assert waiting.wait(10)
+            with pytest.raises(RemoteTimeoutError, match="another request held the connection"):
+                client.score_tokens([1])
+            assert len(sent) == 1
         finally:
-            sys.setswitchinterval(interval)
-        assert len(results) + len(timeouts) == callers
-        assert len(timeouts) >= callers // 2
-        assert all(prefix == [float(t) for t in got] for prefix, got in results)
+            release.set()
+            holder.join(timeout=10)
+        assert first == [[0.0, 1.0, 2.0]]
+        assert client.score_tokens([2]).tolist() == [2.0, 1.0, 0.0]
+        assert [json.loads(frame)["id"] for frame in sent] == [0, 1]
+        assert client.late_frames == 0
 
 
 class TestEndpoints:
@@ -649,29 +687,28 @@ class TestEndpoints:
         with pytest.raises(ValueError):
             parse_endpoint("grpc:host:1")
 
+    @pytest.mark.parametrize("timeout_ms", [0, -5, float("nan"), True, 2.5])
+    @pytest.mark.parametrize("transport", ["tcp", "stdio", "channel"])
+    def test_bad_timeout_rejected_before_any_transport(self, monkeypatch, transport, timeout_ms):
+        opened, closed = [], []
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: opened.append(args))
+        monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: opened.append(args))
+        connect = {
+            "tcp": lambda: ScorerClient.connect_tcp("127.0.0.1", 9, timeout_ms),
+            "stdio": lambda: ScorerClient.connect_stdio([sys.executable, "-c", "pass"], timeout_ms),
+            "channel": lambda: ScorerClient(_Channel(None, None, lambda: closed.append(True), ""), timeout_ms),
+        }[transport]
+        with pytest.raises(ValueError, match=re.escape(f"timeout_ms must be a positive integer, got {timeout_ms!r}")):
+            connect()
+        assert opened == []
+        assert closed == ([True] if transport == "channel" else [])
+
     def test_connect_endpoint_tcp(self):
         scorer = demo_scorer()
         with StubServer(scorer) as server:
             client = connect_endpoint(f"tcp:{server.host}:{server.port}")
             with client:
                 assert client.vocab_size == scorer.vocab.size
-
-
-class TestProtocolStress:
-    def test_thousand_pipelined_requests_bijective(self, reordering_server):
-        scorer = demo_scorer()
-        rng = np.random.default_rng(61)
-        prefixes = [
-            [int(t) for t in rng.integers(0, scorer.vocab.size, size=rng.integers(1, 5))]
-            for _ in range(1000)
-        ]
-        host, port = reordering_server(scorer, window=7, count=len(prefixes))
-        with ScorerClient.connect_tcp(host, port, timeout_ms=30_000) as client:
-            ids = [client.submit(p) for p in prefixes]
-            assert len(set(ids)) == 1000
-            for request_id, prefix in zip(ids, prefixes):
-                got = client.collect(request_id)
-                assert got.tobytes() == scorer.score(prefix).tobytes()
 
 
 def trigram_scorer():
@@ -860,7 +897,7 @@ class TestProtocolV2:
         with StubServer(demo_scorer()) as server:
             with ScorerClient.connect_tcp(server.host, server.port) as client:
                 with pytest.raises(VocabularyMismatchError, match=f"position 1: token id {bad!r} is not an integer"):
-                    client.submit([0, bad])
+                    client.score_tokens([0, bad])
                 assert client.score_tokens([np.int64(1)]).tobytes() == demo_scorer().score([1]).tobytes()
 
 
