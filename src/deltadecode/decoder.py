@@ -428,8 +428,9 @@ def _decode_lockstep(
     """The decode loop: each (prompt, seed) row, with the rows stepped together.
 
     Row ``i`` decodes ``prompts[i]`` with ``seeds[i]``; a prompt that is
-    a :class:`TokenPrefix` of the vocabulary's size is taken as checked, so
-    rows that share one share its check. Yields ``(row, trajectory)`` as
+    a :class:`TokenPrefix` of the vocabulary's size is taken as checked,
+    and rows that share one prompt object share its check and the tuple
+    of its ids their trajectories hold. Yields ``(row, trajectory)`` as
     each row stops. While two or more rows run, each step scores them as
     one block and runs the batched step core over it. The block keeps its
     running rows' ids in one int64 array, each prompt ending at the
@@ -458,7 +459,13 @@ def _decode_lockstep(
     # The kl instrument needs the dense base row.
     sparse_ok = guided and not want_kl and _sparse_pays(size, 0)
     labels = _scorer_labels(base, expert, expert_base)
-    prompts = [_prompt_prefix(size, prompt) for prompt in prompts]
+    # Rows that share one prompt object share its check and its id tuple.
+    shared = {}
+    for prompt in prompts:
+        if id(prompt) not in shared:
+            prefix = _prompt_prefix(size, prompt)
+            shared[id(prompt)] = prefix, tuple(prefix)
+    prompts, prompt_ids = zip(*[shared[id(prompt)] for prompt in prompts])
     # ``decode`` passes its config's own seed, which needs no new snapshot.
     configs = [config if seed is config.seed else config._with_seed(seed) for seed in seeds]
     rngs = _generators(seeds) if config.mode == "sample" else None
@@ -487,7 +494,7 @@ def _decode_lockstep(
 
     def finished(row: int, stop_reason: str) -> tuple[int, Trajectory]:
         return row, Trajectory(
-            tuple(prompts[row]),
+            prompt_ids[row],
             tuple(ids[row]),
             tuple(logps[row]),
             tuple(kl_values[row]),

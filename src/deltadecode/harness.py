@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,9 @@ from .decoder import INSTRUMENT_FLAGS, Trajectory, _decode_lockstep, _prompt_pre
 # Every cell decodes through _decode_lockstep, but perfbench/tracer.py
 # wraps ``harness.decode``, so the name stays bound here.
 from .decoder import decode  # noqa: F401
-from .metrics import EvalRecord, extract_answer, pass_at_k_exact, save_records
+from .metrics import EvalRecord, _records_text, extract_answer, pass_at_k_exact
 from .remote import RemoteScorer, connect_endpoint
-from .scorers import Scorer, encode_text, load_scorer, load_vocab, render_tokens
+from .scorers import Scorer, encode_text, load_scorer, load_vocab
 
 __all__ = [
     "ArmSpec",
@@ -438,13 +440,20 @@ class _ArmRuntime:
         self.template_text = load_template(arm.template) if arm.template else None
         self.tokenizer = arm.tokenizer or self.base.tokenizer
         self.samples = manifest.samples_for(arm)
+        vocab = self.base.vocab
+        self._surface = vocab.surface
+        self._specials = frozenset({vocab.eos, vocab.bos} - {None})
+        self._separator = "" if self.tokenizer == "byte" else " "
 
     def encode_prompt(self, input_text: str) -> list[int]:
         rendered = render_prompt(self.template_text, input_text)
         return encode_text(rendered, self.base.vocab, self.tokenizer)
 
     def render(self, token_ids) -> str:
-        return render_tokens(token_ids, self.base.vocab, self.tokenizer)
+        """``scorers.render_tokens`` of ``token_ids``, which must be ints in
+        the vocabulary: the decoder's, or a line's checked by its min and max."""
+        surface, specials = self._surface, self._specials
+        return self._separator.join([surface[t] for t in token_ids if t not in specials])
 
 
 def _load_arm_scorer(spec: str, arm: ArmSpec, cache: dict) -> Scorer:
@@ -473,18 +482,36 @@ def _load_arm_scorer(spec: str, arm: ArmSpec, cache: dict) -> Scorer:
     return scorer
 
 
-# One encoder for every line: ``json.dumps`` with these options builds a
-# new one per call.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def _trajectory_line(sample_index: int, trajectory: Trajectory, answer: str | None) -> str:
-    payload = {
-        **trajectory.to_dict(),
-        "sample_index": sample_index,
-        "extracted_answer": answer,
-    }
-    return _LINE_ENCODER.encode(payload)
+    """``json.dumps`` of ``trajectory.to_dict()`` with ``sample_index`` and
+    ``extracted_answer`` added, sorted keys and compact separators, written
+    field by field: the same bytes, as the tests pin. A trajectory's ids
+    are exact ints (``Trajectory.from_tokens`` and the decoder make them
+    so), whose ``str`` is the ``int.__repr__`` JSON writes."""
+    kl = trajectory.kl
+    kl_field = "" if kl.count(None) == len(kl) else f',"kl":{_json_floats(kl)}'
+    answer_field = "null" if answer is None else encode_basestring_ascii(answer)
+    return (
+        f'{{"extracted_answer":{answer_field}{kl_field},'
+        f'"logprobs":{_json_floats(trajectory.logprobs)},'
+        f'"prompt_tokens":[{",".join(map(str, trajectory.prompt_tokens))}],'
+        f'"sample_index":{sample_index},'
+        f'"stop_reason":{encode_basestring_ascii(trajectory.stop_reason)},'
+        f'"tokens":[{",".join(map(str, trajectory.tokens))}]}}'
+    )
+
+
+def _json_floats(values: tuple) -> str:
+    """The JSON array of ``values``: JSON writes a finite float as
+    ``float.__repr__``; a None, a NaN or an infinity (whose repr holds an
+    "n") takes the encoder itself."""
+    try:
+        text = ",".join(map(float.__repr__, values))
+    except TypeError:
+        text = "n"
+    if "n" in text:
+        return json.dumps(values, separators=(",", ":"))
+    return f"[{text}]"
 
 
 def _campaign_lines(text: str, samples: int, config: DecodeConfig, labels=()):
@@ -582,10 +609,24 @@ class _ProblemFile:
             self.lines = {}
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+def _write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` + ".tmp", then rename it over
+    ``path``, so a reader sees the old file or the new one, whole. A failed
+    write removes the temporary file."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_json(path: Path, data) -> None:
@@ -635,7 +676,7 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
             try:
                 runtime = _ArmRuntime(arm, manifest, cache)
                 records = _run_arm(runtime, manifest, problems, arm_dir, counts)
-                save_records(records, arm_dir / "records.jsonl")
+                _write_atomic(arm_dir / "records.jsonl", _records_text(records))
                 arm_summary["trajectories"] = sum(r.n for r in records)
                 arm_summary["accuracy"] = pass_at_k_exact(records, 1).value
                 arm_summary["stddev_over_samples"] = _stddev_over_samples(records)

@@ -179,8 +179,13 @@ def load_records(path) -> list[EvalRecord]:
 
 
 def save_records(records: Sequence[EvalRecord], path) -> None:
+    Path(path).write_text(_records_text(records), encoding="utf-8")
+
+
+def _records_text(records: Sequence[EvalRecord]) -> str:
+    """The JSONL text :func:`save_records` writes: one compact, key-sorted line per record."""
     lines = [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in records]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return "".join(line + "\n" for line in lines)
 
 
 @dataclass(frozen=True)

@@ -91,28 +91,37 @@ def _encode_frame(frame: dict) -> bytes:
 
 
 class _Channel:
-    """Line- and length-framed byte transport with deadline-aware reads.
+    """Line- and length-framed byte transport with deadline-aware sends and reads.
 
-    A transport supplies ``send(data)``, ``close()`` and ``recv(timeout)``,
-    which returns the next chunk of bytes (``b""`` at end of stream) or
-    raises ``TimeoutError`` when none arrived within ``timeout`` seconds
-    (``None`` waits indefinitely). ``eof_message`` names the closed stream.
-    A read that times out leaves what it buffered for the next read.
+    A transport supplies ``close()``, ``send(data, timeout)``, which sends
+    all of ``data`` or raises ``TimeoutError`` when it could not within
+    ``timeout`` seconds, and ``recv(timeout)``, which returns the next chunk
+    of bytes (``b""`` at end of stream) or raises ``TimeoutError`` when none
+    arrived within ``timeout`` seconds (``None`` waits indefinitely in
+    both). ``eof_message`` names the closed stream. A read that times out
+    leaves what it buffered for the next read; a send that fails may have
+    sent part of ``data``.
     """
 
     def __init__(self, send, recv, close, eof_message: str):
-        self.send = send
         self.close = close
+        self._send = send
         self._recv = recv
         self._eof_message = eof_message
         self._buffer = b""
 
+    def send(self, data: bytes, deadline: float | None = None) -> None:
+        """Send ``data`` by ``deadline``: :class:`RemoteTimeoutError` when
+        it passes, :class:`ProtocolError` when the peer has closed."""
+        try:
+            self._send(data, _remaining(deadline, "timed out sending a frame"))
+        except TimeoutError:
+            raise RemoteTimeoutError("timed out sending a frame") from None
+        except ConnectionError as exc:
+            raise ProtocolError(f"peer closed the stream: {exc}") from None
+
     def _fill(self, deadline: float | None) -> None:
-        timeout = None
-        if deadline is not None:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                raise RemoteTimeoutError("timed out waiting for a frame")
+        timeout = _remaining(deadline, "timed out waiting for a frame")
         try:
             chunk = self._recv(timeout)
         except TimeoutError:
@@ -136,7 +145,22 @@ class _Channel:
         return data
 
 
+def _remaining(deadline: float | None, message: str) -> float | None:
+    """The seconds left until ``deadline`` (None for none); raises
+    :class:`RemoteTimeoutError` with ``message`` once it has passed."""
+    if deadline is None:
+        return None
+    timeout = deadline - time.monotonic()
+    if timeout <= 0:
+        raise RemoteTimeoutError(message)
+    return timeout
+
+
 def _socket_channel(sock: socket.socket) -> _Channel:
+    def send(data, timeout):
+        sock.settimeout(timeout)
+        sock.sendall(data)
+
     def recv(timeout):
         sock.settimeout(timeout)
         return sock.recv(65536)
@@ -147,17 +171,33 @@ def _socket_channel(sock: socket.socket) -> _Channel:
         except OSError:
             pass
 
-    return _Channel(sock.sendall, recv, close, "connection closed by peer")
+    return _Channel(send, recv, close, "connection closed by peer")
 
 
 def _pipe_channel(process: subprocess.Popen) -> _Channel:
-    """Talks to a subprocess over its stdin/stdout pipes."""
+    """Talks to a subprocess over its stdin/stdout pipes. Its stdin takes
+    non-blocking writes, so a send waits for room only until its deadline."""
     selector = selectors.DefaultSelector()
     selector.register(process.stdout, selectors.EVENT_READ)
+    stdin = process.stdin.fileno()
+    os.set_blocking(stdin, False)
+    writable = selectors.DefaultSelector()
+    writable.register(stdin, selectors.EVENT_WRITE)
 
-    def send(data: bytes) -> None:
-        process.stdin.write(data)
-        process.stdin.flush()
+    def send(data: bytes, timeout) -> None:
+        end = None if timeout is None else time.monotonic() + timeout
+        view = memoryview(data)
+        while True:
+            try:
+                view = view[os.write(stdin, view) :]
+            except BlockingIOError:
+                pass
+            if not view:
+                return
+            wait = None if end is None else end - time.monotonic()
+            if wait is not None and wait <= 0:
+                raise TimeoutError
+            writable.select(wait)
 
     def recv(timeout):
         if not selector.select(timeout):
@@ -166,6 +206,7 @@ def _pipe_channel(process: subprocess.Popen) -> _Channel:
 
     def close():
         selector.close()
+        writable.close()
         for stream in (process.stdin, process.stdout):
             try:
                 stream.close()
@@ -206,10 +247,12 @@ class ScorerClient:
     ``extend`` frame relative to the prefix this client sent last and reads
     frames until the reply to that request, so one request is in flight at
     a time and threads that share a client each get their own rows. One
-    deadline covers the wait for the lock and the round trip; a caller that
-    cannot get the lock in time sends nothing. A request that timed out is
-    retired: its reply, if it ever arrives, is read by a later request,
-    dropped and counted in ``late_frames``. Building a client reads the
+    deadline covers the wait for the lock, the send and the reply; a caller
+    that cannot get the lock in time sends nothing. A request that timed out
+    waiting for its reply is retired: its reply, if it ever arrives, is read
+    by a later request, dropped and counted in ``late_frames``. One whose
+    send timed out or found the peer gone may have sent part of a frame, so
+    every later request fails at once, saying why. Building a client reads the
     server's hello, so ``vocab_size`` is always set.
     """
 
@@ -235,6 +278,8 @@ class ScorerClient:
         self._resync = False
         self._timed_out: set[int] = set()
         self._late_frames = 0
+        # Why the stream is out of frame (a send failed part way), or None.
+        self._broken: str | None = None
         self._next_id = 0
         # A frame whose header was read and whose payload was not, so the
         # next request reads that payload first, or (when the header's
@@ -291,12 +336,14 @@ class ScorerClient:
                 f"no response within {self.timeout_ms} ms: another request held the connection"
             )
         try:
+            if self._broken is not None:
+                raise ProtocolError(f"connection out of frame: {self._broken}")
             request_id = self._next_id
             self._next_id += 1
             keep = self._shared_length(prefix)
             frame = {"type": "extend", "id": request_id, "keep": keep, "tokens": prefix[keep:]}
             self._sent, self._sent_len = prefix, len(prefix)
-            self._channel.send(_encode_frame(frame))
+            self._send(_encode_frame(frame), deadline)
             try:
                 header, payload = self._read_reply(request_id, deadline)
             except RemoteTimeoutError:
@@ -306,6 +353,18 @@ class ScorerClient:
         finally:
             self._lock.release()
         return self._decode_response(header, payload)
+
+    def _send(self, data: bytes, deadline: float) -> None:
+        """Send one request's frame by its deadline. A send that fails may
+        have sent part of the frame, so every later request fails at once."""
+        try:
+            self._channel.send(data, deadline)
+        except RemoteTimeoutError:
+            self._broken = f"a request was not sent within {self.timeout_ms} ms"
+            raise RemoteTimeoutError(self._broken) from None
+        except ProtocolError as exc:
+            self._broken = f"a request's send failed: {exc}"
+            raise
 
     def _shared_length(self, prefix: Sequence[int]) -> int:
         """How many leading ids ``prefix`` shares with the session's prefix."""
@@ -559,8 +618,8 @@ class StubServer:
         channel = _socket_channel(conn)
         try:
             _serve_channel(self.scorer, channel)
-        except OSError:
-            pass  # stop() shut the connection down, or the peer reset it, mid-send
+        except (OSError, ProtocolError):
+            pass  # stop() shut the connection down, or the peer closed it, mid-send
         finally:
             with self._lock:
                 del self._connections[conn]
@@ -592,7 +651,7 @@ def serve_stdio(scorer: Scorer) -> None:
     """Serve one protocol session over stdio (for subprocess transports)."""
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
 
-    def send(data: bytes) -> None:
+    def send(data: bytes, timeout) -> None:
         stdout.write(data)
         stdout.flush()
 

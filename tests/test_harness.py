@@ -9,6 +9,8 @@ property here; run_log.json (wall clock) is the only file excluded.
 import gc
 import hashlib
 import json
+import math
+import os
 import re
 import shlex
 import subprocess
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltadecode import decoder, harness
 from deltadecode.core import DecodeConfig, InvalidConfigError
@@ -43,6 +47,7 @@ from deltadecode.scorers import (
     encode_text,
     load_corpus,
     load_scorer,
+    render_tokens,
     save_scorer,
     save_vocab,
     train_ngram,
@@ -113,6 +118,15 @@ def damage_line(path, number, damage):
     lines = path.read_text().splitlines()
     lines[number - 1] = json.dumps(damage(json.loads(lines[number - 1])))
     path.write_text("".join(line + "\n" for line in lines))
+
+
+_os_write = os.write
+
+
+def torn_write(fd, data):
+    """``os.write`` as a full disk fails it: half of ``data`` lands first."""
+    _os_write(fd, bytes(data[: len(data) // 2]))
+    raise OSError("disk full")
 
 
 def walk_bytes(root, exclude=("run_log.json",)):
@@ -320,6 +334,60 @@ class TestTrajectoryLine:
         payload = {**trajectory.to_dict(), "sample_index": 7, "extracted_answer": answer}
         assert line == json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert ('"kl":' in line) == bool(instrument)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_any_line_equals_json_dumps(self, data):
+        # Columns built directly, past from_tokens' checks, so non-finite
+        # floats, ids up to 2**64 and kl that is absent, all present or
+        # partly None all meet the writer. The example pins every edge
+        # float in one line.
+        if data is None:
+            logprobs = tuple(LINE_EDGE_FLOATS)
+            columns = ((0,), tuple(range(len(logprobs))), logprobs, logprobs[::-1], "eos", 2**64, '\"\x00ü')
+        else:
+            n = data.draw(st.integers(0, 6))
+            ids = st.lists(LINE_IDS, min_size=n, max_size=n).map(tuple)
+            kl = data.draw(st.sampled_from([st.none(), LINE_FLOATS, st.none() | LINE_FLOATS]))
+            columns = (
+                data.draw(ids),
+                data.draw(ids),
+                data.draw(st.lists(LINE_FLOATS, min_size=n, max_size=n).map(tuple)),
+                data.draw(st.lists(kl, min_size=n, max_size=n).map(tuple)),
+                data.draw(st.sampled_from(["eos", "max_tokens"])),
+                data.draw(LINE_IDS),
+                data.draw(st.none() | LINE_TEXT),
+            )
+        prompt, tokens, logprobs, kl, stop_reason, index, answer = columns
+        trajectory = decoder.Trajectory(prompt, tokens, logprobs, kl, stop_reason, DecodeConfig())
+        payload = {**trajectory.to_dict(), "sample_index": index, "extracted_answer": answer}
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert harness._trajectory_line(index, trajectory, answer) == expected
+
+    @pytest.mark.parametrize("tokenizer", ["whitespace", "byte"])
+    def test_arm_render_equals_render_tokens(self, world, tokenizer):
+        arm = ArmSpec(label="a", base=str(world / "base.json"), tokenizer=tokenizer)
+        runtime = harness._ArmRuntime(arm, make_manifest(world, arms=(arm,)), {})
+        vocab = runtime.base.vocab
+        assert vocab.bos is not None
+        rng = np.random.default_rng(11)
+        cases = [(), (vocab.bos,), (vocab.eos,), (vocab.bos, 0, vocab.eos), (2, vocab.bos, 1, 1)]
+        cases += [tuple(rng.integers(0, vocab.size, size=n).tolist()) for n in range(1, 9) for _ in range(20)]
+        for ids in cases:
+            assert runtime.render(ids) == render_tokens(ids, vocab, tokenizer), ids
+
+
+# Floats as the line writer meets them: any double, NaN and the
+# infinities included, and the edge values of float.__repr__.
+LINE_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 1.7976931348623157e308, math.inf, -math.inf, math.nan
+]
+LINE_FLOATS = st.floats() | st.sampled_from(LINE_EDGE_FLOATS)
+LINE_IDS = st.integers(0, 2**64)
+# Answers: any text, lone surrogates, quotes, backslashes and control
+# characters included.
+LINE_TEXT = st.text(st.characters() | st.characters(categories=["Cs"]) | st.sampled_from('"\\\n\x00\x1f\x7fü'))
 
 
 class TestIngestDataset:
@@ -627,17 +695,51 @@ class TestRunManifest:
     def test_save_failing_part_way_keeps_the_previous_file(self, world, tmp_path, monkeypatch):
         path = tmp_path / "manifest.json"
         make_manifest(world).save(path)
-        write_text = Path.write_text
-
-        def torn(self, text, *args, **kwargs):
-            write_text(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
-
-        monkeypatch.setattr(Path, "write_text", torn)
+        monkeypatch.setattr(os, "write", torn_write)
         with pytest.raises(OSError, match="disk full"):
             make_manifest(world, run_id="other").save(path)
         monkeypatch.undo()
         assert RunManifest.load(path) == make_manifest(world)
+
+
+class TestWriteAtomic:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_tmp(self, tmp_path, monkeypatch):
+        path = tmp_path / "file.jsonl"
+        harness._write_atomic(path, "old\n")
+        monkeypatch.setattr(os, "write", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            harness._write_atomic(path, "new ü\n" * 1000)
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.jsonl"]
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        # A write may take fewer bytes than it was given; the rest follow.
+        text = "".join(f"line {i} ü\n" for i in range(500))
+        monkeypatch.setattr(os, "write", lambda fd, data: _os_write(fd, bytes(data[:7])))
+        harness._write_atomic(tmp_path / "file.jsonl", text)
+        monkeypatch.undo()
+        assert (tmp_path / "file.jsonl").read_bytes() == text.encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.jsonl"]
+
+    def test_records_failing_mid_save_keep_the_previous_file(self, world, tmp_path, monkeypatch):
+        # The rerun reuses every line and writes records.jsonl, whose ground
+        # truth changed; that write tears, and the arm degrades.
+        out = tmp_path / "out"
+        data = tmp_path / "data.jsonl"
+        data.write_text((world / "data.jsonl").read_text().replace('"answer": "7"', '"answer": "1"'))
+        run_campaign(make_manifest(world), out)
+        records = (out / "arms/guided/records.jsonl").read_bytes()
+
+        def torn_records(fd, data):
+            return (torn_write if b'"ground_truth"' in bytes(data) else _os_write)(fd, data)
+
+        monkeypatch.setattr(os, "write", torn_records)
+        summary = run_campaign(make_manifest(world, arms=make_manifest(world).arms[1:], dataset=str(data)), out)
+        monkeypatch.undo()
+        assert summary["arms"]["guided"]["error"] == "OSError: disk full"
+        assert (out / "arms/guided/records.jsonl").read_bytes() == records
+        assert not list(out.rglob("*.tmp"))
 
 
 class TestRunCampaign:
@@ -920,6 +1022,22 @@ class TestRunCampaign:
         run_campaign(make_manifest(world), tmp_path / "out")
         assert made == []
         assert len(one.generated) == len(made) == len(one.tokens) > 0
+
+    def test_rows_sharing_a_prompt_share_its_check_and_ids(self, world, monkeypatch):
+        # A campaign hands every missing cell of a problem the same prompt
+        # object: it is checked once, and its rows hold one id tuple.
+        checked = []
+        check = decoder._prompt_prefix
+        monkeypatch.setattr(
+            decoder, "_prompt_prefix", lambda size, prompt: checked.append(prompt) or check(size, prompt)
+        )
+        scorers = [load_scorer(world / f"{role}.json") for role in ("base", "expert", "expert_base")]
+        shared, other = encode_text("1 2", scorers[0].vocab), encode_text("2 3", scorers[0].vocab)
+        prompts = [shared, other, shared, shared]
+        rows = dict(decoder._decode_lockstep(*scorers, prompts=prompts, config=SAMPLED, seeds=[1, 2, 3, 4]))
+        assert [id(prompt) for prompt in checked] == [id(shared), id(other)]
+        assert rows[0].prompt_tokens is rows[2].prompt_tokens is rows[3].prompt_tokens
+        assert (rows[0].prompt_tokens, rows[1].prompt_tokens) == (tuple(shared), tuple(other))
 
     def test_records_round_trip_and_predictions(self, world, tmp_path):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@ import contextlib
 import json
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -151,11 +152,11 @@ class TestTcpTransport:
             channel = _socket_channel(sock)
             send, recv_exact = channel.send, channel.recv_exact
 
-            def counting_send(data):
+            def counting_send(data, deadline):
                 with counter:
                     in_flight[0] += 1
                     peak[0] = max(peak[0], in_flight[0])
-                send(data)
+                send(data, deadline)
 
             def counting_recv_exact(n, deadline):
                 payload = recv_exact(n, deadline)
@@ -230,6 +231,27 @@ class TestTcpTransport:
         assert not any(thread.is_alive() for thread in serving)
 
 
+    def test_peer_gone_mid_reply_ends_its_connection_quietly(self):
+        # A client that sends many requests and resets the connection
+        # makes the server's replies fail mid-send; the serving thread
+        # ends without an unhandled exception, which the test run would
+        # report as an error.
+        scorer = demo_scorer()
+        frames = b"".join(
+            json.dumps({"type": "extend", "id": i, "keep": 0, "tokens": [0, 1]}).encode() + b"\n"
+            for i in range(2000)
+        )
+        with StubServer(scorer) as server:
+            sock = socket.create_connection((server.host, server.port), timeout=5)
+            sock.recv(1024)
+            sock.sendall(frames)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.monotonic() + 5
+            while any("_serve_one" in t.name for t in threading.enumerate()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any("_serve_one" in t.name for t in threading.enumerate())
+
 # The fake servers below answer each request with its whole prefix as logits.
 def hello(vocab_size):
     return json.dumps({"type": "hello", "version": PROTOCOL_VERSION, "vocab_size": vocab_size}).encode() + b"\n"
@@ -303,7 +325,12 @@ def scripted_client(stream, cuts=(), timeout_ms=5000):
     bounds = sorted({0, len(stream), *(cut for cut in cuts if 0 < cut < len(stream))})
     chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
     sent = []
-    channel = _Channel(sent.append, lambda timeout: chunks.pop(0) if chunks else b"", lambda: None, "stream ended")
+    channel = _Channel(
+        lambda data, timeout: sent.append(data),
+        lambda timeout: chunks.pop(0) if chunks else b"",
+        lambda: None,
+        "stream ended",
+    )
     return ScorerClient(channel, timeout_ms), sent
 
 
@@ -465,6 +492,94 @@ class TestStdioTransport:
                 if process.poll() is None:
                     process.kill()
                     process.wait()
+
+
+# A prefix whose extend frame (about 400 kB) is far more than a pipe or a
+# small socket buffer holds, so its send blocks on a peer that never reads.
+LONG_PREFIX = [0] * 200_000
+
+
+@contextlib.contextmanager
+def stdio_client(script, timeout_ms):
+    """A client of a child running ``script`` after it wrote a hello for
+    three ids; the child is killed on exit."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    code = f"import os, sys, time; {script}; sys.stdout.buffer.write({HELLO!r}); sys.stdout.flush(); time.sleep(30)"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subprocess, "Popen", popen)
+        client = ScorerClient.connect_stdio([sys.executable, "-c", code], timeout_ms=timeout_ms)
+    try:
+        yield client
+    finally:
+        client.close()
+        for process in started:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
+
+class TestSendDeadline:
+    """One request's deadline covers its send: a peer that never reads
+    times it out, a peer that has closed fails it, and either way the
+    client refuses every later request, since the frame may be part sent."""
+
+    def assert_refuses_later_calls(self, client, why):
+        begin = time.monotonic()
+        with pytest.raises(ProtocolError, match="out of frame: " + why) as excinfo:
+            client.score_tokens([0])
+        assert time.monotonic() - begin < 0.1
+        assert not isinstance(excinfo.value, RemoteTimeoutError)
+
+    def test_stdio_child_that_never_reads(self):
+        with stdio_client("pass", timeout_ms=200) as client:
+            begin = time.monotonic()
+            with pytest.raises(RemoteTimeoutError, match="not sent within 200 ms"):
+                client.score_tokens(LONG_PREFIX)
+            assert time.monotonic() - begin < 1.0
+            self.assert_refuses_later_calls(client, "a request was not sent")
+
+    def test_stdio_child_that_closed_its_input(self):
+        with stdio_client("os.close(0)", timeout_ms=5000) as client:
+            with pytest.raises(ProtocolError, match="peer closed the stream") as excinfo:
+                client.score_tokens(LONG_PREFIX)
+            assert type(excinfo.value) is ProtocolError
+            self.assert_refuses_later_calls(client, "a request's send failed")
+
+    def test_socket_peer_that_never_reads(self):
+        ours, theirs = socket.socketpair()
+        ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        theirs.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        theirs.sendall(HELLO)
+        try:
+            client = ScorerClient(_socket_channel(ours), timeout_ms=200)
+            # The hello's read left no timeout on the socket that a send
+            # could run under: the send sets its own.
+            ours.settimeout(None)
+            begin = time.monotonic()
+            with pytest.raises(RemoteTimeoutError, match="not sent within 200 ms"):
+                client.score_tokens(LONG_PREFIX)
+            assert time.monotonic() - begin < 1.0
+            self.assert_refuses_later_calls(client, "a request was not sent")
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_normal_exchange_sends_the_same_bytes(self):
+        # The deadline changes how a frame is sent, not its bytes.
+        stream = HELLO + logits_frame(0, [1.0, 2.0, 3.0]) + logits_frame(1, [3.0, 2.0, 1.0])
+        client, sent = scripted_client(stream)
+        client.score_tokens([0, 1])
+        client.score_tokens([0, 1, 2])
+        assert sent == [
+            b'{"type":"extend","id":0,"keep":0,"tokens":[0,1]}\n',
+            b'{"type":"extend","id":1,"keep":2,"tokens":[2]}\n',
+        ]
 
 
 class TestLineFraming:
@@ -656,7 +771,8 @@ class TestLateFrames:
             return chunks.pop(0) if chunks else b""
 
         sent = []
-        client = ScorerClient(_Channel(sent.append, recv, lambda: None, "stream ended"), timeout_ms=200)
+        channel = _Channel(lambda data, timeout: sent.append(data), recv, lambda: None, "stream ended")
+        client = ScorerClient(channel, timeout_ms=200)
         first = []
         holder = threading.Thread(target=lambda: first.append(client.score_tokens([0]).tolist()))
         holder.start()
