@@ -652,9 +652,13 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
     timings: dict[str, float] = {}
     # Per arm, how many cells were decoded (and of those, in lockstep), how
     # many were reused from lines already on disk, how many tokens the
-    # decoded cells generated, and why the arm degraded (None if it did not).
+    # decoded cells generated, its remote clients' traffic while it decoded,
+    # and why the arm degraded (None if it did not).
     cells = {
-        key: {} for key in ("cells_decoded", "cells_lockstep", "cells_reused", "tokens", "degraded")
+        key: {}
+        for key in (
+            "cells_decoded", "cells_lockstep", "cells_reused", "tokens", *_REMOTE_COUNTERS, "degraded"
+        )
     }
     cache: dict[str, Scorer] = {}
     try:
@@ -697,6 +701,20 @@ def run_campaign(manifest: RunManifest, out_dir) -> dict:
     _write_json(out / "summary.json", summary)
     _write_json(out / "run_log.json", {"wall_clock_seconds": timings, **cells})
     return summary
+
+
+# run_log.json's remote counters, each a ScorerClient property.
+_REMOTE_COUNTERS = {
+    "remote_requests": "requests",
+    "remote_bytes_sent": "bytes_sent",
+    "remote_bytes_received": "bytes_received",
+    "late_frames": "late_frames",
+}
+
+
+def _remote_traffic(clients) -> dict[str, int]:
+    """Each remote counter summed over ``clients``."""
+    return {key: sum(getattr(c, name) for c in clients) for key, name in _REMOTE_COUNTERS.items()}
 
 
 def _run_arm(
@@ -757,6 +775,9 @@ def _run_arm(
     if size <= _LOCKSTEP_MAX_VOCAB and not any(isinstance(s, RemoteScorer) for s in scorers):
         rows = max(_LOCKSTEP_BLOCK_ENTRIES // (size + arm.config.max_tokens), samples)
     lockstep = rows > 1 and len(cells) > 1
+    # An arm may share a client with an earlier arm: it counts its own traffic.
+    clients = {s.client for s in scorers if isinstance(s, RemoteScorer)}
+    before = _remote_traffic(clients)
     try:
         for position, trajectory in _decoded_cells(runtime, prompts, _cell_seeds(entropy), rows):
             file, index = cells[position]
@@ -775,6 +796,9 @@ def _run_arm(
             if file.missing and file.lines:
                 file.write()
         raise
+    finally:
+        for key, total in _remote_traffic(clients).items():
+            counts[key] += total - before[key]
     if failure is not None:
         raise failure
     return [

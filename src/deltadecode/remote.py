@@ -22,6 +22,15 @@ until one with ``keep == 0`` arrives. Any other request type earns an
 error. Client and server speak only this version, and the client refuses
 a hello naming any other.
 
+Every frame is one line of compact JSON (no spaces). Both ends write the
+two frames of a normal exchange, an ``extend`` and the ``logits`` header
+answering it, field by field, and recognise them byte for byte: the
+client compares each header line with the one its request expects, and
+the server matches each request line against the compact ``extend``
+frame, JSON integers only. Every other line is read by ``json.loads``, so
+the bytes on the wire and every check and error are those of a JSON codec.
+The server sends a reply's header and payload in one gather write.
+
 Threads may share one client: each request is sent and its reply read
 under one lock, so one request is in flight at a time. Every transport (a
 TCP socket, a child process's pipes, the server's own stdin/stdout) frames
@@ -34,6 +43,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 import selectors
 import shlex
 import socket
@@ -90,6 +100,46 @@ def _encode_frame(frame: dict) -> bytes:
     return (_ENCODER.encode(frame) + "\n").encode("utf-8")
 
 
+def _extend_line(request_id: int, keep: int, tokens: Sequence[int]) -> bytes:
+    """``_encode_frame`` of an ``extend`` frame, written field by field. The
+    ids must be exact ints, whose ``str`` is the ``int.__repr__`` JSON writes."""
+    return b'{"type":"extend","id":%d,"keep":%d,"tokens":[%s]}\n' % (
+        request_id,
+        keep,
+        ",".join(map(str, tokens)).encode(),
+    )
+
+
+def _logits_header(request_id: int, nbytes: int) -> bytes:
+    """The compact ``logits`` header line that answers ``request_id``, without its newline."""
+    return b'{"type":"logits","id":%d,"nbytes":%d}' % (request_id, nbytes)
+
+
+# The extend line _extend_line writes. Its fields are JSON integers only (no
+# sign, no leading zero), so a line it matches holds the frame json.loads
+# would read from it.
+_INT = rb"(?:0|[1-9][0-9]*)"
+_EXTEND_LINE = re.compile(
+    rb'\{"type":"extend","id":(%s),"keep":(%s),"tokens":\[((?:%s(?:,%s)*)?)\]\}' % ((_INT,) * 4)
+)
+
+
+def _request_frame(line: bytes):
+    """The frame a request line holds, as ``json.loads`` reads it (and
+    raising what it raises); the compact ``extend`` line is read field by
+    field."""
+    match = _EXTEND_LINE.fullmatch(line)
+    if match is None:
+        return json.loads(line.decode("utf-8"))
+    request_id, keep, tokens = match.groups()
+    return {
+        "type": "extend",
+        "id": int(request_id),
+        "keep": int(keep),
+        "tokens": list(map(int, tokens.split(b","))) if tokens else [],
+    }
+
+
 class _Channel:
     """Line- and length-framed byte transport with deadline-aware sends and reads.
 
@@ -98,17 +148,22 @@ class _Channel:
     ``timeout`` seconds, and ``recv(timeout)``, which returns the next chunk
     of bytes (``b""`` at end of stream) or raises ``TimeoutError`` when none
     arrived within ``timeout`` seconds (``None`` waits indefinitely in
-    both). ``eof_message`` names the closed stream. A read that times out
-    leaves what it buffered for the next read; a send that fails may have
-    sent part of ``data``.
+    both). A server's transport also supplies ``send_reply(header,
+    payload)``, which sends both with no deadline. ``eof_message`` names the
+    closed stream. A read that times out leaves what it buffered for the
+    next read; a send that fails may have sent part of ``data``.
     """
 
-    def __init__(self, send, recv, close, eof_message: str):
+    def __init__(self, send, recv, close, eof_message: str, send_reply=None):
         self.close = close
         self._send = send
+        self._send_reply = send_reply
         self._recv = recv
         self._eof_message = eof_message
+        # Received bytes; the first _start of them are consumed. A bytes
+        # object is never written, so a view of it stays valid.
         self._buffer = b""
+        self._start = 0
 
     def send(self, data: bytes, deadline: float | None = None) -> None:
         """Send ``data`` by ``deadline``: :class:`RemoteTimeoutError` when
@@ -120,6 +175,14 @@ class _Channel:
         except ConnectionError as exc:
             raise ProtocolError(f"peer closed the stream: {exc}") from None
 
+    def send_reply(self, header: bytes, payload=b"") -> None:
+        """Send a server frame, the ``header`` line and then ``payload``:
+        :class:`ProtocolError` when the peer has closed."""
+        try:
+            self._send_reply(header, payload)
+        except ConnectionError as exc:
+            raise ProtocolError(f"peer closed the stream: {exc}") from None
+
     def _fill(self, deadline: float | None) -> None:
         timeout = _remaining(deadline, "timed out waiting for a frame")
         try:
@@ -128,21 +191,26 @@ class _Channel:
             raise RemoteTimeoutError("timed out waiting for a frame") from None
         if not chunk:
             raise ProtocolError(self._eof_message)
-        self._buffer += chunk
+        self._buffer = self._buffer[self._start :] + chunk
+        self._start = 0
 
     def recv_line(self, deadline: float | None) -> bytes:
         """The bytes up to the next newline, which is consumed."""
-        while b"\n" not in self._buffer:
+        end = self._buffer.find(b"\n", self._start)
+        while end < 0:
             self._fill(deadline)
-        line, self._buffer = self._buffer.split(b"\n", 1)
+            end = self._buffer.find(b"\n")
+        line = self._buffer[self._start : end]
+        self._start = end + 1
         return line
 
-    def recv_exact(self, n: int, deadline: float | None) -> bytes:
-        """The next ``n`` bytes, buffered ones first."""
-        while len(self._buffer) < n:
+    def recv_exact(self, n: int, deadline: float | None) -> memoryview:
+        """A read-only view of the next ``n`` bytes, buffered ones first."""
+        while len(self._buffer) - self._start < n:
             self._fill(deadline)
-        data, self._buffer = self._buffer[:n], self._buffer[n:]
-        return data
+        start = self._start
+        self._start = start + n
+        return memoryview(self._buffer)[start : start + n]
 
 
 def _remaining(deadline: float | None, message: str) -> float | None:
@@ -157,13 +225,24 @@ def _remaining(deadline: float | None, message: str) -> float | None:
 
 
 def _socket_channel(sock: socket.socket) -> _Channel:
+    """A socket's channel. A timeout is set only when it differs from the
+    socket's own, so a server, which waits without one, sets none."""
+
     def send(data, timeout):
-        sock.settimeout(timeout)
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
         sock.sendall(data)
 
     def recv(timeout):
-        sock.settimeout(timeout)
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
         return sock.recv(65536)
+
+    def send_reply(header, payload):
+        # One gather send; a send a signal cut short is finished by sendall.
+        sent = sock.sendmsg((header, payload))
+        if sent < len(header) + len(payload):
+            sock.sendall((header + bytes(payload))[sent:])
 
     def close():
         try:
@@ -171,7 +250,7 @@ def _socket_channel(sock: socket.socket) -> _Channel:
         except OSError:
             pass
 
-    return _Channel(send, recv, close, "connection closed by peer")
+    return _Channel(send, recv, close, "connection closed by peer", send_reply)
 
 
 def _pipe_channel(process: subprocess.Popen) -> _Channel:
@@ -252,8 +331,9 @@ class ScorerClient:
     waiting for its reply is retired: its reply, if it ever arrives, is read
     by a later request, dropped and counted in ``late_frames``. One whose
     send timed out or found the peer gone may have sent part of a frame, so
-    every later request fails at once, saying why. Building a client reads the
-    server's hello, so ``vocab_size`` is always set.
+    every later request fails at once, saying why, as does every request
+    after ``close``. Building a client reads the server's hello, so
+    ``vocab_size`` is always set.
     """
 
     def __init__(self, channel: _Channel, timeout_ms: int = DEFAULT_TIMEOUT_MS):
@@ -278,8 +358,11 @@ class ScorerClient:
         self._resync = False
         self._timed_out: set[int] = set()
         self._late_frames = 0
+        self._bytes_sent = 0
+        self._bytes_received = 0
         # Why the stream is out of frame (a send failed part way), or None.
         self._broken: str | None = None
+        self._closed = False
         self._next_id = 0
         # A frame whose header was read and whose payload was not, so the
         # next request reads that payload first, or (when the header's
@@ -305,6 +388,22 @@ class ScorerClient:
     def late_frames(self) -> int:
         """Responses that arrived after their request timed out, and were dropped."""
         return self._late_frames
+
+    @property
+    def requests(self) -> int:
+        """Requests this client has sent or begun to send."""
+        return self._next_id
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes of the request frames this client has sent."""
+        return self._bytes_sent
+
+    @property
+    def bytes_received(self) -> int:
+        """Bytes of the reply frames (headers and payloads) this client has
+        read, the hello not included."""
+        return self._bytes_received
 
     def _handshake(self) -> int:
         """Consume the server hello; returns the advertised vocab size."""
@@ -336,14 +435,15 @@ class ScorerClient:
                 f"no response within {self.timeout_ms} ms: another request held the connection"
             )
         try:
+            if self._closed:
+                raise ProtocolError("client is closed")
             if self._broken is not None:
                 raise ProtocolError(f"connection out of frame: {self._broken}")
             request_id = self._next_id
             self._next_id += 1
             keep = self._shared_length(prefix)
-            frame = {"type": "extend", "id": request_id, "keep": keep, "tokens": prefix[keep:]}
             self._sent, self._sent_len = prefix, len(prefix)
-            self._send(_encode_frame(frame), deadline)
+            self._send(_extend_line(request_id, keep, prefix[keep:]), deadline)
             try:
                 header, payload = self._read_reply(request_id, deadline)
             except RemoteTimeoutError:
@@ -365,6 +465,7 @@ class ScorerClient:
         except ProtocolError as exc:
             self._broken = f"a request's send failed: {exc}"
             raise
+        self._bytes_sent += len(data)
 
     def _shared_length(self, prefix: Sequence[int]) -> int:
         """How many leading ids ``prefix`` shares with the session's prefix."""
@@ -379,7 +480,7 @@ class ScorerClient:
             return n
         return next(i for i in range(n) if sent[i] != new[i])
 
-    def _read_reply(self, request_id: int, deadline: float) -> tuple[dict, bytes | None]:
+    def _read_reply(self, request_id: int, deadline: float) -> tuple[dict, memoryview | None]:
         """Read frames until the one answering ``request_id``; returns its
         header and the payload of a logits frame (``None`` for an error).
 
@@ -389,10 +490,13 @@ class ScorerClient:
         while True:
             try:
                 if self._header is None:
-                    self._header = self._parse_line(self._channel.recv_line(deadline))
+                    line = self._channel.recv_line(deadline)
+                    self._bytes_received += len(line) + 1
+                    self._header = self._header_frame(line, request_id)
                 frame, payload = self._header, None
                 if frame.get("type") == "logits":
                     payload = self._channel.recv_exact(self._payload_size(frame), deadline)
+                    self._bytes_received += len(payload)
                 self._header = None
             except RemoteTimeoutError:
                 raise RemoteTimeoutError(
@@ -417,6 +521,14 @@ class ScorerClient:
             self._timed_out.discard(frame_id)
             self._late_frames += 1
 
+    def _header_frame(self, line: bytes, request_id: int) -> dict:
+        """``_parse_line(line)``, with the one header line that answers
+        ``request_id`` as the server writes it recognised byte for byte."""
+        size = 8 * self.vocab_size
+        if line == _logits_header(request_id, size):
+            return {"type": "logits", "id": request_id, "nbytes": size}
+        return self._parse_line(line)
+
     @staticmethod
     def _parse_line(line: bytes) -> dict:
         try:
@@ -437,15 +549,19 @@ class ScorerClient:
         return size
 
     @staticmethod
-    def _decode_response(frame: dict, payload: bytes | None) -> np.ndarray:
+    def _decode_response(frame: dict, payload: memoryview | None) -> np.ndarray:
         if payload is None:
             raise RemoteScoreError(f"server error: {frame.get('message')!r}")
+        # The one copy of the payload: into an owned, writable array.
         logits = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         if not np.isfinite(logits).all():
             raise RemoteScoreError("logits contain non-finite values")
         return logits
 
     def close(self) -> None:
+        """Release the transport; every later request raises
+        :class:`ProtocolError` without touching it. Closing again does nothing."""
+        self._closed = True
         self._channel.close()
 
     def __enter__(self):
@@ -489,12 +605,13 @@ class StubSession:
         self.scorer = scorer
         self.prefix: TokenPrefix | None = TokenPrefix(scorer.vocab.size)
 
-    def step(self, frame) -> tuple[dict, bytes]:
+    def step(self, frame) -> tuple[dict, bytes | memoryview]:
         """Answer one client frame with a header frame and the payload
         bytes that follow it on the wire; never raises.
 
         The payload is empty except after the ``nbytes`` header that
-        answers an ``extend``. Malformed input produces an error frame
+        answers an ``extend``, where it is a byte view of the float64
+        logits, not a copy. Malformed input produces an error frame
         (with the request id when one is recoverable), so a bad request can
         never yield wrong logits.
         """
@@ -517,7 +634,7 @@ class StubSession:
                 raise ValueError(f"scorer returned unusable logits of shape {logits.shape}")
         except Exception as exc:
             return _error_frame(frame_id, str(exc))
-        payload = logits.astype("<f8", copy=False).tobytes()
+        payload = np.ascontiguousarray(logits, dtype="<f8").data.cast("B")
         return {"type": "logits", "id": frame_id, "nbytes": len(payload)}, payload
 
     def _extend(self, frame_id, keep, tokens) -> TokenPrefix:
@@ -551,7 +668,7 @@ def _hello_frame(scorer: Scorer) -> dict:
 def _serve_channel(scorer: Scorer, channel: _Channel) -> None:
     """Send the hello, then answer each frame as it arrives until the
     client closes the stream."""
-    channel.send(_encode_frame(_hello_frame(scorer)))
+    channel.send_reply(_encode_frame(_hello_frame(scorer)))
     session = StubSession(scorer)
     while True:
         try:
@@ -561,13 +678,16 @@ def _serve_channel(scorer: Scorer, channel: _Channel) -> None:
         if not line.strip():
             continue
         try:
-            frame = json.loads(line.decode("utf-8"))
+            frame = _request_frame(line)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             header, _ = _error_frame(None, f"bad frame: {exc}")
-            channel.send(_encode_frame(header))
+            channel.send_reply(_encode_frame(header))
             continue
         header, payload = session.step(frame)
-        channel.send(_encode_frame(header) + payload)
+        if header["type"] == "logits":
+            channel.send_reply(_logits_header(header["id"], len(payload)) + b"\n", payload)
+        else:
+            channel.send_reply(_encode_frame(header))
 
 
 class StubServer:
@@ -651,11 +771,12 @@ def serve_stdio(scorer: Scorer) -> None:
     """Serve one protocol session over stdio (for subprocess transports)."""
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
 
-    def send(data: bytes, timeout) -> None:
-        stdout.write(data)
+    def send_reply(header: bytes, payload) -> None:
+        stdout.write(header)
+        stdout.write(payload)
         stdout.flush()
 
-    channel = _Channel(send, lambda timeout: stdin.read1(65536), lambda: None, "stdin closed")
+    channel = _Channel(None, lambda timeout: stdin.read1(65536), lambda: None, "stdin closed", send_reply)
     _serve_channel(scorer, channel)
 
 

@@ -1464,6 +1464,44 @@ class TestLockstepCampaign:
         assert sum(sent) <= len(sent)
         assert problem_lines(tmp_path / "out", "remote") == problem_lines(tmp_path / "out", "guided")
 
+    def test_run_log_counts_each_arms_remote_traffic(self, world, tmp_path, monkeypatch):
+        # Two arms share one cached connection; each counts only the frames
+        # its own cells cost: one request per generated token.
+        frames = []
+        step = StubSession.step
+        monkeypatch.setattr(StubSession, "step", lambda self, frame: frames.append(frame) or step(self, frame))
+        server_scorer = load_scorer(world / "base.json")
+        save_vocab(server_scorer.vocab, tmp_path / "vocab.txt")
+        nbytes = 8 * server_scorer.vocab.size
+        remote_keys = ("remote_requests", "remote_bytes_sent", "remote_bytes_received", "late_frames")
+        out = tmp_path / "out"
+        with StubServer(server_scorer) as server:
+            remote = dict(base=f"tcp:{server.host}:{server.port}", vocab=str(tmp_path / "vocab.txt"))
+            manifest = self.manifest(
+                world, guided_arm(world), guided_arm(world, "first", **remote), guided_arm(world, "second", **remote)
+            )
+            run_campaign(manifest, out)
+            log = json.loads((out / "run_log.json").read_text())
+            for label in ("first", "second"):
+                arm_frames, frames[:] = frames[: log["tokens"][label]], frames[log["tokens"][label] :]
+                assert log["remote_requests"][label] == len(arm_frames) == log["tokens"][label] > 0
+                assert log["remote_bytes_sent"][label] == sum(
+                    len(json.dumps(frame, separators=(",", ":"))) + 1 for frame in arm_frames
+                )
+                header = '{"type":"logits","id":%d,"nbytes":%d}\n'
+                assert log["remote_bytes_received"][label] == sum(
+                    len(header % (frame["id"], nbytes)) + nbytes for frame in arm_frames
+                )
+            assert not frames
+            assert log["late_frames"] == {"guided": 0, "first": 0, "second": 0}
+            assert all(log[key]["guided"] == 0 for key in remote_keys)
+            # A rerun reuses every line and sends nothing.
+            run_campaign(manifest, out)
+            log = json.loads((out / "run_log.json").read_text())
+            gc.collect()
+        assert all(log[key] == {"guided": 0, "first": 0, "second": 0} for key in remote_keys)
+        assert not frames
+
     def test_failure_keeps_finished_lines_and_reruns_to_the_healthy_tree(
         self, world, tmp_path, monkeypatch
     ):

@@ -26,6 +26,12 @@ from deltadecode.remote import (
     StubServer,
     StubSession,
     _Channel,
+    _encode_frame,
+    _EXTEND_LINE,
+    _extend_line,
+    _hello_frame,
+    _request_frame,
+    _serve_channel,
     _socket_channel,
     connect_endpoint,
     parse_endpoint,
@@ -582,6 +588,70 @@ class TestSendDeadline:
         ]
 
 
+class TestClosedClient:
+    """After ``close`` every request raises ``ProtocolError`` before it
+    touches the transport, and closing again does nothing."""
+
+    def assert_closed(self, client):
+        client.close()
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="client is closed") as excinfo:
+                client.score_tokens([0, 1])
+            assert type(excinfo.value) is ProtocolError
+            client.close()
+
+    def test_tcp(self):
+        scorer = demo_scorer()
+        with StubServer(scorer) as server:
+            client = ScorerClient.connect_tcp(server.host, server.port)
+            assert client.score_tokens([0, 1]).tobytes() == scorer.score([0, 1]).tobytes()
+            self.assert_closed(client)
+
+    def test_stdio(self, tmp_path):
+        scorer = demo_scorer()
+        save_scorer(scorer, tmp_path / "demo.json")
+        command = [sys.executable, "-m", "deltadecode.cli", "serve-stub", "--model", str(tmp_path / "demo.json"), "--stdio"]
+        client = ScorerClient.connect_stdio(command)
+        assert client.score_tokens([0, 1]).tobytes() == scorer.score([0, 1]).tobytes()
+        self.assert_closed(client)
+
+    def test_nothing_is_sent(self):
+        client, sent = scripted_client(HELLO + logits_frame(0, [1.0, 2.0, 3.0]))
+        self.assert_closed(client)
+        assert sent == [] and client.requests == 0
+
+
+class TestTrafficCounters:
+    def test_counts_the_frames_of_each_request(self):
+        replies = [logits_frame(0, [1.0, 2.0, 3.0]), error_frame(1, "no"), logits_frame(2, [3.0, 2.0, 1.0])]
+        client, sent = scripted_client(HELLO + b"".join(replies))
+        client.score_tokens([0, 1])
+        assert (client.requests, client.bytes_sent, client.bytes_received) == (1, len(sent[0]), len(replies[0]))
+        with pytest.raises(RemoteScoreError):
+            client.score_tokens([0, 1, 2])
+        client.score_tokens([2])
+        assert client.requests == 3
+        assert client.bytes_sent == sum(map(len, sent))
+        assert client.bytes_received == sum(map(len, replies))
+        assert client.late_frames == 0
+
+    def test_a_late_reply_counts_as_received(self):
+        replies = logits_frame(0, [1.0, 2.0, 3.0]) + logits_frame(1, [3.0, 2.0, 1.0])
+        chunks = [HELLO, None, replies]
+
+        def recv(timeout):
+            chunk = chunks.pop(0)
+            if chunk is None:
+                raise TimeoutError
+            return chunk
+
+        client = ScorerClient(_Channel(lambda data, timeout: None, recv, lambda: None, "stream ended"))
+        with pytest.raises(RemoteTimeoutError):
+            client.score_tokens([0])
+        assert client.score_tokens([1]).tolist() == [3.0, 2.0, 1.0]
+        assert (client.requests, client.late_frames, client.bytes_received) == (2, 1, len(replies))
+
+
 class TestLineFraming:
     @pytest.mark.parametrize("split", [1, len(HELLO) // 2, len(HELLO) - 1])
     def test_split_hello_and_coalesced_responses(self, split):
@@ -722,6 +792,12 @@ class TestReplyFormat:
             with pytest.raises(ProtocolError, match=f"nbytes {nbytes!r}, expected 24") as excinfo:
                 client.score_tokens(prefix)
             assert type(excinfo.value) is ProtocolError
+
+    def test_logits_are_an_owned_writable_copy(self):
+        client, _ = scripted_client(HELLO + logits_frame(0, [1.0, 2.0, 3.0]))
+        logits = client.score_tokens([0])
+        assert logits.flags.owndata and logits.flags.writeable
+        assert logits.dtype == np.float64 and logits.tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_payload_rejected(self, bad):
@@ -873,6 +949,123 @@ class TestF64Codec:
         client, _ = scripted_client(hello(size) + logits_frame(0, values))
         with pytest.raises(ProtocolError, match=f"nbytes {8 * len(values)}, expected {8 * size}"):
             client.score_tokens([])
+
+
+# JSON text for one field of a request line: any JSON integer, or a value
+# the compact extend line never holds.
+ODD_VALUES = ["-1", "-0", "+1", "01", "00", "1.0", "1e2", "true", "false", "null", '"1"', " 1", "1 ", "[]"]
+JSON_INT = st.integers(0, 2**64).map(str)
+SMALL_INT = st.integers(0, 6).map(str)
+
+
+@st.composite
+def request_lines(draw, value=JSON_INT | st.sampled_from(ODD_VALUES)):
+    """A request line: an extend frame's fields (or another type's) in any
+    order, maybe with one key repeated, with compact or spaced separators."""
+    tokens = "[" + draw(st.sampled_from([",", ", "])).join(draw(st.lists(value, max_size=4))) + "]"
+    kind = draw(st.sampled_from(['"extend"', '"score"', '"extend" ', "1"]))
+    fields = [("type", kind), ("id", draw(value)), ("keep", draw(value)), ("tokens", tokens)]
+    fields = draw(st.sampled_from([fields, fields[::-1]]) | st.permutations(fields))
+    if draw(st.booleans()):
+        fields.insert(draw(st.integers(0, 4)), (draw(st.sampled_from(fields))[0], draw(value)))
+    colon, comma = draw(st.sampled_from([":", ": "])), draw(st.sampled_from([",", ", "]))
+    return ("{" + comma.join(f'"{key}"{colon}{text}' for key, text in fields) + "}").encode()
+
+
+def canonical_lines():
+    """An extend line as the client writes it, without its newline."""
+    ids = st.integers(0, 6)
+    keeps = st.just(0) | ids
+    return st.builds(lambda *fields: _extend_line(*fields)[:-1], ids, keeps, st.lists(st.integers(0, 4), max_size=4))
+
+
+def reference_replies(scorer, lines):
+    """The server's replies to ``lines``, each read by ``json.loads`` and
+    answered with ``_encode_frame`` of the header and then the payload."""
+    session, replies = StubSession(scorer), [_encode_frame(_hello_frame(scorer))]
+    for line in lines:
+        try:
+            frame = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            replies.append(_encode_frame({"type": "error", "id": None, "message": f"bad frame: {exc}"}))
+            continue
+        header, payload = session.step(frame)
+        replies.append(_encode_frame(header) + bytes(payload))
+    return replies
+
+
+def served_replies(scorer, lines):
+    """What ``_serve_channel`` sends for ``lines``, one entry per frame."""
+    chunks, replies = [b"".join(line + b"\n" for line in lines)], []
+    channel = _Channel(
+        None,
+        lambda timeout: chunks.pop() if chunks else b"",
+        lambda: None,
+        "stream ended",
+        lambda header, payload: replies.append(header + bytes(payload)),
+    )
+    _serve_channel(scorer, channel)
+    return replies
+
+
+class TestCompactCodecs:
+    """Each end writes and recognises the compact frames of a normal
+    exchange field by field; every byte is what the JSON codec gives."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**63), st.integers(0, 2**63), st.lists(st.integers(0, 2**63)))
+    @example(0, 0, [])
+    @example(2**63, 2**63, [2**63, 0])
+    def test_client_writer_equals_encode_frame(self, request_id, keep, tokens):
+        assert _extend_line(request_id, keep, tokens) == _encode_frame(extend(request_id, keep, tokens))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_header_recogniser_equals_parse_line(self, data):
+        client, _ = scripted_client(HELLO)
+        request_id = data.draw(st.integers(0, 3))
+        value = st.sampled_from([request_id, 24, 0, 1, True, None, 24.0, "24", -1, 2**70])
+        header = data.draw(
+            st.fixed_dictionaries({"type": st.sampled_from(["logits", "error", "hello"]), "id": value, "nbytes": value})
+        )
+        keys = data.draw(st.permutations(list(header)))
+        separators = data.draw(st.sampled_from([(",", ":"), (", ", ": "), (",", ": ")]))
+        line = json.dumps({key: header[key] for key in keys}, separators=separators).encode()
+        line = data.draw(st.sampled_from([line, line + b" ", b" " + line]))
+        got = client._header_frame(line, request_id)
+        assert repr(got) == repr(ScorerClient._parse_line(line))
+
+    def test_header_recogniser_rejects_what_parse_line_rejects(self):
+        client, _ = scripted_client(HELLO)
+        for line in (b'{"type":"logits","id":0,"nbytes":24', b"[]", b"\xff"):
+            with pytest.raises(ProtocolError) as want:
+                ScorerClient._parse_line(line)
+            with pytest.raises(ProtocolError, match=re.escape(str(want.value))):
+                client._header_frame(line, 0)
+
+    @settings(max_examples=500)
+    @given(request_lines() | canonical_lines())
+    @example(b'{"type":"extend","id":0,"keep":0,"tokens":[]}')
+    @example(b'{"type":"extend","id":00,"keep":0,"tokens":[]}')
+    @example(b'{"type":"extend","id":-0,"keep":0,"tokens":[1]}')
+    @example(b'{"type":"extend","id":1,"keep":0,"tokens":[1],"id":2}')
+    def test_server_reader_accepts_only_what_json_reads_alike(self, line):
+        try:
+            want = json.loads(line.decode("utf-8"))
+        except json.JSONDecodeError as exc:
+            assert _EXTEND_LINE.fullmatch(line) is None
+            with pytest.raises(json.JSONDecodeError, match=re.escape(str(exc))):
+                _request_frame(line)
+            return
+        assert repr(_request_frame(line)) == repr(want)
+        if _EXTEND_LINE.fullmatch(line) is not None:
+            assert line == _extend_line(want["id"], want["keep"], want["tokens"])[:-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(request_lines(SMALL_INT | st.sampled_from(ODD_VALUES)) | canonical_lines(), max_size=8))
+    def test_server_replies_like_json_loads(self, lines):
+        scorer = demo_scorer()
+        assert served_replies(scorer, lines) == reference_replies(scorer, lines)
 
 
 class TestExtendSession:
