@@ -128,7 +128,7 @@ class Vocabulary:
             if key not in data:
                 raise InvalidConfigError(f"vocab is missing key {key!r}")
         surface = data["surface"]
-        if not isinstance(surface, list) or not all(type(s) is str for s in surface):
+        if not isinstance(surface, list) or not set(map(type, surface)) <= {str}:
             raise InvalidConfigError("vocab 'surface' must be a list of str")
         eos, bos = data["eos"], data.get("bos")
         for key, value in (("eos", eos), ("bos", bos)):

@@ -226,9 +226,10 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         path = Path(path)
+        text = path.read_text(encoding="utf-8")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except ValueError as exc:  # not JSON, or an int past the digit limit
             raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_dict(data).resolved(path.parent)
 
@@ -262,7 +263,7 @@ def ingest_dataset(path) -> list[dict]:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an int past the digit limit
             raise DatasetError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise DatasetError(f"{path}: line {lineno}: expected a JSON object")

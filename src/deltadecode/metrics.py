@@ -166,6 +166,9 @@ def load_records(path) -> list[EvalRecord]:
             continue
         try:
             data = json.loads(line)
+        except ValueError as exc:  # not JSON, or an int past the digit limit
+            raise ValueError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+        try:
             records.append(
                 EvalRecord(
                     problem_id=str(data["problem_id"]),
@@ -173,7 +176,7 @@ def load_records(path) -> list[EvalRecord]:
                     predictions=tuple(data["predictions"]),
                 )
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record: {exc}") from exc
     return records
 

@@ -533,7 +533,7 @@ class ScorerClient:
     def _parse_line(line: bytes) -> dict:
         try:
             frame = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
             raise ProtocolError(f"malformed frame from server: {exc}") from exc
         if not isinstance(frame, dict):
             raise ProtocolError(f"frame must be a JSON object, got {type(frame).__name__}")
@@ -679,7 +679,7 @@ def _serve_channel(scorer: Scorer, channel: _Channel) -> None:
             continue
         try:
             frame = _request_frame(line)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
             header, _ = _error_frame(None, f"bad frame: {exc}")
             channel.send_reply(_encode_frame(header))
             continue

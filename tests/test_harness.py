@@ -439,6 +439,13 @@ class TestIngestDataset:
         with pytest.raises(DatasetError, match="line 2"):
             ingest_dataset(path)
 
+    def test_overlong_integer_names_line(self, tmp_path):
+        """An integer past ``int``'s 4300-digit limit is not valid JSON here."""
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"prompt": "q", "answer": "a"}\n{"prompt": "q", "answer": %s}\n' % ("9" * 5000))
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: line 2: not valid JSON: Exceeds"):
+            ingest_dataset(path)
+
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("[1, 2]\n")
@@ -690,6 +697,13 @@ class TestRunManifest:
         path = tmp_path / "manifest.json"
         path.write_text("{nope")
         with pytest.raises(ManifestError, match="not valid JSON"):
+            RunManifest.load(path)
+
+    def test_load_rejects_overlong_integer(self, tmp_path):
+        """An integer past ``int``'s 4300-digit limit is not valid JSON here."""
+        path = tmp_path / "manifest.json"
+        path.write_text('{"samples_per_problem": %s}' % ("9" * 5000))
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: not valid JSON: Exceeds"):
             RunManifest.load(path)
 
     def test_save_failing_part_way_keeps_the_previous_file(self, world, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -119,6 +120,13 @@ class TestEvalRecord:
         # file has one JSON object per line without the derived field
         first = json.loads(path.read_text().splitlines()[0])
         assert set(first) == {"problem_id", "ground_truth", "predictions"}
+
+    def test_overlong_integer_names_line(self, tmp_path):
+        """An integer past ``int``'s 4300-digit limit is a malformed record."""
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"problem_id": %s, "ground_truth": "1", "predictions": ["1"]}\n' % ("9" * 5000))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: malformed record: Exceeds"):
+            load_records(path)
 
 
 def brute_force_pass_probability(n, c, k):

@@ -1061,6 +1061,24 @@ class TestCompactCodecs:
         if _EXTEND_LINE.fullmatch(line) is not None:
             assert line == _extend_line(want["id"], want["keep"], want["tokens"])[:-1]
 
+    @pytest.mark.parametrize("separator", [b",", b", "], ids=["compact", "spaced"])
+    def test_overlong_integer_earns_an_error_frame(self, separator):
+        """An id past ``int``'s 4300-digit limit is a bad frame, read by
+        ``_EXTEND_LINE`` or ``json.loads``, and the connection serves on."""
+        bad = separator.join([b'{"type":"extend"', b'"id":' + b"9" * 5000, b'"keep":0', b'"tokens":[]}'])
+        good = _extend_line(1, 0, [0])[:-1]
+        with pytest.raises(ValueError) as reading:
+            int("9" * 5000)
+        hello_line, error, logits = served_replies(demo_scorer(), [bad, good])
+        assert json.loads(error) == {"type": "error", "id": None, "message": f"bad frame: {reading.value}"}
+        assert logits == served_replies(demo_scorer(), [good])[1]
+
+    def test_overlong_integer_from_server_is_a_protocol_error(self):
+        client, _ = scripted_client(HELLO)
+        line = b'{"type":"logits","id":' + b"9" * 5000 + b',"nbytes":24}'
+        with pytest.raises(ProtocolError, match="^malformed frame from server: Exceeds the limit"):
+            client._header_frame(line, 0)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(request_lines(SMALL_INT | st.sampled_from(ODD_VALUES)) | canonical_lines(), max_size=8))
     def test_server_replies_like_json_loads(self, lines):

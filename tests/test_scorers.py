@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -871,3 +872,214 @@ class TestNGramLoadProperties:
         with pytest.raises(InvalidConfigError) as info:
             NGramModel(vocab, width + 1, pairs)
         assert str(info.value) == expected
+
+
+TABLE = ("_rows", "_bounds", "_ids", "_counts", "_logits", "_fill", "_keys", "_key_rows")
+
+
+def json_route(path):
+    """The scorer ``load_scorer``'s json route builds from ``path``."""
+    data = Path(path).read_bytes()
+    return scorers_module._scorer_from(scorers_module._json_payload(data, path), path)
+
+
+def canonical_load(path):
+    """``load_scorer(path)`` with the size rule lifted, so that a file of
+    any size takes the canonical route when it can."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scorers_module, "_CANONICAL_MIN_BYTES", 0)
+        return load_scorer(path)
+
+
+def refuse_json_route(data, path):
+    raise AssertionError(f"{path} left the canonical route")
+
+
+def outcome(load, path):
+    """The model ``load(path)`` returns, or its exception's type and text."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_table(got, want):
+    for name in TABLE:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b), name
+
+
+def assert_loads_as_json_route(path):
+    want, got = outcome(json_route, path), outcome(canonical_load, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_table(got, want)
+
+
+@st.composite
+def ngram_models(draw, max_size=300):
+    """An n-gram model of order 1 to 3: empty rows, ids up to V - 1, and
+    sometimes one count that brings the total to 2**53 - 1."""
+    size = draw(st.integers(1, max_size))
+    width = draw(st.integers(0, 2))
+    ids = st.integers(0, size - 1) | st.just(size - 1)
+    contexts = draw(st.lists(st.tuples(*[ids] * width), max_size=6, unique=True))
+    rows = [draw(st.dictionaries(ids, st.integers(0, 99), max_size=6)) for _ in contexts]
+    counted = [(row, t) for row in rows for t in row]
+    if counted and draw(st.booleans()):
+        row, t = draw(st.sampled_from(counted))
+        row[t] += 2**53 - 1 - sum(sum(r.values()) for r in rows)
+    k = draw(st.sampled_from([0.5, 1.0, 1e-6]))
+    return NGramModel(_vocab(size), width + 1, dict(zip(contexts, rows)), k)
+
+
+# A trigram file in the canonical layout, and edits of it that json.loads
+# reads differently, refuses, or reads alike in another layout.
+SMALL = NGramModel(_vocab(12), 3, {(0, 1): {2: 3, 5: 10}, (1, 2): {}, (11, 11): {0: 1, 11: 7}})
+EDITS = {
+    "leading zero id": ("[[2,3]", "[[02,3]"),
+    "leading zero count": ("[5,10]", "[5,010]"),
+    "double zero": ("[5,10]", "[5,00]"),
+    "negative": ("[5,10]", "[5,-1]"),
+    "float": ("[5,10]", "[5,1.0]"),
+    "exponent": ("[5,10]", "[5,1e1]"),
+    "true": ("[[2,3]", "[[true,3]"),
+    "space": ("[5,10]", "[5, 10]"),
+    "newline": ("]],[[1,2]", "]],\n[[1,2]"),
+    "second counts key": (',"kind"', ',"counts":[],"kind"'),
+    "order true": ('"order":3', '"order":true'),
+    "order float": ('"order":3', '"order":3.0'),
+    "order zero": ('"order":3', '"order":0'),
+    "order too wide": ('"order":3', '"order":99'),
+    "empty slot": ("[[2,3]", "[[,3]"),
+    "double comma": ("[5,10]", "[5,,10]"),
+    "trailing comma": ("[5,10]]", "[5,10],]"),
+    "wide context": ("[[1,2],", "[[1,2,2],"),
+    "pair of three": ("[5,10]", "[5,10,1]"),
+    "lone count": ("[5,10]", "[10]"),
+    "18 digits": ("[5,10]", "[5," + "1" * 18 + "]"),
+    "19 digits": ("[5,10]", "[5," + "1" * 19 + "]"),
+    "5000 digits": ("[5,10]", "[5," + "9" * 5000 + "]"),
+    "id outside": ("[11,7]", "[12,7]"),
+    "token twice": ("[5,10]", "[2,10]"),
+    "context twice": ("[[1,2],[]]", "[[0,1],[]]"),
+    "unsorted row": ("[[2,3],[5,10]]", "[[5,10],[2,3]]"),
+    "object row": ("[[2,3],[5,10]]", '{"2":3}'),
+    "no rest": (',"kind"', '}  ,"kind"'),
+    "not UTF-8": ('"name":"ngram"', '"name":"\udcff"'),
+}
+
+
+class TestCanonicalRoute:
+    """A file ``save_scorer`` wrote loads to the json route's table without
+    ``json.loads`` reading its counts; any other file loads (or fails) as
+    the json route does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=ngram_models())
+    def test_saved_model_loads_to_the_json_route_table(self, model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("m") / "m.json"
+        save_scorer(model, path)
+        want = json_route(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scorers_module, "_json_payload", refuse_json_route)
+            got = canonical_load(path)
+        assert_same_table(got, want)
+        assert got.counts == model.counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=ngram_models(max_size=20), data=st.data())
+    def test_one_byte_edit_loads_as_the_json_route(self, model, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("m") / "m.json"
+        save_scorer(model, path)
+        text = bytearray(path.read_bytes())
+        counts_end = text.index(b'"', len(b'{"counts":'))
+        at = data.draw(st.integers(0, counts_end) | st.integers(0, len(text) - 1))
+        byte = data.draw(st.sampled_from(b'0123456789[],-. "etnrufal:{}\xff'))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "replace":
+            text[at] = byte
+        elif edit == "insert":
+            text.insert(at, byte)
+        else:
+            del text[at]
+        path.write_bytes(bytes(text))
+        assert_loads_as_json_route(path)
+
+    @pytest.mark.parametrize("old, new", EDITS.values(), ids=EDITS.keys())
+    def test_named_edit_loads_as_the_json_route(self, old, new, tmp_path):
+        path = tmp_path / "m.json"
+        save_scorer(SMALL, path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_bytes(text.replace(old, new).encode("utf-8", "surrogateescape"))
+        assert_loads_as_json_route(path)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_saved_files_above_the_size_rule_stay_canonical(self, order, tmp_path, monkeypatch):
+        """Fails if a file ``save_scorer`` wrote, of at least
+        ``_CANONICAL_MIN_BYTES`` bytes, reaches the json route."""
+        rng = np.random.default_rng(order)
+        size = 600
+        rows = {
+            tuple(map(int, rng.integers(0, size, order - 1))): {
+                int(t): int(rng.integers(0, 10**9)) for t in rng.integers(0, size, rng.integers(0, 5))
+            }
+            for _ in range(120)
+        }
+        rows[(size - 1,) * (order - 1)] = {size - 1: 1}
+        rows[(0,) * (order - 1)] = {}
+        model = NGramModel(_vocab(size), order, rows)
+        path = tmp_path / "m.json"
+        save_scorer(model, path)
+        assert path.stat().st_size >= scorers_module._CANONICAL_MIN_BYTES
+        want = json_route(path)
+        monkeypatch.setattr(scorers_module, "_json_payload", refuse_json_route)
+        assert_same_table(load_scorer(path), want)
+
+    def test_overlong_count_names_the_path(self, tmp_path):
+        """A count past ``int``'s 4300-digit limit goes to the json route,
+        which names the file."""
+        model = NGramModel(_vocab(600), 2, {(c,): {c: c + 1} for c in range(600)})
+        path = tmp_path / "m.json"
+        save_scorer(model, path)
+        path.write_text(path.read_text().replace("[[7,8]]", "[[7,%s]]" % ("9" * 5000), 1))
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(f'invalid JSON in {path}: Exceeds the limit')}"):
+            load_scorer(path)
+
+    def test_decimals_of_every_length(self):
+        numbers = [0, 7, 10, 99, 12345678, 10**8, 123456789, 10**16 - 1, 10**17, 10**18 - 1]
+        numbers += [int("9" * n) for n in range(1, 19)] + [int("1" + "0" * (n - 1)) for n in range(1, 19)]
+        text = b'{"counts":[' + b",".join(b"%d" % n for n in numbers) + b"]"
+        buf = np.frombuffer(text, dtype=np.uint8)
+        lengths = np.array([len(str(n)) for n in numbers], dtype=np.int64)
+        ends = np.cumsum(lengths + 1) + len(b'{"counts":')
+        assert scorers_module._decimals(buf, ends, lengths).tolist() == numbers
+
+    def test_peak_memory_is_a_small_multiple_of_the_table(self, tmp_path):
+        """The canonical route builds no JSON tree: the traced peak of a
+        V=8192 load stays under 3x what the loaded model keeps (about 4.5x
+        when ``json.loads`` read the whole file)."""
+        size = 8192
+        rng = np.random.default_rng(0)
+        rows = {
+            (c,): dict(zip(rng.choice(size, 8, replace=False).tolist(), rng.integers(1, 100, 8).tolist()))
+            for c in range(size)
+        }
+        path = tmp_path / "m.json"
+        save_scorer(NGramModel(_vocab(size), 2, rows), path)
+        del rows
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = load_scorer(path)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.vocab.size == size
+        assert peak - before < 3 * (after - before)
