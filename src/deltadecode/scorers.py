@@ -14,7 +14,7 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from array import array
-from collections import Counter
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from itertools import chain
 from pathlib import Path
@@ -56,9 +56,6 @@ BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
 
 TOKENIZERS = ("whitespace", "byte")
-
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 class CorpusIngestionError(ValueError):
     """A corpus or prompt contains a token outside the vocabulary."""
@@ -229,7 +226,9 @@ class NGramModel(Scorer):
     table: the counted ids of every context back to back, their counts and
     logits, and one fill logit ``ln(k / (total + k * V))`` per context for
     the ids it never counted. A row is then an O(V) fill plus a scatter of
-    the context's counted logits.
+    the context's counted logits. A context's key is its ids read as
+    base-V digits, and the table's rows are in key order, so one sorted key
+    column answers every lookup.
     """
 
     kind = "ngram"
@@ -253,7 +252,8 @@ class NGramModel(Scorer):
             raise InvalidConfigError(f"smoothing_k must be finite and > 0, got {smoothing_k!r}")
         self.smoothing_k = k = float(smoothing_k)
         size, need = vocab.size, self.order - 1
-        self._rows, lengths, self._ids, self._counts, contexts = _flat_counts(counts, need, size)
+        self._powers = _key_powers(size, need)
+        keys, lengths, self._ids, self._counts = _flat_counts(counts, self._powers, size)
         # Row i holds _ids[bounds[i]:bounds[i + 1]], the _lengths[i] ids
         # from _starts[i] on; the last row, for contexts never seen, is empty.
         # The bounds are int64 words, read one at a time as Python ints and
@@ -262,21 +262,24 @@ class NGramModel(Scorer):
         edges = np.zeros(len(lengths) + 2, dtype=np.int64)
         lengths.cumsum(out=edges[1:-1])
         edges[-1] = edges[-2]
-        self._bounds = array("q", edges.tobytes())
-        edges = np.frombuffer(self._bounds, dtype=np.int64)
+        self._bounds, edges = _int_column(edges)
         self._starts, self._lengths = edges[:-1], edges[1:] - edges[:-1]
-        self._unseen = len(self._rows)
-        # A context's key is its ids read as base-V digits, when every key
-        # fits in int64. _keys holds them ascending, then a sentinel above
-        # every key; _key_rows holds each one's table row, the unseen row
-        # for the sentinel.
-        self._keys = None
-        if size**need < 2**63:
-            self._powers = size ** np.arange(need - 1, -1, -1, dtype=np.int64)
-            keys = contexts @ self._powers
-            by_key = keys.argsort()
-            self._keys = np.concatenate((keys[by_key], [_INT64_MAX]))
-            self._key_rows = np.concatenate((by_key, [self._unseen]))
+        self._unseen = len(keys)
+        # _keys holds row i's key at i, then V**need, above every key, for
+        # the unseen row; _key_list reads the same keys as Python ints. A
+        # lone row bisects one bucket of them: the keys from b * step to
+        # (b + 1) * step sit at _key_list[_buckets[b]:_buckets[b + 1]].
+        # There are about as many buckets as contexts, and at least one per
+        # first id, so a bucket holds about one key. _pad_keys[m] is the key
+        # of the pad ids before m real ones; _size is vocab.size without the
+        # property call.
+        self._size = size
+        self._key_list, self._keys = _int_column(np.append(keys, np.array(size**need, keys.dtype)))
+        self._step = step = max(size**need // max(len(keys), size), 1)
+        buckets = np.zeros((size**need - 1) // step + 2, dtype=np.int64)
+        np.cumsum(np.bincount((keys // step).astype(np.int64), minlength=len(buckets) - 1), out=buckets[1:])
+        self._buckets = array("q", buckets.tobytes())
+        self._pad_keys = [sum(vocab.pad * size**j for j in range(need - m)) for m in range(need + 1)]
         weights = self._counts.astype(np.float64)
         running = np.concatenate(([0.0], weights.cumsum()))
         if running[-1] >= 2.0**53:
@@ -290,10 +293,11 @@ class NGramModel(Scorer):
 
     @property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
+        contexts = (self._keys[:-1, None] // self._powers % self.vocab.size).tolist()
         ids, counts, bounds = self._ids.tolist(), self._counts.tolist(), self._bounds
         return {
-            ctx: dict(zip(ids[bounds[i] : bounds[i + 1]], counts[bounds[i] : bounds[i + 1]]))
-            for ctx, i in self._rows.items()
+            tuple(ctx): dict(zip(ids[bounds[i] : bounds[i + 1]], counts[bounds[i] : bounds[i + 1]]))
+            for i, ctx in enumerate(contexts)
         }
 
     def context_of(self, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -312,8 +316,27 @@ class NGramModel(Scorer):
         return out
 
     def _row_of(self, prefix) -> int:
-        """The table row of ``prefix``'s context."""
-        return self._rows.get(self.context_of(self._check_prefix(prefix)), self._unseen)
+        """The table row of ``prefix``'s context: its key, bisected within
+        its bucket; the unseen row when the table lacks it."""
+        need, prefix = self.order - 1, self._check_prefix(prefix)
+        tail = prefix[-need:] if need else ()
+        size, keys = self._size, self._key_list
+        key = self._pad_keys[len(tail)]
+        for t in tail:
+            key = key * size + t
+        bucket = key // self._step
+        lo, hi = self._buckets[bucket], self._buckets[bucket + 1]
+        if hi - lo > 1:
+            lo = bisect_left(keys, key, lo, hi)
+        return lo if lo < hi and keys[lo] == key else self._unseen
+
+    def _rows_of(self, contexts: np.ndarray) -> np.ndarray:
+        """The table rows of the contexts, one per row of an int64 array of
+        ``order - 1`` columns: one ``searchsorted`` of their keys into the
+        key column; the unseen row for each context the table lacks."""
+        keys = contexts @ self._powers
+        at = self._keys.searchsorted(keys)
+        return np.where(self._keys[at] == keys, at, self._unseen)
 
     def _sparse_row(self, prefix):
         """The context's table slice: its fill logit, counted ids and their logits."""
@@ -323,28 +346,19 @@ class NGramModel(Scorer):
 
     def _score_window(self, window):
         """Each row's :meth:`score`, read off the last ``order - 1`` columns
-        (-1, or a column the window lacks, as the pad id): one
-        ``searchsorted`` of the context's key into the key column or, with
-        none (keys past int64), one dict lookup; a context the table lacks
-        reads the unseen row. Then one fill and one scatter of the block."""
+        (-1, or a column the window lacks, as the pad id) and looked up
+        together (:meth:`_rows_of`). Then one fill and one scatter of the
+        block."""
         need, width, size = self.order - 1, window.shape[1], self.vocab.size
         if width < need:
             window, width = np.pad(window, ((0, 0), (need - width, 0)), constant_values=-1), need
         tail = window[:, width - need :]
-        context = np.where(tail < 0, self.vocab.pad, tail)
-        if self._keys is None:
-            get, unseen = self._rows.get, self._unseen
-            rows = np.array([get(tuple(c), unseen) for c in context.tolist()], dtype=np.int64)
-        else:
-            keys = context @ self._powers
-            at = self._keys.searchsorted(keys)
-            rows = np.where(self._keys[at] == keys, self._key_rows[at], self._unseen)
+        rows = self._rows_of(np.where(tail < 0, self.vocab.pad, tail))
         starts, lengths = self._starts[rows], self._lengths[rows]
         out = self._fill[rows][:, None].repeat(size, axis=1)
         # Entry j of row r's counted ids is flat entry starts[r] + j, and
         # lands at r * size + its id in the block.
-        ends = lengths.cumsum()
-        flat = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
+        flat = _entries(starts, lengths)
         slots = np.arange(0, len(rows) * size, size).repeat(lengths) + self._ids[flat]
         out.reshape(-1)[slots] = self._logits[flat]
         return out
@@ -357,15 +371,18 @@ class NGramModel(Scorer):
         its fill, so the row's largest logit is the larger of its largest
         counted logit and (when some id is uncounted) its fill. Each head
         reads only its row's counted entries; a context that counts nothing
-        has the fill everywhere and answers id 0.
+        has the fill everywhere and answers id 0. The heads' rows are looked
+        up together (:meth:`_rows_of`).
         """
-        need = self.order - 1
-        pad = (self.vocab.pad,) * need
-        get, unseen, bounds = self._rows.get, self._unseen, self._bounds
+        need, bounds = self.order - 1, self._bounds
         logits, ids, fill, size = self._logits, self._ids, self._fill, self.vocab.size
+        pad = [self.vocab.pad] * need
+        contexts = chain.from_iterable(
+            prefix[n - need : n] if n >= need else pad[n:] + prefix[:n] for prefix, n in heads
+        )
+        contexts = np.fromiter(contexts, np.int64, len(heads) * need).reshape(len(heads), need)
         out = []
-        for prefix, n in heads:
-            i = get(tuple(prefix[n - need : n]) if n >= need else pad[n:] + tuple(prefix[:n]), unseen)
+        for i in self._rows_of(contexts).tolist():
             start, stop = bounds[i], bounds[i + 1]
             if start == stop:
                 out.append(0)
@@ -382,6 +399,32 @@ class NGramModel(Scorer):
                 first = uncounted if fill[i] > top else min(uncounted, first)
             out.append(first)
         return out
+
+
+def _key_powers(size: int, width: int) -> np.ndarray:
+    """``V**(width - 1), ..., V, 1``: a context of ``width`` ids times these
+    is its key, its ids read as base-V digits. int64 when every key and
+    ``V**width`` fit in int64, else Python ints in an object array, which
+    ``@``, ``searchsorted`` and comparison handle alike."""
+    dtype = np.int64 if size**width < 2**63 else object
+    return np.array([size**j for j in range(width - 1, -1, -1)], dtype=dtype)
+
+
+def _int_column(values: np.ndarray) -> tuple[Sequence[int], np.ndarray]:
+    """``values`` read a Python int at a time, and as an array over the same
+    memory: int64 values as an ``array("q")`` and a view of it, Python ints
+    as the object array twice."""
+    if values.dtype == object:
+        return values, values
+    words = array("q", values.tobytes())
+    return words, np.frombuffer(words, dtype=np.int64)
+
+
+def _entries(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The flat indices ``starts[r]``, ..., ``starts[r] + lengths[r] - 1``
+    of every row r in turn (at least one row)."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
 
 
 def _check_order(order) -> int:
@@ -412,13 +455,13 @@ class _CountArrays(NamedTuple):
     values: np.ndarray
 
 
-def _flat_counts(counts, width: int, size: int):
+def _flat_counts(counts, powers: np.ndarray, size: int):
     """Check n-gram ``counts`` and flatten them for :class:`NGramModel`.
 
-    Returns a dict from each context (a tuple of ints) to its row index,
-    the number of counted ids per row, the counted ids of every row back
-    to back (ascending within a row) with their counts, as int64 arrays,
-    and the contexts as one (rows, ``width``) int64 array.
+    Returns the contexts' keys (their ids times ``powers``, see
+    :func:`_key_powers`) ascending, then, as int64 arrays, the number of
+    counted ids per context in that order and the counted ids of every
+    context back to back (ascending within a context) with their counts.
 
     :class:`_CountArrays` go straight to :func:`_count_table`. Any other
     ``counts`` are converted to them first: the types are checked as one
@@ -427,10 +470,11 @@ def _flat_counts(counts, width: int, size: int):
     and token at fault.
     """
     if isinstance(counts, _CountArrays):
-        table = _count_table(counts, size)
+        table = _count_table(counts, powers, size)
         if table is None:
             raise InvalidConfigError("n-gram counts hold an id out of range, a negative count or a repeat")
         return table
+    width = len(powers)
     try:
         items = list(counts.items() if isinstance(counts, Mapping) else counts)
         keys = [key for key, _ in items]
@@ -447,40 +491,50 @@ def _flat_counts(counts, width: int, size: int):
     table = None
     if shapes_ok and all(map(_is_int_type, set(map(type, chain(flat, context_ids))))):
         contexts = _int64(context_ids).reshape(len(keys), width)
-        table = _count_table(_CountArrays(contexts, lengths, *_int64(flat).reshape(-1, 2).T), size)
+        arrays = _CountArrays(contexts, lengths, *_int64(flat).reshape(-1, 2).T)
+        table = _count_table(arrays, powers, size)
     if table is None:
         raise InvalidConfigError(_first_bad_entry(keys, rows, width, size))
     return table
 
 
-def _count_table(counts: _CountArrays, size: int):
+def _count_table(counts: _CountArrays, powers: np.ndarray, size: int):
     """:func:`_flat_counts`' result from checked int64 arrays, or None when
     an id lies outside the vocabulary, a count is negative or a row counts
     a token twice. A context listed twice raises, naming it."""
     contexts, lengths, ids, values = counts
+    # Seen as uint64 a negative id is at least 2**63, so one max checks
+    # both ends; ``initial=0`` lets an empty array pass.
+    if not contexts.view(np.uint64).max(initial=0) < size:
+        return None
+    keys = contexts @ powers
+    # Rows written by save_scorer are already in key order: no sort.
+    by_key = None
+    if not (keys[1:] > keys[:-1]).all():
+        by_key = keys.argsort(kind="stable")
+        starts = lengths.cumsum() - lengths
+        keys, lengths = keys[by_key], lengths[by_key]
+        flat = _entries(starts[by_key], lengths)
+        ids, values = ids[flat], values[flat]
     slots = np.arange(0, len(lengths) * size, size, dtype=np.int64).repeat(lengths)
     slots += ids  # row * size + id
-    # Rows written by save_scorer are already in order: no sort.
     ascending = bool((slots[1:] > slots[:-1]).all())
     if not ascending:
         order = slots.argsort()
         slots, ids, values = slots[order], ids[order], values[order]
-    # Seen as uint64 a negative id is at least 2**63, so one max checks
-    # both ends; ``initial=0`` lets an empty array pass.
     if not (
-        contexts.view(np.uint64).max(initial=0) < size
-        and ids.view(np.uint64).max(initial=0) < size
+        ids.view(np.uint64).max(initial=0) < size
         and values.min(initial=0) >= 0
         and (ascending or (slots[1:] != slots[:-1]).all())  # no row counts a token twice
     ):
         return None
-    # One list per column, zipped into a tuple of plain ints per context.
-    keys = list(zip(*contexts.T.tolist())) if contexts.shape[1] else [()] * len(contexts)
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) < len(keys):
-        ctx = next(key for key, n in Counter(keys).items() if n > 1)
-        raise InvalidConfigError(f"context {ctx} is listed twice")
-    return index, lengths, np.ascontiguousarray(ids), np.ascontiguousarray(values), contexts
+    if by_key is not None:
+        # Equal keys sit side by side. Name the repeated context met first
+        # in the input: a stable sort puts its first listing first.
+        repeats = by_key[:-1][keys[1:] == keys[:-1]]
+        if len(repeats):
+            raise InvalidConfigError(f"context {tuple(contexts[repeats.min()].tolist())} is listed twice")
+    return keys, lengths, np.ascontiguousarray(ids), np.ascontiguousarray(values)
 
 
 def _int64(values: list) -> np.ndarray:
@@ -727,11 +781,13 @@ def load_scorer(path) -> Scorer:
     A file that is not JSON, not a JSON object, lacks a key its kind
     needs, or holds a malformed vocabulary raises
     :class:`InvalidConfigError` naming the path. The cyclic garbage
-    collector is paused for the load. The json route's payload holds no
-    reference cycles, yet the collector would rescan its lists (hundreds
-    of thousands at V=32768) at every collection they survive; the
-    canonical route builds no such tree, but its one tuple per context
-    still sets off collections of everything else the process holds.
+    collector is paused for the load, for the json route: its payload
+    holds no reference cycles, yet the collector would rescan its lists
+    (hundreds of thousands at V=32768) at every collection they survive.
+    The canonical route allocates no object per context and gains nothing
+    from the pause: with the collector running, a load of a 58k-context
+    order-3 or a 32k-context V=32768 file ran no collection and took the
+    same time.
     """
     with open(path, "rb") as fh:
         data = fh.read()

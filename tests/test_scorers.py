@@ -539,19 +539,55 @@ def lockstep_rows(scorers, prompts, config):
     return dict(rows)
 
 
-def without_keys(model):
-    """A copy of ``model`` that reads rows through its dict, as a table
-    whose keys would not fit in int64 does."""
-    copy = NGramModel(model.vocab, model.order, model.counts, model.smoothing_k, name=model.name)
-    copy._keys = None
+def with_object_keys(model):
+    """A copy of ``model`` whose key column holds Python ints in an object
+    array, as a table whose keys would not fit in int64 does."""
+    int64_powers = scorers_module._key_powers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scorers_module, "_key_powers", lambda *args: int64_powers(*args).astype(object))
+        copy = NGramModel(model.vocab, model.order, model.counts, model.smoothing_k, name=model.name)
+    assert copy._keys.dtype == object
     return copy
+
+
+def int64_edge(size):
+    """The lowest order whose keys reach 2**63 at vocabulary size ``size``."""
+    return next(order for order in range(2, 65) if size ** (order - 1) >= 2**63)
+
+
+def context_tuple(prefix, need, pad):
+    """The reference context of ``prefix``: its last ``need`` ids, left-padded."""
+    padded = [pad] * need + list(prefix)
+    return tuple(padded[len(padded) - need :])
+
+
+@st.composite
+def key_column_cases(draw):
+    """An n-gram table of order 1 to 4, or one order below or at its
+    vocabulary's int64 key edge, with prefixes that reach its contexts,
+    contexts next to them, unseen and padded contexts, and ids 0 and V - 1."""
+    size = draw(st.integers(2, 300))
+    edge = int64_edge(size)
+    order = draw(st.sampled_from([1, 2, 3, 4, edge - 1, edge]))
+    need, pad = order - 1, _vocab(size).pad
+    ids = st.integers(0, size - 1) | st.sampled_from([0, size - 1])
+    short = draw(st.lists(st.lists(ids, max_size=need + 2), min_size=1, max_size=4))
+    contexts = draw(st.lists(st.tuples(*[ids] * need), max_size=6))
+    # Some padded contexts are counted too, so a short prefix can be seen.
+    contexts += [context_tuple(p, need, pad) for p in short if draw(st.booleans())]
+    contexts = list(dict.fromkeys(contexts))
+    rows = [draw(st.dictionaries(ids, st.integers(0, 50), max_size=5)) for _ in contexts]
+    prefixes = short + [[draw(ids), *ctx] for ctx in contexts]
+    # The same context but for its last id: the same bucket, maybe unseen.
+    prefixes += [[*ctx[:-1], draw(ids)] for ctx in contexts if ctx]
+    k = draw(st.sampled_from([1e-6, 0.5, 1.0, 100.0]))
+    return _vocab(size), order, k, dict(zip(contexts, rows)), prefixes
 
 
 class TestNGramKeyedBlock:
     """A lockstep block reads an n-gram table's rows off its id window
-    (``_score_window``) with ``score``'s bytes: by integer key when the
-    table has a key column, else by one dict lookup per row, at any window
-    width."""
+    (``_score_window``) with ``score``'s bytes, by integer key, with the
+    key column held as int64 or as Python ints, at any window width."""
 
     @settings(max_examples=150, deadline=None)
     @given(ngram_cases(max_order=4), st.integers(0, 5))
@@ -561,11 +597,11 @@ class TestNGramKeyedBlock:
         vocab, order, k, counts, prefixes = case
         prefixes = [prefix[max(len(prefix) - width, 0) :] for prefix in prefixes]
         model = NGramModel(vocab, order, counts, smoothing_k=k)
-        assert model._keys is not None
+        assert model._keys.dtype == np.int64
         want = np.stack([model.score(prefix) for prefix in prefixes])
         window = block_window(prefixes, width)
         assert window.shape == (len(prefixes), width)
-        for table in (model, without_keys(model)):
+        for table in (model, with_object_keys(model)):
             block = table._score_window(window)
             assert block.dtype == np.float64 and block.tobytes() == want.tobytes()
 
@@ -581,16 +617,17 @@ class TestNGramKeyedBlock:
         if order > 1:
             assert model._unseen in rows and len(set(rows)) > 2
         want = np.stack([model.score(prefix) for prefix in prefixes])
-        for table in (model, without_keys(model)):
+        for table in (model, with_object_keys(model)):
+            assert [table._row_of(prefix) for prefix in prefixes] == rows
             for width in (order - 1, order + 2):
                 assert table._score_window(block_window(prefixes, width)).tobytes() == want.tobytes()
 
-    def test_keys_past_int64_read_by_dict(self):
+    def test_keys_past_int64_read_from_the_key_column(self):
         vocab = byte_vocab()  # V=258: 258**7 < 2**63 <= 258**8
         docs = [list(b"abcabd"), list(b"bcad"), list(b"dcba")]
-        assert train_ngram(docs, 8, vocab)._keys is not None
+        assert train_ngram(docs, 8, vocab)._keys.dtype == np.int64
         model = train_ngram(docs, 9, vocab, smoothing_k=0.5, name="base")
-        assert model._keys is None
+        assert model._keys.dtype == object
         prompts = [list(b"a"), list(b"abcab"), list(b"zzzzzzzzzz"), list(b"bcad")]
         want = np.stack([model.score(p) for p in prompts])
         for width in (0, 12):
@@ -625,6 +662,86 @@ class TestNGramKeyedBlock:
         message = f"scorer 'base' returned bad logits at step 0: expected 3 rows of {vocab.size} logits"
         with pytest.raises(DecodeError, match=re.escape(message)):
             lockstep_rows((short, None, None), prompts, config)
+
+
+class TestNGramKeyColumn:
+    """Every lookup of an n-gram table reads one sorted key column, and
+    finds what a dict from each context tuple to its row finds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_column_cases())
+    def test_lookups_equal_a_tuple_dict(self, case):
+        vocab, order, k, counts, prefixes = case
+        model = NGramModel(vocab, order, counts, smoothing_k=k)
+        need, size = order - 1, vocab.size
+        assert (model._keys.dtype == object) == (size**need >= 2**63)
+        # The reference: one tuple per context, the rows in key order.
+        row_of = {ctx: i for i, ctx in enumerate(sorted(counts))}
+        assert model.counts == counts
+        wanted = []
+        for prefix in prefixes:
+            ctx = context_tuple(prefix, need, vocab.pad)
+            want = dense_reference(counts, order, k, vocab, prefix)
+            assert model._row_of(prefix) == row_of.get(ctx, len(counts))
+            assert model.score(prefix).tobytes() == want.tobytes()
+            fill, ids, values = model._sparse_row(prefix)
+            assert ids.tolist() == sorted(counts.get(ctx, {}))
+            row = np.full(size, fill)
+            row[ids] = values
+            assert row.tobytes() == want.tobytes()
+            wanted.append(want)
+        # Each head reads only its first n ids.
+        heads = [(TokenPrefix(size, [*p, size - 1, 0]), len(p)) for p in prefixes]
+        assert model._greedy_rows(heads) == [int(np.argmax(w)) for w in wanted]
+        for width in (need, need + 3):
+            block = model._score_window(block_window(prefixes, width))
+            assert block.tobytes() == np.stack(wanted).tobytes()
+
+    @pytest.mark.parametrize("route", ["canonical", "json"])
+    def test_repeated_context_named_as_first_listed(self, route, tmp_path):
+        # (5, 5) and (1, 1) are both listed twice; (5, 5) comes first in
+        # the file, though (1, 1) has the lower key.
+        listed = [(5, 5), (1, 1), (2, 3), (5, 5), (1, 1)]
+        model = NGramModel(_vocab(8), 3, {ctx: {} for ctx in set(listed)})
+        path = tmp_path / "m.json"
+        save_scorer(model, path)
+        data = path.read_bytes()
+        rows = ",".join(f"[[{a},{b}],[[0,{i + 1}]]]" for i, (a, b) in enumerate(listed))
+        data = b'{"counts":[' + rows.encode() + data[data.index(b'],"kind"') :]
+        path.write_bytes(data)
+        payload = (
+            scorers_module._canonical_payload(data)
+            if route == "canonical"
+            else scorers_module._json_payload(data, path)
+        )
+        assert payload is not None
+        with pytest.raises(InvalidConfigError) as info:
+            scorers_module._scorer_from(payload, path)
+        assert str(info.value) == "context (5, 5) is listed twice"
+
+    def test_table_keeps_no_python_object_per_context(self):
+        """Built from _CountArrays, a table keeps about 50 bytes per context
+        here: its bound, id count, fill, key, about one lookup bucket and
+        the logit of its one counted id (the ids and counts are the
+        caller's arrays). A tuple and a dict entry per context took it to
+        about 165; the smallest Python object would cost 28 more."""
+        size, n = 256, 20000
+        rng = np.random.default_rng(0)
+        keys = np.sort(rng.choice(size * size, n, replace=False))
+        arrays = scorers_module._CountArrays(
+            np.stack([keys // size, keys % size], axis=1), np.ones(n, np.int64), keys % 7, np.ones(n, np.int64)
+        )
+        vocab = _vocab(size)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = NGramModel(vocab, 3, arrays)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert model._unseen == n
+        assert kept < 64 * n + 8 * (size + 1) + 4096
 
 
 def _load_module(path, name):
@@ -874,7 +991,7 @@ class TestNGramLoadProperties:
         assert str(info.value) == expected
 
 
-TABLE = ("_rows", "_bounds", "_ids", "_counts", "_logits", "_fill", "_keys", "_key_rows")
+TABLE = ("_bounds", "_ids", "_counts", "_logits", "_fill", "_key_list", "_keys", "_buckets", "_pad_keys")
 
 
 def json_route(path):
